@@ -53,6 +53,7 @@ from .mensuration import (
 )
 from .construct import (
     CyclicQuadConstruction,
+    PtolemyViolation,
     brahmagupta_quad,
     reflect_swap,
     rhombus_from_triple,

@@ -10,6 +10,7 @@ from typing import Literal
 
 from .mensuration import (
     DiagQuad,
+    GeometryError,
     QuadSides,
     Rhombus,
     cyclic_diagonal_pair,
@@ -17,6 +18,11 @@ from .mensuration import (
     quad,
 )
 from .triples import PythTriple
+
+
+class PtolemyViolation(GeometryError):
+    """A constructed quadrilateral fails Ptolemy's equality, so it is not
+    the cyclic figure the construction promises."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,9 @@ def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
     built = CyclicQuadConstruction(
         source=(t1, t2), sides=sides, glue_diagonal=glue, circumdiameter=glue
     )
-    assert ptolemy_check(sides, cyclic_diagonal_pair(sides))
+    if not ptolemy_check(sides, cyclic_diagonal_pair(sides)):
+        text = ", ".join(str(s) for s in sides.sides)
+        raise PtolemyViolation(f"glued sides {text} fail Ptolemy's equality")
     return built
 
 

@@ -2,14 +2,20 @@
 the x-axis, place the two off-diagonal vertices via the perpendicular-foot
 split, then measure with the shoelace rule and a circumcenter equidistance
 test.  Also hosts the diagonal scan that demonstrates the indeterminacy of
-a quadrilateral's area when only the four sides are fixed."""
+a quadrilateral's area when only the four sides are fixed.  The scan does
+not embed: it evaluates each sample's closed-form area on integers scaled
+to a shared denominator, with relative error below 2/F for
+F = 10**(digits + guard digits), and the embedding serves as its
+independent oracle in the tests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .exactnum import (
+    _GUARD_DIGITS,
     DEFAULT_DIGITS,
     ApproxScalar,
     Surd,
@@ -19,6 +25,7 @@ from .exactnum import (
 from .mensuration import (
     DiagQuad,
     GeometryError,
+    InvalidTriangle,
     QuadSides,
     Triangle,
     _sq,
@@ -106,16 +113,19 @@ def _circumcenter(p0: Point, p1: Point, p2: Point) -> tuple[Fraction, Fraction]:
 
 def concyclic(e: EmbeddedQuad, tolerance=None) -> bool:
     """True iff all four embedded points are equidistant, within tolerance,
-    from the circumcenter of the first three.  Default tolerance 1e-30."""
+    from the circumcenter of the first three.  The default tolerance is
+    scale-relative, span * 10**-precision: the embedding carries `precision`
+    significant digits plus guard digits, so a cyclic figure passes and a
+    visibly non-cyclic one fails at every scale."""
+    digits = e.precision
+    p0, p1, p2, p3 = e.points
+    span = max(abs(q[0].value) + abs(q[1].value) for q in e.points)
     if tolerance is None:
-        tolerance = Fraction(1, 10**30)
+        tolerance = span / 10**digits
     elif isinstance(tolerance, ApproxScalar):
         tolerance = tolerance.value
     else:
         tolerance = Fraction(tolerance)
-    digits = e.precision
-    p0, p1, p2, p3 = e.points
-    span = max(abs(q[0].value) + abs(q[1].value) for q in e.points)
     # collinearity guard on the first three points, scale-relative
     x0, y0 = p0[0].value, p0[1].value
     x1, y1 = p1[0].value, p1[1].value
@@ -173,25 +183,60 @@ class ScanResult:
 
 def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanResult:
     """Sample the feasible diagonal interval at `steps` interior grid
-    points and measure each hinged configuration with the embedding oracle.
-    The family realizes the classical indeterminacy argument: same four
-    sides, many diagonals, many areas."""
+    points and measure each hinged configuration.  The family realizes the
+    classical indeterminacy argument: same four sides, many diagonals, many
+    areas.
+
+    Closed form: a triangle with sides s, t and diagonal x has
+    16T^2 = 2(s^2 + t^2)x^2 - x^4 - (s^2 - t^2)^2, so the sample's area is
+    (sqrt(X1) + sqrt(X2))/4 for the two triangles' 16T^2 values.  Only the
+    squared sides enter, so surd sides scan as well as rational ones.
+
+    Integer scaling: the squared sides and the grid share one denominator
+    Q (`den` below), so P = Q^4 * 16T^2 is an exact integer per triangle
+    and the area is (r1 + r2) / (4 Q^2 F) with r = isqrt(P F^2),
+    F = 10**(digits + guard).
+    P <= 0 means the strict triangle inequality fails, raised as
+    InvalidTriangle like DiagQuad does.  Every valid P is a positive
+    integer, so sqrt(P) >= 1 and each floor root is off by less than one
+    unit in sqrt(P)*F >= F: the relative error of every sample is below
+    2/F at any scale.  The argmax is taken on the integers, first maximum
+    winning.  `embed`/`shoelace_area` stay the independent oracle."""
     if steps < 3:
         raise ValueError("steps must be >= 3")
     lower, upper = diagonal_range(q)
     lo = approx(lower, digits).value
     hi = approx(upper, digits).value
     step = (hi - lo) / (steps + 1)
-    samples = []
-    best = None
+    squares = [_sq(s) for s in q.sides]
+    den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
+    sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
+    x0 = lo.numerator * (den // lo.denominator)
+    dx = step.numerator * (den // step.denominator)
+    # per triangle: P = k * X^2 - X^4 - c for the scaled diagonal X
+    k1, c1 = 2 * (sa + sb) * den, (sa - sb) ** 2 * den * den
+    k2, c2 = 2 * (sc + sd) * den, (sc - sd) ** 2 * den * den
+    scale = 10 ** (digits + _GUARD_DIGITS)
+    scale_sq = scale * scale
+    roots = []
     for i in range(1, steps + 1):
-        diag = lo + i * step
-        dq = DiagQuad(q, diag)
-        area = shoelace_area(embed(dq, digits))
-        entry = (ApproxScalar(diag, digits), area)
-        samples.append(entry)
-        if best is None or area.value > best[1].value:
-            best = entry
-    return ScanResult(
-        samples=tuple(samples), argmax_diagonal=best[0], max_area=best[1]
+        xx = (x0 + i * dx) ** 2
+        x4 = xx * xx
+        p1 = k1 * xx - x4 - c1
+        p2 = k2 * xx - x4 - c2
+        if p1 <= 0 or p2 <= 0:
+            raise InvalidTriangle(
+                f"grid diagonal {Fraction(x0 + i * dx, den)} leaves no triangle "
+                f"with sides {', '.join(str(s) for s in q.sides)}"
+            )
+        roots.append(isqrt(p1 * scale_sq) + isqrt(p2 * scale_sq))
+    area_den = 4 * den * den * scale
+    samples = tuple(
+        (
+            ApproxScalar(Fraction(x0 + i * dx, den), digits),
+            ApproxScalar(Fraction(r, area_den), digits),
+        )
+        for i, r in enumerate(roots, start=1)
     )
+    best = samples[max(range(steps), key=roots.__getitem__)]
+    return ScanResult(samples=samples, argmax_diagonal=best[0], max_area=best[1])

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cyclicquad.construct import brahmagupta_quad, reflect_swap, rhombus_from_triple
+from cyclicquad import construct
+from cyclicquad.construct import (
+    PtolemyViolation,
+    brahmagupta_quad,
+    reflect_swap,
+    rhombus_from_triple,
+)
 from cyclicquad.exactnum import IncompatibleRadicands, Surd
 from cyclicquad.mensuration import (
     DiagQuad,
@@ -56,6 +62,12 @@ class TestBrahmaguptaQuad:
         assert built.glue_diagonal == 25
         t1, t2 = split_triangle_areas(built.as_diag_quad())
         assert t1 + t2 == 300
+
+    def test_failed_ptolemy_check_raises(self, monkeypatch):
+        # a real check, not an assert that python -O would strip
+        monkeypatch.setattr(construct, "ptolemy_check", lambda sides, pair: False)
+        with pytest.raises(PtolemyViolation):
+            brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(8, 15, 17))
 
     def test_mixed_triples(self):
         built = brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(5, 12, 13))

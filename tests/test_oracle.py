@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from cyclicquad.exactnum import IncompatibleRadicands, Surd, approx
+from cyclicquad import exactnum, oracle
+from cyclicquad.exactnum import _GUARD_DIGITS, IncompatibleRadicands, Surd, approx
 from cyclicquad.mensuration import (
     DiagQuad,
+    InvalidTriangle,
     Triangle,
     cyclic_diagonal_pair,
     heron_area,
@@ -117,6 +119,21 @@ class TestConcyclic:
         assert concyclic(embed(dq, 50), TIGHT)
         assert concyclic_exact(dq)
 
+    def test_default_tolerance_scales_down(self):
+        # a rhombus at scale 1e-40 is far from cyclic unless it is a square
+        unit = Fraction(1, 10**40)
+        sides = quad(25 * unit, 25 * unit, 25 * unit, 25 * unit)
+        assert not concyclic(embed(DiagQuad(sides, Fraction(303, 10) * unit), 50))
+        assert concyclic(embed(DiagQuad(sides, Surd(25, 2) * unit), 50))
+
+    def test_default_tolerance_follows_precision(self):
+        # the cyclic diagonal of (2, 3, 4, 5) is irrational, so a 12-digit
+        # embedding carries rounding far above 1e-30
+        dq = DiagQuad(quad(2, 3, 4, 5), Surd.sqrt(Fraction(253, 13)))
+        assert concyclic_exact(dq)
+        assert concyclic(embed(dq, 12))
+        assert not concyclic(embed(DiagQuad(quad(2, 3, 4, 5), Fraction(22, 5)), 12))
+
     def test_degenerate_collinear(self):
         # fold the quadrilateral almost flat: apex near the axis
         dq = DiagQuad(quad(5, 5, 5, 5), Fraction(9999999999999, 10**12))
@@ -175,6 +192,63 @@ class TestAreaScan:
             assert abs(result.argmax_diagonal.value - target) <= step
             ceiling = approx(sutra_area(q), 30).value
             assert result.max_area.value <= ceiling + Fraction(1, 10**6)
+
+    @pytest.mark.parametrize(
+        "sides",
+        [
+            pytest.param(random_quad(random.Random(73), max_side=100).sides, id="int-1"),
+            pytest.param(random_quad(random.Random(79), max_side=100).sides, id="int-2"),
+            # small parts keep the oracle's per-sample factoring quick
+            pytest.param((Fraction(15, 2), Fraction(13, 3), 9, Fraction(41, 4)), id="rational"),
+            pytest.param((Surd(3, 2), Surd(2, 2), 2, 4), id="surd"),
+        ],
+    )
+    def test_kernel_matches_embedding_oracle(self, sides):
+        digits = 30
+        q = quad(*sides)
+        result = area_scan(q, 999, digits)
+        lower, upper = diagonal_range(q)
+        lo = approx(lower, digits).value
+        step = (approx(upper, digits).value - lo) / 1000
+        bound = Fraction(2, 10 ** (digits + _GUARD_DIGITS))
+        oracle_areas = []
+        for i, (diag, area) in enumerate(result.samples, start=1):
+            assert diag.value == lo + i * step
+            dq = DiagQuad(q, diag.value)
+            expected = shoelace_area(embed(dq, digits))
+            assert area.decimal() == expected.decimal()
+            reference = shoelace_area(embed(dq, digits + 30)).value
+            assert abs(area.value - reference) <= bound * reference
+            oracle_areas.append(expected.value)
+        first_max = oracle_areas.index(max(oracle_areas))
+        assert result.argmax_diagonal == result.samples[first_max][0]
+        assert result.max_area == result.samples[first_max][1]
+
+    def test_no_factoring_or_embedding_per_sample(self, monkeypatch):
+        calls = []
+        original = exactnum.square_free_split
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        def no_embed(*args, **kwargs):
+            raise AssertionError("area_scan must not embed its samples")
+
+        monkeypatch.setattr(exactnum, "square_free_split", counted)
+        monkeypatch.setattr(oracle, "embed", no_embed)
+        result = area_scan(quad(75, 40, 51, 68), 999, 30)
+        assert len(result.samples) == 999
+        assert calls == []
+
+    def test_invalid_grid_diagonal_raises(self):
+        # feasible diagonals run from sqrt(2) to sqrt(2) + 1e-12; at one digit
+        # the rounded-down lower end puts the first grid point below sqrt(2)
+        c = Fraction(1414213562374, 10**12) - Fraction(1, 2)
+        q = quad(Surd(2, 2), Surd(1, 2), c, Fraction(1, 2))
+        with pytest.raises(InvalidTriangle):
+            area_scan(q, 3, 1)
+        assert len(area_scan(q, 3, 20).samples) == 3
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):
