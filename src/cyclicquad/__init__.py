@@ -9,11 +9,8 @@ from .exactnum import (
     NegativeRadicand,
     Surd,
     approx,
-    normalize_surd,
     render_decimal,
-    surd_add,
     surd_cmp,
-    surd_mul,
     to_exact,
 )
 from .triples import (

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import brahmagupta_quad
-from .exactnum import (
-    DEFAULT_DIGITS,
-    ApproxScalar,
-    IncompatibleRadicands,
-    Surd,
-    to_exact,
-)
+from .exactnum import DEFAULT_DIGITS, ApproxScalar, IncompatibleRadicands, Surd
 from .manifest import ManifestEntry, run_manifest
 from .mensuration import (
     DiagQuad,
@@ -52,7 +46,6 @@ class RunConfig:
     precision_digits: int = DEFAULT_DIGITS
     scan_steps: int = 999
     output_format: str = "text"
-    seed: int = 0
 
 
 def _report_digits(config: RunConfig) -> int:
@@ -63,10 +56,11 @@ def _report_digits(config: RunConfig) -> int:
 
 
 def _scalar_json(value, digits: int):
-    value = to_exact(value) if isinstance(value, (int, Fraction, Surd)) else value
+    """JSON form of one value.  An exact value is shown as one c*sqrt(r)
+    term; a sum of surds has none and raises IncompatibleRadicands."""
     if isinstance(value, ApproxScalar):
         return value.decimal()
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         value = Surd(value)
     if isinstance(value, Surd):
         return {
@@ -90,8 +84,8 @@ def _parse_length(text: str) -> Fraction:
     return value
 
 
-def _emit(payload: dict, config: RunConfig, out_path):
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(text: str, out_path) -> None:
+    """Write the command's output to --out, or to stdout without one."""
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
@@ -104,7 +98,6 @@ def _config_json(config: RunConfig) -> dict:
         "precision_digits": config.precision_digits,
         "scan_steps": config.scan_steps,
         "output_format": config.output_format,
-        "seed": config.seed,
     }
 
 
@@ -139,7 +132,7 @@ def cmd_reproduce(args, config: RunConfig) -> int:
             "config": _config_json(config),
             "entries": [_entry_json(e, config.precision_digits) for e in entries],
         }
-        _emit(payload, config, args.out)
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = []
         for e in entries:
@@ -147,11 +140,7 @@ def cmd_reproduce(args, config: RunConfig) -> int:
             lines.append(f"       source: {e.provenance}")
         lines.append(f"{len(entries) - len(failures)}/{len(entries)} entries passed")
         text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+    _write(text, args.out)
     return EXIT_OK if not failures else EXIT_MANIFEST_FAILURE
 
 
@@ -180,12 +169,12 @@ def cmd_area(args, config: RunConfig) -> int:
         if args.diagonal is not None:
             dq = DiagQuad(q, _parse_length(args.diagonal))
             full = area_by_diagonal(dq)
-            pair = cyclic_diagonal_pair(q)
             report["diagonal"] = _scalar_json(dq.diagonal, digits)
             report["split_area"] = _scalar_json(full.split_area, digits)
             report["perpendiculars"] = [
                 _scalar_json(p, digits) for p in full.perpendiculars
             ]
+            pair = cyclic_diagonal_pair(q)
             report["cyclic_diagonals"] = [
                 _scalar_json(pair.p, digits),
                 _scalar_json(pair.q, digits),
@@ -226,12 +215,7 @@ def cmd_scan(args, config: RunConfig) -> int:
     digits = _report_digits(config)
     result = area_scan(q, config.scan_steps, digits)
     if config.output_format == "svg":
-        text = scan_svg(q, result, digits)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(scan_svg(q, result, digits), args.out)
         return EXIT_OK
     report = {
         "sides": [_scalar_json(s, digits) for s in sides],
@@ -265,7 +249,7 @@ def cmd_rhombus(args, config: RunConfig) -> int:
         if len(args.dims) != 2:
             raise ValueError("rhombus takes SIDE D1 or --triple L M N")
         r = Rhombus(side=_parse_length(args.dims[0]), d1=_parse_length(args.dims[1]))
-    square = Rhombus(side=r.side, d1=Surd(1) * r.side * Surd(1, 2))
+    square = Rhombus(side=r.side, d1=r.side * Surd(1, 2))
     report = {
         "side": _scalar_json(r.side, digits),
         "d1": _scalar_json(r.d1, digits),
@@ -297,16 +281,12 @@ def _render_report(command: str, report: dict, args, config: RunConfig) -> int:
             "config": _config_json(config),
             "report": report,
         }
-        _emit(payload, config, args.out)
-        return EXIT_OK
-    lines = [f"{command}:"]
-    lines.extend(_text_lines(report, indent=2))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        sys.stdout.write(text)
+        lines = [f"{command}:"]
+        lines.extend(_text_lines(report, indent=2))
+        text = "\n".join(lines) + "\n"
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -351,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--steps", type=int, default=999, metavar="N",
                         help="grid points for the diagonal scan")
     parser.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    parser.add_argument("--seed", type=int, default=0, metavar="N")
     parser.add_argument("--out", metavar="PATH", default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -398,7 +377,6 @@ def main(argv=None) -> int:
         precision_digits=args.digits,
         scan_steps=args.steps,
         output_format=args.format,
-        seed=args.seed,
     )
     try:
         if config.precision_digits < 1:

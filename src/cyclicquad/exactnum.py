@@ -1,22 +1,42 @@
 """Exact scalar arithmetic: arbitrary-precision rationals extended with
-single quadratic surds, plus a configurable-precision decimal approximation
-for the cases where surd arithmetic is not closed.
+sums of quadratic surds, plus a configurable-precision decimal
+approximation.
 
-A value is either a ``fractions.Fraction`` (exact rational) or a ``Surd``,
-``coefficient * sqrt(radicand)`` with a squarefree radicand.  Sums of surds
-over distinct radicands are not representable; they raise
-``IncompatibleRadicands`` and the caller decides whether to fall back to
-``ApproxScalar``.
+An exact value is either a ``fractions.Fraction`` (rational) or a ``Surd``,
+a sum c1*sqrt(r1) + ... + cn*sqrt(rn) held in one normal form: each ri is
+a squarefree integer, the ri are distinct and ascending, and each ci is a
+nonzero Fraction.  Sums, differences and products of exact values are
+closed in this form, and every Surd operation returns the normal form
+itself: a Fraction when the result is rational, otherwise a Surd.  Products
+are reduced with g = gcd(r, s) as sqrt(r)*sqrt(s) = g*sqrt((r/g)*(s/g)), a
+squarefree radicand again, so arithmetic never factors; only the inputs
+``Surd(c, r)`` and ``Surd.sqrt`` call ``square_free_split``.
+
+Equality is equality of normal forms.  Order is decided by the sign of the
+difference, which is exact: square roots of distinct squarefree integers
+are linearly independent over the rationals, so a sum of two or more terms
+is never zero.  Its sign is found by evaluating sum(ci * isqrt(ri * 10**2p))
+for p = 20, 40, 80, ...; the error is below sum(|ci|) units of 10**-p, so
+the first p whose estimate exceeds that bound decides the sign, and such a
+p exists because the sum is nonzero.
+
+Division by a sum of two or more terms, the square root of an irrational
+value, and the single-term accessors ``coefficient``/``radicand`` of a sum
+raise ``IncompatibleRadicands``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 ScalarLike = Union[int, Fraction, "Surd"]
+
+# A normal form: ((coefficient, radicand), ...), radicands squarefree,
+# distinct and ascending, coefficients nonzero.  () is zero.
+Terms = tuple[tuple[Fraction, int], ...]
 
 
 class ExactnessError(ArithmeticError):
@@ -24,7 +44,8 @@ class ExactnessError(ArithmeticError):
 
 
 class IncompatibleRadicands(ExactnessError):
-    """Sum of surds over distinct radicands has no single-surd form."""
+    """The operation's result has no form the caller asked for: a single
+    c*sqrt(r) term, a surd square root, or a quotient by a single term."""
 
 
 class NegativeRadicand(ValueError):
@@ -61,17 +82,14 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 
 class Surd:
-    """An exact value coefficient * sqrt(radicand), radicand squarefree.
+    """An exact sum of terms c*sqrt(r) in normal form (see the module
+    docstring).  ``Surd(c, r)`` builds one term, factoring r; arithmetic
+    with int, Fraction and Surd operands returns a Fraction when the result
+    is rational and a Surd otherwise.  Immutable."""
 
-    radicand == 1 iff the value is rational.  Immutable; all arithmetic
-    returns new instances.  Mixed arithmetic with int and Fraction coerces
-    the rational operand to a radicand-1 Surd.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("coefficient", "radicand")
-
-    coefficient: Fraction
-    radicand: int
+    terms: Terms
 
     def __init__(self, coefficient: Union[int, Fraction] = 1, radicand: int = 1):
         if radicand != int(radicand):
@@ -81,196 +99,274 @@ class Surd:
             raise NegativeRadicand(f"negative radicand {radicand}")
         coefficient = Fraction(coefficient)
         if coefficient == 0 or radicand == 0:
-            coefficient, radicand = Fraction(0), 1
-        elif radicand > 1:
-            outer, core = square_free_split(radicand)
-            coefficient *= outer
-            radicand = core
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "radicand", radicand)
+            terms = ()
+        else:
+            if radicand > 1:
+                outer, radicand = square_free_split(radicand)
+                coefficient *= outer
+            terms = ((coefficient, radicand),)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
     # -- classification ----------------------------------------------------
 
+    def _single(self) -> tuple[Fraction, int]:
+        if len(self.terms) > 1:
+            raise IncompatibleRadicands(f"{self} has no single c*sqrt(r) form")
+        return self.terms[0] if self.terms else (Fraction(0), 1)
+
+    @property
+    def coefficient(self) -> Fraction:
+        """c of a single term c*sqrt(r); 0 for zero."""
+        return self._single()[0]
+
+    @property
+    def radicand(self) -> int:
+        """r of a single term c*sqrt(r); 1 for a rational value."""
+        return self._single()[1]
+
     @property
     def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise IncompatibleRadicands(
-                f"sqrt({self.radicand}) is irrational; no rational form"
-            )
-        return self.coefficient
+        return _rational(self.terms)
 
     @staticmethod
-    def sqrt(value: ScalarLike) -> "Surd":
-        """Exact square root of a nonnegative rational, as a Surd."""
+    def sqrt(value: ScalarLike) -> Union[Fraction, "Surd"]:
+        """Exact square root of a nonnegative rational, in normal form."""
         x = to_exact(value)
         if isinstance(x, Surd):
-            x = x.as_fraction()
+            raise IncompatibleRadicands(f"sqrt of the irrational {x} is not a surd")
         if x < 0:
             raise NegativeRadicand(f"sqrt of negative value {x}")
         # sqrt(p/q) = sqrt(p*q)/q
-        return Surd(Fraction(1, x.denominator), x.numerator * x.denominator)
+        return _normal(Surd(Fraction(1, x.denominator), x.numerator * x.denominator).terms)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __neg__(self) -> "Surd":
-        return Surd(-self.coefficient, self.radicand)
+    def __neg__(self):
+        return _normal(_negated(self.terms))
 
-    def __abs__(self) -> "Surd":
-        return Surd(abs(self.coefficient), self.radicand)
+    def __abs__(self):
+        return _normal(_negated(self.terms) if _sign(self.terms) < 0 else self.terms)
 
-    def __add__(self, other) -> "Surd":
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __add__(self, other):
+        theirs = _terms_of(other)
+        if theirs is None:
             return NotImplemented
-        if self.coefficient == 0:
-            return other
-        if other.coefficient == 0:
-            return self
-        if self.radicand != other.radicand:
-            raise IncompatibleRadicands(
-                f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) terms"
-            )
-        return Surd(self.coefficient + other.coefficient, self.radicand)
+        return _normal(_collect(self.terms + theirs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        theirs = _terms_of(other)
+        if theirs is None:
             return NotImplemented
-        return self + (-other)
+        return _normal(_collect(self.terms + _negated(theirs)))
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        theirs = _terms_of(other)
+        if theirs is None:
             return NotImplemented
-        return other + (-self)
+        return _normal(_collect(theirs + _negated(self.terms)))
 
-    def __mul__(self, other) -> "Surd":
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __mul__(self, other):
+        theirs = _terms_of(other)
+        if theirs is None:
             return NotImplemented
-        return Surd(
-            self.coefficient * other.coefficient, self.radicand * other.radicand
-        )
+        return _normal(_product(self.terms, theirs))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Surd":
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __truediv__(self, other):
+        theirs = _terms_of(other)
+        if theirs is None:
             return NotImplemented
-        if other.coefficient == 0:
-            raise ZeroDivisionError("division by zero Surd")
-        # sqrt(r1)/sqrt(r2) = sqrt(r1*r2)/r2
-        return Surd(
-            self.coefficient / (other.coefficient * other.radicand),
-            self.radicand * other.radicand,
-        )
+        return _normal(_product(self.terms, _reciprocal(theirs)))
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        theirs = _terms_of(other)
+        if theirs is None:
             return NotImplemented
-        return other / self
+        return _normal(_product(theirs, _reciprocal(self.terms)))
 
-    def __pow__(self, exponent: int) -> "Surd":
+    def __pow__(self, exponent: int):
         if exponent != int(exponent) or exponent < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = Surd(1)
-        base = self
+        result = Fraction(1)
         for _ in range(int(exponent)):
-            result = result * base
+            result = result * self
         return result
 
     # -- exact comparison --------------------------------------------------
 
-    def _sign(self) -> int:
-        c = self.coefficient
-        return (c > 0) - (c < 0)
-
-    def _cmp(self, other) -> int:
-        other = _coerce(other)
-        if other is NotImplemented:
-            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        s1, s2 = self._sign(), other._sign()
-        if s1 != s2:
-            return 1 if s1 > s2 else -1
-        if s1 == 0:
-            return 0
-        # same nonzero sign: compare squares, which are rational
-        sq1 = self.coefficient**2 * self.radicand
-        sq2 = other.coefficient**2 * other.radicand
-        if sq1 == sq2:
-            return 0
-        return s1 if sq1 > sq2 else -s1
+    def _cmp(self, other):
+        theirs = _terms_of(other)
+        if theirs is None:
+            return None
+        return _sign(_collect(self.terms + _negated(theirs)))
 
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
+        theirs = _terms_of(other)
+        if theirs is None:
             return NotImplemented
+        return self.terms == theirs
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.coefficient)
-        return hash((self.coefficient, self.radicand))
+        if _rational(self.terms):
+            return hash(self.terms[0][0] if self.terms else Fraction(0))
+        return hash(self.terms)
 
     def __bool__(self):
-        return self.coefficient != 0
+        return bool(self.terms)
 
     def __repr__(self):
-        if self.is_rational:
-            return f"Surd({self.coefficient!r})"
-        return f"Surd({self.coefficient!r}, {self.radicand})"
+        if not self.terms:
+            return "Surd(Fraction(0, 1))"
+        return " + ".join(
+            f"Surd({c!r})" if r == 1 else f"Surd({c!r}, {r})" for c, r in self.terms
+        )
 
     def __str__(self):
-        if self.is_rational:
-            return str(self.coefficient)
-        if self.coefficient == 1:
-            return f"sqrt({self.radicand})"
-        return f"{self.coefficient}*sqrt({self.radicand})"
+        if not self.terms:
+            return "0"
+        (c, r), *rest = self.terms
+        text = _term_text(c, r)
+        for c, r in rest:
+            text += f" {'-' if c < 0 else '+'} {_term_text(abs(c), r)}"
+        return text
 
     # -- approximation -----------------------------------------------------
 
     def approx(self, digits: int = 50) -> "ApproxScalar":
+        """Decimal approximation with relative error below
+        10**-(digits + guard digits).  A single term is c times the floor
+        root sqrt_fraction(r); a sum is refined like the sign (module
+        docstring) until its error bound meets the relative target."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        if self.is_rational:
-            return ApproxScalar(self.coefficient, digits)
-        root = sqrt_fraction(Fraction(self.radicand), digits + _GUARD_DIGITS)
-        return ApproxScalar(self.coefficient * root, digits)
+        if len(self.terms) > 1:
+            places = digits + _GUARD_DIGITS
+            target = 10**places
+            while True:
+                total, bound, den = _estimate(self.terms, places)
+                if abs(total) >= bound * (target + 1):
+                    return ApproxScalar(Fraction(total, den * 10**places), digits)
+                places *= 2
+        c, r = self._single()
+        if r == 1:
+            return ApproxScalar(c, digits)
+        root = sqrt_fraction(Fraction(r), digits + _GUARD_DIGITS)
+        return ApproxScalar(c * root, digits)
 
 
-def _coerce(value) -> Union[Surd, type(NotImplemented)]:
+def _term_text(c: Fraction, r: int) -> str:
+    if r == 1:
+        return str(c)
+    if c == 1:
+        return f"sqrt({r})"
+    return f"{c}*sqrt({r})"
+
+
+def _terms_of(value) -> Terms | None:
+    """Normal-form terms of an exact operand; None for any other type."""
     if isinstance(value, Surd):
-        return value
+        return value.terms
     if isinstance(value, (int, Fraction)):
-        return Surd(value)
-    return NotImplemented
+        return ((Fraction(value), 1),) if value else ()
+    return None
+
+
+def _rational(terms: Terms) -> bool:
+    return not terms or (len(terms) == 1 and terms[0][1] == 1)
+
+
+def _normal(terms: Terms) -> Union[Fraction, Surd]:
+    """The value of normal-form terms: a Fraction when rational, else a Surd."""
+    if _rational(terms):
+        return terms[0][0] if terms else Fraction(0)
+    value = object.__new__(Surd)
+    object.__setattr__(value, "terms", terms)
+    return value
+
+
+def _negated(terms: Terms) -> Terms:
+    return tuple((-c, r) for c, r in terms)
+
+
+def _collect(pairs) -> Terms:
+    """Normal form of a sum of (coefficient, squarefree radicand) pairs."""
+    acc: dict[int, Fraction] = {}
+    for c, r in pairs:
+        acc[r] = acc[r] + c if r in acc else c
+    return tuple((acc[r], r) for r in sorted(acc) if acc[r])
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    pairs = []
+    for c1, r1 in a:
+        for c2, r2 in b:
+            g = gcd(r1, r2)
+            pairs.append((c1 * c2 * g, (r1 // g) * (r2 // g)))
+    return _collect(pairs)
+
+
+def _reciprocal(terms: Terms) -> Terms:
+    if not terms:
+        raise ZeroDivisionError("division by zero Surd")
+    if len(terms) > 1:
+        raise IncompatibleRadicands(f"cannot divide by the sum {_normal(terms)}")
+    ((c, r),) = terms
+    # 1/(c*sqrt(r)) = sqrt(r)/(c*r)
+    return ((1 / (c * r), r),)
+
+
+def _estimate(terms: Terms, places: int) -> tuple[int, int, int]:
+    """(total, bound, den) with |sum(terms) * den * 10**places - total| < bound.
+
+    Each term c*sqrt(r) = n*sqrt(r)/den contributes n*isqrt(r * 10**2p),
+    which is off by less than |n| (and exactly 0 when r == 1)."""
+    den = lcm(*(c.denominator for c, _ in terms))
+    scale_sq = 10 ** (2 * places)
+    total = bound = 0
+    for c, r in terms:
+        n = c.numerator * (den // c.denominator)
+        total += n * isqrt(r * scale_sq)
+        bound += abs(n)
+    return total, bound, den
+
+
+def _sign(terms: Terms) -> int:
+    """Exact sign of a normal-form sum (module docstring)."""
+    if len(terms) <= 1:
+        return (terms[0][0] > 0) - (terms[0][0] < 0) if terms else 0
+    places = 20
+    while True:
+        total, bound, _ = _estimate(terms, places)
+        if abs(total) >= bound:
+            return 1 if total > 0 else -1
+        places *= 2
 
 
 def to_exact(value: ScalarLike) -> Union[Fraction, Surd]:
     """Normalize a scalar-like input: rationals become Fraction, Surds with
-    radicand 1 collapse to Fraction, other Surds pass through."""
+    a rational value collapse to Fraction, other Surds pass through."""
     if isinstance(value, Surd):
         return value.coefficient if value.is_rational else value
     if isinstance(value, (int, Fraction)):
@@ -278,22 +374,9 @@ def to_exact(value: ScalarLike) -> Union[Fraction, Surd]:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def normalize_surd(coefficient: Union[int, Fraction], radicand: int) -> Surd:
-    """Construct a Surd, extracting all square factors of the radicand."""
-    return Surd(coefficient, radicand)
-
-
-def surd_mul(a: Surd, b: Surd) -> Surd:
-    return a * b
-
-
-def surd_add(a: Surd, b: Surd) -> Surd:
-    return a + b
-
-
 def surd_cmp(a: ScalarLike, b: ScalarLike) -> int:
     """Exact three-way comparison: -1, 0 or 1."""
-    return _coerce(a)._cmp(b)
+    return _sign(_terms_of(to_exact(a) - to_exact(b)))
 
 
 # One extra block of digits absorbs rounding in intermediate square roots.
@@ -421,23 +504,33 @@ def approx(value: ScalarLike, digits: int = DEFAULT_DIGITS) -> ApproxScalar:
 def render_decimal(value: Fraction, digits: int) -> str:
     """Render a rational as a plain decimal string with `digits` significant
     digits (at least one fractional digit is kept for exact integers too,
-    unless the digit budget is exhausted by the integer part)."""
+    unless the digit budget is exhausted by the integer part).  Below 1 the
+    leading "0." counts as one digit, so a value v with 0 < |v| < 0.1 keeps
+    the digits - 1 significant digits that [0.1, 1) gets."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     value = Fraction(value)
-    sign = "-" if value < 0 else ""
     mag = abs(value)
-    int_digits = len(str(int(mag))) if mag >= 1 else 1
-    frac_digits = max(digits - int_digits, 0)
-    scaled = mag * 10**frac_digits
-    # round half away from zero, deterministically
-    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    text = str(units).rjust(frac_digits + 1, "0")
-    if frac_digits:
-        head, tail = text[:-frac_digits], text[-frac_digits:]
-        out = f"{head}.{tail}"
+    if mag >= 1:
+        int_digits = len(str(int(mag)))
+    elif 0 < mag < Fraction(1, 10):
+        # 10**-(z+1) <= mag < 10**-z: z zeros follow the point
+        zeros = len(str((mag.denominator - 1) // mag.numerator)) - 1
+        int_digits = 1 - zeros
     else:
-        out = text
-    if units == 0:
-        sign = ""
-    return sign + out
+        int_digits = 1
+    return fixed_point(value, max(digits - int_digits, 0))
+
+
+def fixed_point(value: Fraction, places: int) -> str:
+    """`value` rounded half away from zero to `places` fractional digits, as
+    sign, integer part, '.', fraction part (no '.' when places is 0), with
+    no exponent; byte-identical across platforms."""
+    mag = abs(value)
+    scale = 10**places
+    units = (2 * mag.numerator * scale + mag.denominator) // (2 * mag.denominator)
+    text = str(units).rjust(places + 1, "0")
+    sign = "-" if value < 0 and units else ""
+    if places:
+        return f"{sign}{text[:-places]}.{text[-places:]}"
+    return sign + text

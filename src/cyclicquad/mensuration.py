@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactnum import (
-    IncompatibleRadicands,
-    ScalarLike,
-    Surd,
-    approx,
-    to_exact,
-)
+from .exactnum import ScalarLike, Surd, to_exact
 
 Exact = Union[Fraction, Surd]
 
@@ -45,53 +39,6 @@ class DegenerateRhombus(GeometryError):
     pass
 
 
-def _sq(x: ScalarLike) -> Fraction:
-    """Exact rational square of a scalar (a single surd squared is rational)."""
-    v = to_exact(x)
-    if isinstance(v, Surd):
-        return v.coefficient**2 * v.radicand
-    return v * v
-
-
-def _is_positive(x: ScalarLike) -> bool:
-    return to_exact(x) > 0
-
-
-def _lt_sum2(c: ScalarLike, a: ScalarLike, b: ScalarLike) -> bool:
-    """Exact test c < a + b for nonnegative scalars, via squaring: works
-    even when a + b itself is not single-surd representable."""
-    if (
-        isinstance(c, Fraction)
-        and isinstance(a, Fraction)
-        and isinstance(b, Fraction)
-    ):
-        return c < a + b
-    rest = _sq(c) - _sq(a) - _sq(b)
-    if rest < 0:
-        return True
-    two_ab = 2 * to_exact(a) * to_exact(b)
-    return Surd(1) * two_ab > rest  # rational vs single surd, exact
-
-
-def _exact_sum(values) -> Exact:
-    total = Surd(0)
-    for v in values:
-        total = total + to_exact(v)
-    return to_exact(total)
-
-
-def _lt_sum(side: ScalarLike, others) -> bool:
-    """side < sum(others); exact when the sum is representable, otherwise
-    decided at 60-digit approximation."""
-    try:
-        return to_exact(side) < Surd(1) * _exact_sum(others)
-    except IncompatibleRadicands:
-        total = approx(others[0], 60)
-        for v in others[1:]:
-            total = total + approx(v, 60)
-        return approx(side, 60) < total
-
-
 @dataclass(frozen=True)
 class Triangle:
     a: Exact
@@ -103,10 +50,10 @@ class Triangle:
         object.__setattr__(self, "a", sides[0])
         object.__setattr__(self, "b", sides[1])
         object.__setattr__(self, "c", sides[2])
-        if not all(_is_positive(s) for s in sides):
+        if not all(s > 0 for s in sides):
             raise InvalidTriangle(f"sides must be positive: {sides}")
         for i in range(3):
-            if not _lt_sum2(sides[i], sides[(i + 1) % 3], sides[(i + 2) % 3]):
+            if not sides[i] < sides[(i + 1) % 3] + sides[(i + 2) % 3]:
                 raise InvalidTriangle(
                     f"triangle inequality fails: {sides[i]} >= sum of the others"
                 )
@@ -127,13 +74,13 @@ class QuadSides:
             raise InvalidQuad("exactly four sides required")
         sides = tuple(to_exact(s) for s in self.sides)
         object.__setattr__(self, "sides", sides)
-        if not all(_is_positive(s) for s in sides):
+        if not all(s > 0 for s in sides):
             raise InvalidQuad(f"sides must be positive: {sides}")
-        for i in range(4):
-            others = [sides[j] for j in range(4) if j != i]
-            if not _lt_sum(sides[i], others):
+        total = sum(sides)
+        for side in sides:
+            if not 2 * side < total:
                 raise InvalidQuad(
-                    f"closure fails: side {sides[i]} >= sum of the other three"
+                    f"closure fails: side {side} >= sum of the other three"
                 )
 
     @property
@@ -158,7 +105,7 @@ class QuadSides:
 
 
 def quad(a: ScalarLike, b: ScalarLike, c: ScalarLike, d: ScalarLike) -> QuadSides:
-    return QuadSides((to_exact(a), to_exact(b), to_exact(c), to_exact(d)))
+    return QuadSides((a, b, c, d))
 
 
 @dataclass(frozen=True)
@@ -173,7 +120,7 @@ class DiagQuad:
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", to_exact(self.diagonal))
-        if not _is_positive(self.diagonal):
+        if not self.diagonal > 0:
             raise InvalidQuad(f"diagonal must be positive: {self.diagonal}")
         # both induced triangles must be valid; Triangle raises otherwise
         self.first_triangle()
@@ -201,7 +148,7 @@ class Trapezium:
         object.__setattr__(self, "legs", tuple(to_exact(v) for v in self.legs))
         object.__setattr__(self, "height", to_exact(self.height))
         values = (self.base, self.face, *self.legs, self.height)
-        if not all(_is_positive(v) for v in values):
+        if not all(v > 0 for v in values):
             raise InvalidTrapezium(f"all lengths must be positive: {values}")
         # face == base is the parallelogram limit, still measurable
         if self.face > self.base:
@@ -218,9 +165,9 @@ class Rhombus:
     def __post_init__(self):
         object.__setattr__(self, "side", to_exact(self.side))
         object.__setattr__(self, "d1", to_exact(self.d1))
-        if not _is_positive(self.side) or not _is_positive(self.d1):
+        if not (self.side > 0 and self.d1 > 0):
             raise DegenerateRhombus("side and diagonal must be positive")
-        if not self.d1 < 2 * (Surd(1) * self.side):
+        if not self.d1 < 2 * self.side:
             raise DegenerateRhombus(
                 f"diagonal {self.d1} must be strictly less than twice the side"
             )
@@ -245,13 +192,13 @@ class DiagonalPair:
 
 
 def semiperimeter(sides) -> Exact:
-    return to_exact(_exact_sum(sides) / 2)
+    return sum(sides, Fraction(0)) / 2
 
 
 def gross_area(q: QuadSides) -> Exact:
     """The gross rule: product of the half-sums of opposite sides."""
     a, b, c, d = q.sides
-    return to_exact(((Surd(1) * a + c) / 2) * ((Surd(1) * b + d) / 2))
+    return (a + c) / 2 * ((b + d) / 2)
 
 
 def sutra_area(q: QuadSides) -> Exact:
@@ -261,33 +208,33 @@ def sutra_area(q: QuadSides) -> Exact:
     a, b, c, d = q.sides
     s = semiperimeter(q.sides)
     product = (s - a) * (s - b) * (s - c) * (s - d)
-    return to_exact(Surd.sqrt(product))
+    return Surd.sqrt(product)
 
 
 def heron_area(t: Triangle) -> Exact:
     """Triangle area sqrt(s(s-a)(s-b)(s-c)).  Computed from the equivalent
     polynomial in the squared sides, which stays exact even when a side is
     itself a surd (its square is rational)."""
-    a2, b2, c2 = (_sq(s) for s in t.sides)
+    a2, b2, c2 = (s * s for s in t.sides)
     sixteen_t2 = 2 * (a2 * b2 + b2 * c2 + c2 * a2) - a2 * a2 - b2 * b2 - c2 * c2
     if sixteen_t2 <= 0:
         raise InvalidTriangle(f"degenerate triangle {t.sides}")
-    return to_exact(Surd.sqrt(sixteen_t2) / 4)
+    return Surd.sqrt(sixteen_t2) / 4
 
 
 def trapezium_area(t: Trapezium) -> Exact:
     """Half the sum of base and face, times the height."""
-    return to_exact(((Surd(1) * t.base + t.face) / 2) * t.height)
+    return (t.base + t.face) / 2 * t.height
 
 
 def rhombus_second_diagonal(r: Rhombus) -> Exact:
     """d2 = sqrt(4 a**2 - d1**2)."""
-    return to_exact(Surd.sqrt(4 * _sq(r.side) - _sq(r.d1)))
+    return Surd.sqrt(4 * r.side * r.side - r.d1 * r.d1)
 
 
 def rhombus_area(r: Rhombus) -> Exact:
     """Half the product of the diagonals."""
-    return to_exact((Surd(1) * r.d1 * rhombus_second_diagonal(r)) / 2)
+    return r.d1 * rhombus_second_diagonal(r) / 2
 
 
 def abadha_split(
@@ -298,49 +245,37 @@ def abadha_split(
     base = to_exact(base)
     left = to_exact(flank_left)
     right = to_exact(flank_right)
-    if not (_is_positive(base) and _is_positive(left) and _is_positive(right)):
+    if not (base > 0 and left > 0 and right > 0):
         raise InvalidTriangle(
             f"no triangle with base {base} and flanks {left}, {right}"
         )
-    if isinstance(base, Fraction):
-        segment_left = (_sq(base) + _sq(left) - _sq(right)) / (2 * base)
-        segment_right = base - segment_left
-    else:
-        segment_left = to_exact(
-            (_sq(base) + _sq(left) - _sq(right)) / (2 * (Surd(1) * base))
-        )
-        segment_right = to_exact(Surd(1) * base - segment_left)
-    height_sq = _sq(left) - _sq(segment_left)
+    segment_left = (base * base + left * left - right * right) / (2 * base)
+    segment_right = base - segment_left
+    height_sq = left * left - segment_left * segment_left
     # positive altitude squared is equivalent to the strict triangle
     # inequality, given positive lengths
     if height_sq <= 0:
         raise InvalidTriangle(
             f"no triangle with base {base} and flanks {left}, {right}"
         )
-    height = to_exact(Surd.sqrt(height_sq))
+    height = Surd.sqrt(height_sq)
     return segment_left, segment_right, height
 
 
 def area_by_diagonal(dq: DiagQuad) -> MensurationReport:
     """Split the quadrilateral along its diagonal, apply Heron to both
     triangles and report the summed area plus the perpendiculars from the
-    off-diagonal vertices onto the diagonal.
-
-    Raises IncompatibleRadicands when the two triangle areas are
-    incommensurable surds; the caller may then fall back to the
-    coordinate-embedding oracle.
+    off-diagonal vertices onto the diagonal.  When the two triangle areas
+    are incommensurable surds the split area is their two-term sum.
     """
     t1 = heron_area(dq.first_triangle())
     t2 = heron_area(dq.second_triangle())
-    diag = Surd(1) * dq.diagonal
-    split = to_exact(Surd(1) * t1 + t2)
-    perpendiculars = (to_exact(2 * (Surd(1) * t1) / diag), to_exact(2 * (Surd(1) * t2) / diag))
     return MensurationReport(
         semiperimeter=semiperimeter(dq.sides.sides),
         gross_area=gross_area(dq.sides),
         sutra_area=sutra_area(dq.sides),
-        split_area=split,
-        perpendiculars=perpendiculars,
+        split_area=t1 + t2,
+        perpendiculars=(2 * t1 / dq.diagonal, 2 * t2 / dq.diagonal),
     )
 
 
@@ -355,24 +290,21 @@ def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:
     Stated unconditionally in the classical sources; valid only for the
     cyclic configuration."""
     a, b, c, d = q.sides
-    ac_bd = to_exact(a * (Surd(1) * c) + b * (Surd(1) * d))
-    ad_bc = to_exact(a * (Surd(1) * d) + b * (Surd(1) * c))
-    ab_cd = to_exact(a * (Surd(1) * b) + c * (Surd(1) * d))
-    p = Surd.sqrt(ac_bd * ad_bc / ab_cd)
-    qq = Surd.sqrt(ac_bd * ab_cd / ad_bc)
-    return DiagonalPair(p=to_exact(p), q=to_exact(qq))
+    ac_bd = a * c + b * d
+    ad_bc = a * d + b * c
+    ab_cd = a * b + c * d
+    return DiagonalPair(
+        p=Surd.sqrt(ac_bd * ad_bc / ab_cd), q=Surd.sqrt(ac_bd * ab_cd / ad_bc)
+    )
 
 
 def ptolemy_check(q: QuadSides, d: DiagonalPair) -> bool:
     """Exact Ptolemy equality: p*q == ac + bd."""
     a, b, c, d_side = q.sides
-    lhs = Surd(1) * d.p * d.q
-    rhs = a * (Surd(1) * c) + b * (Surd(1) * d_side)
-    return lhs == Surd(1) * rhs
+    return d.p * d.q == a * c + b * d_side
 
 
 def triangle_circumradius(t: Triangle) -> Exact:
     """Circumradius abc / (4 * area); standard plumbing for the
     concyclicity oracle."""
-    product = Surd(1) * t.a * t.b * t.c
-    return to_exact(product / (4 * (Surd(1) * heron_area(t))))
+    return t.a * t.b * t.c / (4 * heron_area(t))

@@ -14,23 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .exactnum import (
-    _GUARD_DIGITS,
-    DEFAULT_DIGITS,
-    ApproxScalar,
-    Surd,
-    approx,
-    to_exact,
-)
+from .exactnum import _GUARD_DIGITS, DEFAULT_DIGITS, ApproxScalar, IncompatibleRadicands, approx
 from .mensuration import (
     DiagQuad,
     GeometryError,
     InvalidTriangle,
     QuadSides,
     Triangle,
-    _sq,
     abadha_split,
-    triangle_circumradius,
 )
 
 Point = tuple[ApproxScalar, ApproxScalar]
@@ -147,31 +138,18 @@ def concyclic_exact(dq: DiagQuad) -> bool:
     the same circumcenter.  Both centers lie on the diagonal's perpendicular
     bisector, so the test reduces to one exact surd comparison."""
     a, b, c, d = dq.sides.sides
-    diag_sq = _sq(dq.diagonal)
+    diag_sq = dq.diagonal * dq.diagonal
     _, _, h1 = abadha_split(dq.diagonal, a, b)
     _, _, h2 = abadha_split(dq.diagonal, d, c)
     # center heights: (a^2 + b^2 - diag^2)/(4 h1) above, mirrored below
-    lhs = (_sq(a) + _sq(b) - diag_sq) * (Surd(1) * h2)
-    rhs = -((_sq(d) + _sq(c) - diag_sq) * (Surd(1) * h1))
-    return Surd(1) * lhs == Surd(1) * rhs
-
-
-def circumradii(dq: DiagQuad):
-    """Exact circumradii of the two diagonal triangles; equal radii plus a
-    shared center (see concyclic_exact) characterize cyclicity."""
-    return (
-        triangle_circumradius(dq.first_triangle()),
-        triangle_circumradius(dq.second_triangle()),
-    )
+    return (a * a + b * b - diag_sq) * h2 == -((d * d + c * c - diag_sq) * h1)
 
 
 def diagonal_range(q: QuadSides):
     """Open interval of diagonals that hinge the (a,b)/(c,d) split into a
     genuine quadrilateral: (max(|a-b|, |c-d|), min(a+b, c+d))."""
     a, b, c, d = q.sides
-    lower = max(abs(Surd(1) * a - b), abs(Surd(1) * c - d))
-    upper = min(Surd(1) * a + b, Surd(1) * c + d)
-    return to_exact(lower), to_exact(upper)
+    return max(abs(a - b), abs(c - d)), min(a + b, c + d)
 
 
 @dataclass(frozen=True)
@@ -190,7 +168,9 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     Closed form: a triangle with sides s, t and diagonal x has
     16T^2 = 2(s^2 + t^2)x^2 - x^4 - (s^2 - t^2)^2, so the sample's area is
     (sqrt(X1) + sqrt(X2))/4 for the two triangles' 16T^2 values.  Only the
-    squared sides enter, so surd sides scan as well as rational ones.
+    squared sides enter, so single-term surd sides scan as well as rational
+    ones; a side whose square is irrational (a sum of surds such as
+    1 + sqrt(2)) raises IncompatibleRadicands.
 
     Integer scaling: the squared sides and the grid share one denominator
     Q (`den` below), so P = Q^4 * 16T^2 is an exact integer per triangle
@@ -208,7 +188,9 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     lo = approx(lower, digits).value
     hi = approx(upper, digits).value
     step = (hi - lo) / (steps + 1)
-    squares = [_sq(s) for s in q.sides]
+    squares = [s * s for s in q.sides]
+    if not all(isinstance(v, Fraction) for v in squares):
+        raise IncompatibleRadicands("the scan needs sides with rational squares")
     den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
     sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
     x0 = lo.numerator * (den // lo.denominator)

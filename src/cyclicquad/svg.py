@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactnum import fixed_point
 from .mensuration import DiagQuad, QuadSides
 from .oracle import ScanResult, embed
 
@@ -19,16 +20,8 @@ _SNAP_W = 300
 _SNAP_H = 160
 
 
-def _fmt(value: Fraction, places: int = 2) -> str:
-    value = Fraction(value)
-    sign = "-" if value < 0 else ""
-    mag = abs(value)
-    scale = 10**places
-    units = (2 * mag.numerator * scale + mag.denominator) // (2 * mag.denominator)
-    text = str(units).rjust(places + 1, "0")
-    if units == 0:
-        sign = ""
-    return f"{sign}{text[:-places]}.{text[-places:]}"
+def _fmt(value: Fraction) -> str:
+    return fixed_point(Fraction(value), 2)
 
 
 def _map(value: Fraction, lo: Fraction, hi: Fraction, out_lo: int, out_len: int) -> Fraction:

@@ -96,6 +96,12 @@ class TestArea:
         code, _, err = run_cli(capsys, "area", "3", "4", "-5")
         assert code == 2 and "error:" in err
 
+    def test_incommensurable_split_refused_with_its_value(self, capsys):
+        # the split area 6 + 2*sqrt(2) is exact but has no one-term form
+        code, out, err = run_cli(capsys, "area", "2", "3", "4", "5", "--diagonal", "3")
+        assert code == 2 and out == ""
+        assert err == "error: 6 + 2*sqrt(2) has no single c*sqrt(r) form\n"
+
     def test_diagonal_on_triangle(self, capsys):
         code, _, err = run_cli(capsys, "area", "3", "4", "5", "--diagonal", "2")
         assert code == 2 and "error:" in err
@@ -147,6 +153,16 @@ class TestScan:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_tiny_sides_keep_significant_digits(self, capsys):
+        side = "1/" + "1" + "0" * 39
+        code, out, _ = run_cli(capsys, "--digits", "12", "--steps", "9", "scan", *[side] * 4)
+        assert code == 0
+        report = dict(line.strip().split(": ", 1) for line in out.splitlines()[1:])
+        # rhombi of side 1e-39: the best sampled diagonal, 1.4e-39, gives
+        # area 0.7e-39 * sqrt(4 - 1.96)e-39 = 9.9979998e-79
+        assert report["max_area"] == "0." + "0" * 78 + "99979998000"
+        assert report["argmax_diagonal"] == "0." + "0" * 38 + "14000000000"
 
     def test_bad_steps(self, capsys):
         code, _, err = run_cli(capsys, "--steps", "2", "scan", "3", "4", "5", "6")

@@ -1,36 +1,35 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclicquad import exactnum
 from cyclicquad.exactnum import (
     ApproxScalar,
     IncompatibleRadicands,
     NegativeRadicand,
     Surd,
     approx,
-    normalize_surd,
     render_decimal,
     square_free_split,
-    surd_add,
     surd_cmp,
-    surd_mul,
     to_exact,
 )
 
 
 class TestNormalize:
     def test_extracts_square_factors(self):
-        s = normalize_surd(1, 19800)
+        s = Surd(1, 19800)
         assert s.coefficient == 30 and s.radicand == 22
 
     def test_perfect_square(self):
-        s = normalize_surd(1, 9)
+        s = Surd(1, 9)
         assert s.coefficient == 3 and s.radicand == 1
 
     def test_zero_coefficient_absorbs_radicand(self):
-        s = normalize_surd(0, 7)
+        s = Surd(0, 7)
         assert s.coefficient == 0 and s.radicand == 1
 
     def test_zero_radicand_gives_zero(self):
@@ -59,15 +58,23 @@ class TestNormalize:
 
 class TestArithmetic:
     def test_mul_examples(self):
-        assert surd_mul(Surd(30, 22), Surd(30, 22)) == 19800
-        assert surd_mul(Surd(1, 2), Surd(1, 2)) == 2
-        assert surd_mul(Surd(Fraction(1, 2), 3), Surd(4, 12)) == 12
+        assert Surd(30, 22) * Surd(30, 22) == 19800
+        assert Surd(1, 2) * Surd(1, 2) == 2
+        assert Surd(Fraction(1, 2), 3) * Surd(4, 12) == 12
 
     def test_add_examples(self):
-        assert surd_add(Surd(2, 5), Surd(3, 5)) == Surd(5, 5)
-        assert surd_add(Surd(2, 5), Surd(0)) == Surd(2, 5)
+        assert Surd(2, 5) + Surd(3, 5) == Surd(5, 5)
+        assert Surd(2, 5) + Surd(0) == Surd(2, 5)
+        # distinct radicands: a two-term sum, not an error
+        total = Surd(2, 5) + Surd(1, 3)
+        assert isinstance(total, Surd)
+        assert total.terms == ((Fraction(1), 3), (Fraction(2), 5))
+        assert total > 0 and -total < 0
+        assert Surd(1, 3) - Surd(2, 5) < 0
+        # sympy.N(2*sqrt(5) + sqrt(3), 40) = 6.2041867625684566863457936789684248...
+        assert total.approx(30).decimal() == "6.20418676256845668634579367897"
         with pytest.raises(IncompatibleRadicands):
-            surd_add(Surd(2, 5), Surd(1, 3))
+            total.coefficient
 
     def test_division_closed(self):
         assert Surd(1, 6) / Surd(1, 2) == Surd(1, 3)
@@ -83,6 +90,44 @@ class TestArithmetic:
             )
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
+
+    def test_results_are_normal_forms(self):
+        assert isinstance(Surd(1, 2) * Surd(1, 2), Fraction)
+        assert isinstance(Surd(1, 2) + 3 - Surd(1, 2), Fraction)
+        assert isinstance(Surd(1) * Fraction(5, 2), Fraction)
+        assert isinstance(Surd.sqrt(Fraction(9, 4)), Fraction)
+        # sqrt(6) * sqrt(10) = 2*sqrt(15), merged by gcd without factoring
+        assert (Surd(1, 6) * Surd(1, 10)).terms == ((Fraction(2), 15),)
+
+    def test_arithmetic_never_factors(self, monkeypatch):
+        a = Surd(3, 2) + Surd(Fraction(1, 7), 15) - 4
+        b = Surd(Fraction(-5, 3), 6) + Surd(2, 35)
+        single = Surd(Fraction(2, 9), 30)
+        calls = []
+        original = exactnum.square_free_split
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(exactnum, "square_free_split", counted)
+        results = [a + b, a - b, a * b, b * a, a * single, a / single,
+                   single / b.terms[0][0], 7 / single, a ** 3, -a, abs(b)]
+        assert all(isinstance(r, (Fraction, Surd)) for r in results)
+        assert calls == []
+
+    def test_unsupported_forms_raise(self):
+        total = Surd(1, 2) + Surd(1, 3)
+        with pytest.raises(IncompatibleRadicands):
+            1 / total
+        with pytest.raises(IncompatibleRadicands):
+            Surd(1, 5) / total
+        with pytest.raises(IncompatibleRadicands):
+            Surd.sqrt(Surd(1, 2))
+        with pytest.raises(IncompatibleRadicands):
+            total.radicand
+        with pytest.raises(ZeroDivisionError):
+            Surd(1, 2) / Surd(0)
 
     def test_binomial_square_same_radicand(self):
         rng = random.Random(13)
@@ -102,6 +147,16 @@ class TestComparison:
 
     def test_equal_normalized_forms(self):
         assert surd_cmp(Surd(2, 2), Surd(1, 8)) == 0
+
+    def test_sign_of_near_cancelling_sum(self):
+        # sqrt(2) + sqrt(3) minus a rational less than 2e-90 below it: positive,
+        # though the gap is invisible at 60 digits
+        scale = 10**90
+        below = Fraction(isqrt(2 * scale * scale) + isqrt(3 * scale * scale), scale)
+        total = Surd(1, 2) + Surd(1, 3)
+        assert total > below
+        assert total < below + Fraction(3, scale)
+        assert surd_cmp(total, below) == 1
 
     def test_cmp_agrees_with_high_precision_approx(self):
         rng = random.Random(17)
@@ -136,6 +191,14 @@ class TestRendering:
         assert render_decimal(Fraction(575, 4), 10) == "143.7500000"
         assert render_decimal(Fraction(-3, 2), 4) == "-1.500"
         assert render_decimal(Fraction(0), 5) == "0.0000"
+
+    def test_small_values_keep_significant_digits(self):
+        # below 0.1 the digits - 1 significant digits of [0.1, 1) are kept
+        assert render_decimal(Fraction(1, 10), 5) == "0.1000"
+        assert render_decimal(Fraction(-123, 10000), 5) == "-0.01230"
+        assert render_decimal(Fraction(1, 100), 5) == "0.01000"
+        assert render_decimal(Fraction(1, 10**39), 12) == "0." + "0" * 38 + "10000000000"
+        assert render_decimal(Fraction(99999, 10**6), 5) == "0.10000"
 
     def test_no_exponent_large_values(self):
         text = render_decimal(Fraction(10**30), 5)

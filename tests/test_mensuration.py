@@ -1,10 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from cyclicquad.exactnum import IncompatibleRadicands, Surd, to_exact
+from cyclicquad.exactnum import Surd, to_exact
 from cyclicquad.mensuration import (
     DegenerateRhombus,
     DiagQuad,
@@ -26,10 +27,13 @@ from cyclicquad.mensuration import (
     rhombus_area,
     rhombus_second_diagonal,
     semiperimeter,
+    split_triangle_areas,
     sutra_area,
     trapezium_area,
     triangle_circumradius,
 )
+
+from cyclicquad.oracle import embed, shoelace_area
 
 from conftest import random_quad, random_triangle
 
@@ -82,6 +86,22 @@ class TestSutraArea:
         for a, b in ((3, 4), (7, 7), (10, 1)):
             q = quad(a, b, a, b)
             assert gross_area(q) == Surd(1) * sutra_area(q)
+
+
+class TestClosure:
+    def test_near_tie_decided_exactly(self):
+        # d within 3e-90 of sqrt(2) + sqrt(3) + sqrt(5), on either side
+        scale = 10**90
+        floors = sum(isqrt(r * scale * scale) for r in (2, 3, 5))
+        surds = (Surd(1, 2), Surd(1, 3), Surd(1, 5))
+        assert quad(*surds, Fraction(floors, scale)).d == Fraction(floors, scale)
+        with pytest.raises(InvalidQuad):
+            quad(*surds, Fraction(floors + 3, scale))
+
+    def test_triangle_with_surd_sides(self):
+        assert Triangle(Surd(1, 2), Surd(1, 3), 3)
+        with pytest.raises(InvalidTriangle):
+            Triangle(Surd(1, 2), Surd(1, 3), Fraction(315, 100))
 
 
 class TestHeron:
@@ -203,9 +223,14 @@ class TestAreaByDiagonal:
         report = area_by_diagonal(DiagQuad(q, p))
         assert report.split_area == sutra_area(q)
 
-    def test_incommensurable_split_raises(self):
-        with pytest.raises(IncompatibleRadicands):
-            area_by_diagonal(DiagQuad(quad(5, 6, 7, 8), 9))
+    def test_incommensurable_split_is_a_sum(self):
+        dq = DiagQuad(quad(5, 6, 7, 8), 9)
+        t1, t2 = split_triangle_areas(dq)
+        split_area = area_by_diagonal(dq).split_area
+        assert isinstance(split_area, Surd) and len(split_area.terms) == 2
+        assert split_area == t1 + t2
+        oracle = shoelace_area(embed(dq, 50))
+        assert abs(split_area.approx(50).value - oracle.value) < Fraction(1, 10**40)
 
 
 class TestCyclicDiagonals:

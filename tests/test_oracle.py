@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclicquad import exactnum, oracle
-from cyclicquad.exactnum import _GUARD_DIGITS, IncompatibleRadicands, Surd, approx
+from cyclicquad.exactnum import _GUARD_DIGITS, ApproxScalar, IncompatibleRadicands, Surd, approx
 from cyclicquad.mensuration import (
     DiagQuad,
     InvalidTriangle,
@@ -151,6 +151,11 @@ class TestDiagonalRange:
     def test_trapezium_sides(self):
         assert diagonal_range(quad(14, 13, 9, 12)) == (3, 21)
 
+    def test_surd_sides_over_distinct_radicands(self):
+        a, b = Surd(3, 2), Surd(2, 3)
+        assert diagonal_range(quad(a, b, 3, 4)) == (1, 7)
+        assert diagonal_range(quad(a, b, 4, 4)) == (a - b, a + b)
+
 
 class TestAreaScan:
     def test_square_family_peak(self):
@@ -223,6 +228,38 @@ class TestAreaScan:
         first_max = oracle_areas.index(max(oracle_areas))
         assert result.argmax_diagonal == result.samples[first_max][0]
         assert result.max_area == result.samples[first_max][1]
+
+    @pytest.mark.parametrize(
+        "sides",
+        [
+            pytest.param((Surd(3, 2), Surd(2, 3), 3, 4), id="rational-ends"),
+            pytest.param((Surd(3, 2), Surd(2, 3), 4, 4), id="surd-sum-ends"),
+        ],
+    )
+    def test_surd_sides_over_distinct_radicands(self, sides):
+        # reference: Heron's product form, exact in surd arithmetic (the
+        # embedding oracle would factor each sample's long-decimal diagonal)
+        digits = 10
+        q = quad(*sides)
+        a, b, c, d = q.sides
+        lower, upper = diagonal_range(q)
+        result = area_scan(q, 9, digits)
+        assert len(result.samples) == 9
+        assert lower < result.samples[0][0].value < result.samples[-1][0].value < upper
+        bound = Fraction(2, 10 ** (digits + _GUARD_DIGITS))
+
+        def quarter_root(s, t, x):
+            sixteen_t2 = (s + t + x) * (t + x - s) * (s + x - t) * (s + t - x)
+            return ApproxScalar(sixteen_t2, digits + 30).sqrt().value / 4
+
+        for diag, area in result.samples:
+            x = diag.value
+            reference = quarter_root(a, b, x) + quarter_root(c, d, x)
+            assert abs(area.value - reference) <= bound * reference
+
+    def test_side_with_irrational_square_refused(self):
+        with pytest.raises(IncompatibleRadicands):
+            area_scan(quad(Surd(1, 2) + 1, 3, 3, 3), 9, 10)
 
     def test_no_factoring_or_embedding_per_sample(self, monkeypatch):
         calls = []
