@@ -2,8 +2,17 @@
 
 Subcommands: reproduce, area, construct, scan, rhombus, triples.
 Exit codes: 0 success, 1 manifest failure, 2 usage or domain error.
-JSON output is deterministic: fixed key order, decimals rendered as
-strings, exact values as {coefficient: {num, den}, radicand}.
+
+Commands build their reports from the program's own values, and two
+renderers print every report:
+- text shows an exact value as `c*sqrt(r) (decimal)`, or `c (decimal)` when
+  it is rational, always with its coefficient (`1*sqrt(3)`), an
+  approximation as its decimal and a list as `[a, b]`;
+- JSON is deterministic: fixed key order, an exact value as
+  {coefficient: {num, den}, radicand, decimal} with every field a string,
+  an approximation as its decimal string.
+A sum of surds has no single c*sqrt(r) form, so a command whose report holds
+one exits 2 and names the value.  `--format svg` applies only to scan.
 """
 
 from __future__ import annotations
@@ -11,12 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .construct import brahmagupta_quad
-from .exactnum import DEFAULT_DIGITS, ApproxScalar, IncompatibleRadicands, Surd
-from .manifest import ManifestEntry, run_manifest
+from .construct import brahmagupta_quad, rhombus_from_triple
+from .exactnum import DEFAULT_DIGITS, ApproxScalar, IncompatibleRadicands, Surd, approx
+from .manifest import run_manifest
 from .mensuration import (
     DiagQuad,
     GeometryError,
@@ -41,37 +50,47 @@ EXIT_MANIFEST_FAILURE = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    precision_digits: int = DEFAULT_DIGITS
-    scan_steps: int = 999
-    output_format: str = "text"
-
-
-def _report_digits(config: RunConfig) -> int:
+def _report_digits(args) -> int:
     # text mode trims decimals for readability; JSON keeps full precision
-    if config.output_format == "json":
-        return config.precision_digits
-    return min(config.precision_digits, 12)
+    return args.digits if args.format == "json" else min(args.digits, 12)
 
 
-def _scalar_json(value, digits: int):
-    """JSON form of one value.  An exact value is shown as one c*sqrt(r)
-    term; a sum of surds has none and raises IncompatibleRadicands."""
+def _term(value) -> tuple[Fraction, int]:
+    """(c, r) of an exact value c*sqrt(r).  A sum of surds has no such
+    form and raises IncompatibleRadicands."""
+    if isinstance(value, Surd):
+        return value.coefficient, value.radicand
+    return value, 1
+
+
+def _json_value(value, digits: int):
+    """The json.dumps hook: a decimal string for an approximation, one
+    c*sqrt(r) term with its decimal for an exact value."""
     if isinstance(value, ApproxScalar):
         return value.decimal()
-    if isinstance(value, (int, Fraction)):
-        value = Surd(value)
-    if isinstance(value, Surd):
+    if isinstance(value, (Fraction, Surd)):
+        c, r = _term(value)
         return {
-            "coefficient": {
-                "num": str(value.coefficient.numerator),
-                "den": str(value.coefficient.denominator),
-            },
-            "radicand": str(value.radicand),
-            "decimal": value.approx(digits).decimal(),
+            "coefficient": {"num": str(c.numerator), "den": str(c.denominator)},
+            "radicand": str(r),
+            "decimal": approx(value, digits).decimal(),
         }
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _text(value, digits: int) -> str:
+    """Text form of one report value."""
+    # int and str first: isinstance against Fraction goes through the
+    # numbers ABCs, slow on the thousands of ints in a triples list
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_text(v, digits) for v in value) + "]"
+    if isinstance(value, (Fraction, Surd)):
+        c, r = _term(value)
+        exact = str(c) if r == 1 else f"{c}*sqrt({r})"
+        return f"{exact} ({approx(value, digits).decimal()})"
+    return str(value)
 
 
 def _parse_length(text: str) -> Fraction:
@@ -93,174 +112,140 @@ def _write(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _config_json(config: RunConfig) -> dict:
-    return {
-        "precision_digits": config.precision_digits,
-        "scan_steps": config.scan_steps,
-        "output_format": config.output_format,
+def _write_json(args, command: str, **body) -> None:
+    payload = {
+        "command": command,
+        "config": {
+            "precision_digits": args.digits,
+            "scan_steps": args.steps,
+            "output_format": args.format,
+        },
+        **body,
     }
+    hook = partial(_json_value, digits=args.digits)
+    _write(json.dumps(payload, indent=2, default=hook) + "\n", args.out)
 
 
-def _entry_json(entry: ManifestEntry, digits: int) -> dict:
-    def convert(value):
-        if isinstance(value, bool) or value is None:
-            return value
-        if isinstance(value, (list, tuple)):
-            return [convert(v) for v in value]
-        if isinstance(value, (int, Fraction, Surd, ApproxScalar)):
-            return _scalar_json(value, digits)
-        return value
-
-    return {
-        "id": entry.id,
-        "description": entry.description,
-        "provenance": entry.provenance,
-        "expected": convert(entry.expected),
-        "computed": convert(entry.computed),
-        "status": entry.status,
-    }
+def _write_report(args, command: str, report: dict) -> int:
+    if args.format == "json":
+        _write_json(args, command, report=report)
+    else:
+        digits = _report_digits(args)
+        lines = [f"{command}:"]
+        lines.extend(f"  {key}: {_text(value, digits)}" for key, value in report.items())
+        _write("\n".join(lines) + "\n", args.out)
+    return EXIT_OK
 
 
-def cmd_reproduce(args, config: RunConfig) -> int:
-    if config.precision_digits < 10:
+def cmd_reproduce(args) -> int:
+    if args.digits < 10:
         raise ValueError("reproduce requires at least 10 precision digits")
-    entries = run_manifest(config.precision_digits)
+    entries = run_manifest(args.digits)
     failures = [e for e in entries if e.status != "pass"]
-    if config.output_format == "json":
-        payload = {
-            "command": "reproduce",
-            "config": _config_json(config),
-            "entries": [_entry_json(e, config.precision_digits) for e in entries],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+    if args.format == "json":
+        _write_json(args, "reproduce", entries=[vars(e) for e in entries])
     else:
         lines = []
         for e in entries:
             lines.append(f"[{e.status.upper():4}] {e.id}: {e.description}")
             lines.append(f"       source: {e.provenance}")
         lines.append(f"{len(entries) - len(failures)}/{len(entries)} entries passed")
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+        _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK if not failures else EXIT_MANIFEST_FAILURE
 
 
-def cmd_area(args, config: RunConfig) -> int:
+def cmd_area(args) -> int:
     sides = [_parse_length(s) for s in args.sides]
-    digits = _report_digits(config)
     if len(sides) == 3:
         if args.diagonal is not None:
             raise ValueError("a diagonal applies only to four-sided input")
-        area = heron_area(Triangle(*sides))
         report = {
             "figure": "triangle",
-            "sides": [_scalar_json(s, digits) for s in sides],
-            "semiperimeter": _scalar_json(semiperimeter(sides), digits),
-            "area": _scalar_json(area, digits),
+            "sides": sides,
+            "semiperimeter": semiperimeter(sides),
+            "area": heron_area(Triangle(*sides)),
         }
     elif len(sides) == 4:
         q = quad(*sides)
         report = {
             "figure": "quadrilateral",
-            "sides": [_scalar_json(s, digits) for s in sides],
-            "semiperimeter": _scalar_json(semiperimeter(sides), digits),
-            "gross_area": _scalar_json(gross_area(q), digits),
-            "sutra_area": _scalar_json(sutra_area(q), digits),
+            "sides": sides,
+            "semiperimeter": semiperimeter(sides),
+            "gross_area": gross_area(q),
+            "sutra_area": sutra_area(q),
         }
         if args.diagonal is not None:
             dq = DiagQuad(q, _parse_length(args.diagonal))
-            full = area_by_diagonal(dq)
-            report["diagonal"] = _scalar_json(dq.diagonal, digits)
-            report["split_area"] = _scalar_json(full.split_area, digits)
-            report["perpendiculars"] = [
-                _scalar_json(p, digits) for p in full.perpendiculars
-            ]
+            split = area_by_diagonal(dq)
             pair = cyclic_diagonal_pair(q)
-            report["cyclic_diagonals"] = [
-                _scalar_json(pair.p, digits),
-                _scalar_json(pair.q, digits),
-            ]
+            report["diagonal"] = dq.diagonal
+            report["split_area"] = split.split_area
+            report["perpendiculars"] = split.perpendiculars
+            report["cyclic_diagonals"] = [pair.p, pair.q]
             report["cyclic"] = concyclic_exact(dq)
     else:
         raise ValueError("area takes three sides (triangle) or four (quadrilateral)")
-    return _render_report("area", report, args, config)
+    return _write_report(args, "area", report)
 
 
-def cmd_construct(args, config: RunConfig) -> int:
-    t1 = validate_triple(args.triple1[0], args.triple1[1], args.triple1[2])
-    t2 = validate_triple(args.triple2[0], args.triple2[1], args.triple2[2])
+def cmd_construct(args) -> int:
+    t1 = validate_triple(*args.triple1)
+    t2 = validate_triple(*args.triple2)
     built = brahmagupta_quad(t1, t2)
-    digits = _report_digits(config)
-    pair = cyclic_diagonal_pair(built.sides)
-    split = area_by_diagonal(built.as_diag_quad())
     report = {
         "source": [[t1.l, t1.m, t1.n], [t2.l, t2.m, t2.n]],
-        "sides": [_scalar_json(s, digits) for s in built.sides.sides],
-        "glue_diagonal": _scalar_json(built.glue_diagonal, digits),
-        "circumdiameter": _scalar_json(built.circumdiameter, digits),
-        "cyclic_diagonals": [
-            _scalar_json(pair.p, digits),
-            _scalar_json(pair.q, digits),
-        ],
-        "area": _scalar_json(split.split_area, digits),
-        "sutra_area": _scalar_json(sutra_area(built.sides), digits),
+        "sides": built.sides.sides,
+        "glue_diagonal": built.glue_diagonal,
+        "circumdiameter": built.circumdiameter,
+        "cyclic_diagonals": [built.diagonals.p, built.diagonals.q],
+        "area": area_by_diagonal(built.as_diag_quad()).split_area,
+        "sutra_area": sutra_area(built.sides),
     }
-    return _render_report("construct", report, args, config)
+    return _write_report(args, "construct", report)
 
 
-def cmd_scan(args, config: RunConfig) -> int:
+def cmd_scan(args) -> int:
     sides = [_parse_length(s) for s in args.sides]
     if len(sides) != 4:
         raise ValueError("scan takes exactly four sides")
     q = quad(*sides)
-    digits = _report_digits(config)
-    result = area_scan(q, config.scan_steps, digits)
-    if config.output_format == "svg":
+    digits = _report_digits(args)
+    result = area_scan(q, args.steps, digits)
+    if args.format == "svg":
         _write(scan_svg(q, result, digits), args.out)
         return EXIT_OK
     report = {
-        "sides": [_scalar_json(s, digits) for s in sides],
-        "steps": config.scan_steps,
-        "argmax_diagonal": result.argmax_diagonal.decimal(),
-        "max_area": result.max_area.decimal(),
-        "first_sample": [
-            result.samples[0][0].decimal(),
-            result.samples[0][1].decimal(),
-        ],
-        "last_sample": [
-            result.samples[-1][0].decimal(),
-            result.samples[-1][1].decimal(),
-        ],
+        "sides": sides,
+        "steps": args.steps,
+        "argmax_diagonal": result.argmax_diagonal,
+        "max_area": result.max_area,
+        "first_sample": result.samples[0],
+        "last_sample": result.samples[-1],
     }
-    if config.output_format == "json":
-        report["samples"] = [
-            [d.decimal(), a.decimal()] for d, a in result.samples
-        ]
-    return _render_report("scan", report, args, config)
+    if args.format == "json":
+        report["samples"] = result.samples
+    return _write_report(args, "scan", report)
 
 
-def cmd_rhombus(args, config: RunConfig) -> int:
-    digits = _report_digits(config)
-    if args.triple:
-        t = validate_triple(*args.triple)
-        from .construct import rhombus_from_triple
-
-        r = rhombus_from_triple(t)
-    else:
-        if len(args.dims) != 2:
-            raise ValueError("rhombus takes SIDE D1 or --triple L M N")
+def cmd_rhombus(args) -> int:
+    if args.triple and not args.dims:
+        r = rhombus_from_triple(validate_triple(*args.triple))
+    elif len(args.dims) == 2 and not args.triple:
         r = Rhombus(side=_parse_length(args.dims[0]), d1=_parse_length(args.dims[1]))
+    else:
+        raise ValueError("rhombus takes SIDE D1 or --triple L M N")
     square = Rhombus(side=r.side, d1=r.side * Surd(1, 2))
     report = {
-        "side": _scalar_json(r.side, digits),
-        "d1": _scalar_json(r.d1, digits),
-        "d2": _scalar_json(rhombus_second_diagonal(r), digits),
-        "area": _scalar_json(rhombus_area(r), digits),
-        "square_same_side_area": _scalar_json(rhombus_area(square), digits),
+        "side": r.side,
+        "d1": r.d1,
+        "d2": rhombus_second_diagonal(r),
+        "area": rhombus_area(r),
+        "square_same_side_area": rhombus_area(square),
     }
-    return _render_report("rhombus", report, args, config)
+    return _write_report(args, "rhombus", report)
 
 
-def cmd_triples(args, config: RunConfig) -> int:
+def cmd_triples(args) -> int:
     found = generate_triples(args.max_hypotenuse)
     report: dict = {
         "max_hypotenuse": args.max_hypotenuse,
@@ -271,51 +256,7 @@ def cmd_triples(args, config: RunConfig) -> int:
             [[p.l, p.m, p.n], [s.l, s.m, s.n]]
             for p, s in hypotenuse_pairs(args.max_hypotenuse)
         ]
-    return _render_report("triples", report, args, config)
-
-
-def _render_report(command: str, report: dict, args, config: RunConfig) -> int:
-    if config.output_format == "json":
-        payload = {
-            "command": command,
-            "config": _config_json(config),
-            "report": report,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [f"{command}:"]
-        lines.extend(_text_lines(report, indent=2))
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
-    return EXIT_OK
-
-
-def _text_lines(value, indent: int) -> list[str]:
-    pad = " " * indent
-    lines = []
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, dict) and "coefficient" not in item:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(item, indent + 2))
-            else:
-                lines.append(f"{pad}{key}: {_flat_text(item)}")
-    return lines
-
-
-def _flat_text(value) -> str:
-    if isinstance(value, dict):
-        num = value.get("coefficient", {}).get("num")
-        den = value.get("coefficient", {}).get("den")
-        rad = value.get("radicand")
-        if num is not None:
-            coeff = num if den == "1" else f"{num}/{den}"
-            base = coeff if rad == "1" else f"{coeff}*sqrt({rad})"
-            return f"{base} ({value.get('decimal')})"
-        return json.dumps(value)
-    if isinstance(value, list):
-        return "[" + ", ".join(_flat_text(v) for v in value) + "]"
-    return str(value)
+    return _write_report(args, "triples", report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,19 +312,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        precision_digits=args.digits,
-        scan_steps=args.steps,
-        output_format=args.format,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if config.precision_digits < 1:
+        if args.digits < 1:
             raise ValueError("--digits must be at least 1")
-        if config.scan_steps < 3:
+        if args.steps < 3:
             raise ValueError("--steps must be at least 3")
-        return _COMMANDS[args.command](args, config)
+        if args.format == "svg" and args.command != "scan":
+            raise ValueError("--format svg applies only to scan")
+        return _COMMANDS[args.command](args)
     except (GeometryError, NotPythagorean, IncompatibleRadicands, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .mensuration import (
+    DiagonalPair,
     DiagQuad,
     GeometryError,
     QuadSides,
@@ -29,12 +30,14 @@ class PtolemyViolation(GeometryError):
 class CyclicQuadConstruction:
     """Result of gluing two scaled right triangles along a common
     hypotenuse.  The glue diagonal is a circumdiameter: both triangles are
-    right triangles standing on it."""
+    right triangles standing on it.  `diagonals` is the cyclic diagonal
+    pair of `sides`, the one checked against Ptolemy's equality."""
 
     source: tuple[PythTriple, PythTriple]
     sides: QuadSides
     glue_diagonal: Fraction
     circumdiameter: Fraction
+    diagonals: DiagonalPair
 
     def as_diag_quad(self) -> DiagQuad:
         """The construction as a DiagQuad split along the glue diagonal
@@ -57,13 +60,14 @@ def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
     not shared by adjacent canonical sides."""
     sides = quad(t1.l * t2.n, t2.l * t1.n, t2.m * t1.n, t1.m * t2.n)
     glue = Fraction(t1.n * t2.n)
-    built = CyclicQuadConstruction(
-        source=(t1, t2), sides=sides, glue_diagonal=glue, circumdiameter=glue
-    )
-    if not ptolemy_check(sides, cyclic_diagonal_pair(sides)):
+    diagonals = cyclic_diagonal_pair(sides)
+    if not ptolemy_check(sides, diagonals):
         text = ", ".join(str(s) for s in sides.sides)
         raise PtolemyViolation(f"glued sides {text} fail Ptolemy's equality")
-    return built
+    return CyclicQuadConstruction(
+        source=(t1, t2), sides=sides, glue_diagonal=glue, circumdiameter=glue,
+        diagonals=diagonals,
+    )
 
 
 SwapChoice = Literal["first_triangle", "second_triangle"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .exactnum import ScalarLike, Surd, to_exact
 
@@ -175,11 +175,8 @@ class Rhombus:
 
 @dataclass(frozen=True)
 class MensurationReport:
-    semiperimeter: Exact
-    gross_area: Exact
-    sutra_area: Exact
-    split_area: Optional[Exact] = None
-    perpendiculars: Optional[tuple[Exact, Exact]] = None
+    split_area: Exact
+    perpendiculars: tuple[Exact, Exact]
 
 
 @dataclass(frozen=True)
@@ -268,12 +265,8 @@ def area_by_diagonal(dq: DiagQuad) -> MensurationReport:
     off-diagonal vertices onto the diagonal.  When the two triangle areas
     are incommensurable surds the split area is their two-term sum.
     """
-    t1 = heron_area(dq.first_triangle())
-    t2 = heron_area(dq.second_triangle())
+    t1, t2 = split_triangle_areas(dq)
     return MensurationReport(
-        semiperimeter=semiperimeter(dq.sides.sides),
-        gross_area=gross_area(dq.sides),
-        sutra_area=sutra_area(dq.sides),
         split_area=t1 + t2,
         perpendiculars=(2 * t1 / dq.diagonal, 2 * t2 / dq.diagonal),
     )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import fixed_point
+from .exactnum import approx, fixed_point
 from .mensuration import DiagQuad, QuadSides
 from .oracle import ScanResult, embed
 
@@ -54,7 +54,7 @@ def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
         bx, by = pts[(i + 1) % 4]
         mx, my = (ax + bx) / 2, (ay + by) / 2
         parts.append(
-            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12">{_fmt(Fraction(sides[i]) if isinstance(sides[i], (int, Fraction)) else sides[i].approx(12).value)}</text>'
+            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12">{_fmt(approx(sides[i], 12).value)}</text>'
         )
     parts.append(
         f'<text x="{x0 + 4}" y="{_SNAP_Y + _SNAP_H + 18}" font-size="13">{label}</text>'

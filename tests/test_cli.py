@@ -4,6 +4,7 @@ import os
 import pytest
 
 import cyclicquad.cli as cli
+from cyclicquad import exactnum
 from cyclicquad.cli import main
 from cyclicquad.manifest import ManifestEntry
 
@@ -164,6 +165,20 @@ class TestScan:
         assert report["max_area"] == "0." + "0" * 78 + "99979998000"
         assert report["argmax_diagonal"] == "0." + "0" * 38 + "14000000000"
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["area", "3", "4", "5"],
+            ["rhombus", "--triple", "7", "24", "25"],
+            ["triples", "25"],
+            ["reproduce"],
+        ],
+    )
+    def test_svg_only_for_scan(self, capsys, command):
+        code, out, err = run_cli(capsys, "--format", "svg", *command)
+        assert code == 2 and out == ""
+        assert err == "error: --format svg applies only to scan\n"
+
     def test_bad_steps(self, capsys):
         code, _, err = run_cli(capsys, "--steps", "2", "scan", "3", "4", "5", "6")
         assert code == 2 and "error:" in err
@@ -198,6 +213,11 @@ class TestRhombus:
         code, _, err = run_cli(capsys, "rhombus", "25")
         assert code == 2 and "error:" in err
 
+    def test_dims_with_triple_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "rhombus", "25", "30", "--triple", "7", "24", "25")
+        assert code == 2 and out == ""
+        assert err == "error: rhombus takes SIDE D1 or --triple L M N\n"
+
 
 class TestTriples:
     def test_max_25_with_pairs(self, capsys):
@@ -212,6 +232,28 @@ class TestTriples:
         code, out, _ = run_cli(capsys, "--format", "json", "triples", "20", "--pairs")
         assert code == 0
         assert json.loads(out)["report"]["hypotenuse_pairs"] == []
+
+
+class TestFactoring:
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["area", "75", "68", "51", "40", "--diagonal", "77"], 7),
+            (["construct", "3", "4", "5", "8", "15", "17"], 5),
+        ],
+    )
+    def test_each_root_factored_once(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        original = exactnum.square_free_split
+
+        def counting(n):
+            seen.append(n)
+            return original(n)
+
+        monkeypatch.setattr(exactnum, "square_free_split", counting)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(seen) == len(set(seen)) == calls
 
 
 class TestOutFile:
