@@ -57,7 +57,7 @@ from .construct import (
 )
 from .oracle import (
     DegenerateCollinear,
-    EmbeddedQuad,
+    Embedding,
     ScanResult,
     area_scan,
     concyclic,

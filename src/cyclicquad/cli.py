@@ -106,7 +106,11 @@ def _parse_length(text: str) -> Fraction:
 def _write(text: str, out_path) -> None:
     """Write the command's output to --out, or to stdout without one."""
     if out_path:
-        with open(out_path, "w") as handle:
+        try:
+            handle = open(out_path, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

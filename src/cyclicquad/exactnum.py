@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: arbitrary-precision rationals extended with
-sums of quadratic surds, plus a configurable-precision decimal
-approximation.
+sums of quadratic surds, plus configurable-precision decimal
+approximations.
 
 An exact value is either a ``fractions.Fraction`` (rational) or a ``Surd``,
 a sum c1*sqrt(r1) + ... + cn*sqrt(rn) held in one normal form: each ri is
@@ -23,6 +23,13 @@ p exists because the sum is nonzero.
 Division by a sum of two or more terms, the square root of an irrational
 value, and the single-term accessors ``coefficient``/``radicand`` of a sum
 raise ``IncompatibleRadicands``.
+
+Exact and approximate values stay apart.  An approximation is a plain
+Fraction wherever the program computes with it (``sqrt_fraction``, the
+``value`` of ``approx``); ``ApproxScalar(value, digits)`` only marks a
+result as approximate, so that the renderers print it as a decimal with
+``digits`` significant digits.  It has no arithmetic and never equals an
+exact value.
 """
 
 from __future__ import annotations
@@ -256,24 +263,22 @@ class Surd:
 
     def approx(self, digits: int = 50) -> "ApproxScalar":
         """Decimal approximation with relative error below
-        10**-(digits + guard digits).  A single term is c times the floor
-        root sqrt_fraction(r); a sum is refined like the sign (module
-        docstring) until its error bound meets the relative target."""
+        10**-(digits + guard digits), refined like the sign (module
+        docstring) until the error bound meets the relative target.  A
+        single term c*sqrt(r) passes at the first precision with the value
+        c * isqrt(r * 10**2p) / 10**p."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        if len(self.terms) > 1:
-            places = digits + _GUARD_DIGITS
-            target = 10**places
-            while True:
-                total, bound, den = _estimate(self.terms, places)
-                if abs(total) >= bound * (target + 1):
-                    return ApproxScalar(Fraction(total, den * 10**places), digits)
-                places *= 2
-        c, r = self._single()
-        if r == 1:
-            return ApproxScalar(c, digits)
-        root = sqrt_fraction(Fraction(r), digits + _GUARD_DIGITS)
-        return ApproxScalar(c * root, digits)
+        if _rational(self.terms):
+            # sqrt(1) is exact, so its error bound would never be met
+            return ApproxScalar(self.terms[0][0] if self.terms else Fraction(0), digits)
+        places = digits + _GUARD_DIGITS
+        target = 10**places
+        while True:
+            total, bound, den = _estimate(self.terms, places)
+            if abs(total) >= bound * (target + 1):
+                return ApproxScalar(Fraction(total, den * 10**places), digits)
+            places *= 2
 
 
 def _term_text(c: Fraction, r: int) -> str:
@@ -400,88 +405,13 @@ def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ApproxScalar:
-    """A decimal-grade rational approximation carrying its significant-digit
-    budget.  Field arithmetic is exact on the stored rational; only square
-    roots introduce rounding, bounded by the digit budget."""
+    """A print record marking `value` as approximate: the renderers print it
+    as a decimal with `digits` significant digits.  It does no arithmetic
+    and is never equal to an exact value; code that computes with an
+    approximation uses the Fraction `value`."""
 
     value: Fraction
-    digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise ValueError("digits must be >= 1")
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def _lift(self, other) -> tuple[Fraction, int]:
-        if isinstance(other, ApproxScalar):
-            return other.value, min(self.digits, other.digits)
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), self.digits
-        if isinstance(other, Surd):
-            return other.approx(self.digits).value, self.digits
-        raise TypeError(f"cannot combine ApproxScalar with {type(other).__name__}")
-
-    def __add__(self, other):
-        v, d = self._lift(other)
-        return ApproxScalar(self.value + v, d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v, d = self._lift(other)
-        return ApproxScalar(self.value - v, d)
-
-    def __rsub__(self, other):
-        v, d = self._lift(other)
-        return ApproxScalar(v - self.value, d)
-
-    def __mul__(self, other):
-        v, d = self._lift(other)
-        return ApproxScalar(self.value * v, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v, d = self._lift(other)
-        return ApproxScalar(self.value / v, d)
-
-    def __neg__(self):
-        return ApproxScalar(-self.value, self.digits)
-
-    def __abs__(self):
-        return ApproxScalar(abs(self.value), self.digits)
-
-    def sqrt(self) -> "ApproxScalar":
-        return ApproxScalar(
-            sqrt_fraction(self.value, self.digits + _GUARD_DIGITS), self.digits
-        )
-
-    def _other_value(self, other) -> Fraction:
-        if isinstance(other, ApproxScalar):
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        if isinstance(other, Surd):
-            return other.approx(self.digits).value
-        raise TypeError(f"cannot compare ApproxScalar with {type(other).__name__}")
-
-    def __eq__(self, other):
-        return self.value == self._other_value(other)
-
-    def __lt__(self, other):
-        return self.value < self._other_value(other)
-
-    def __le__(self, other):
-        return self.value <= self._other_value(other)
-
-    def __gt__(self, other):
-        return self.value > self._other_value(other)
-
-    def __ge__(self, other):
-        return self.value >= self._other_value(other)
-
-    def __hash__(self):
-        return hash(self.value)
+    digits: int
 
     def decimal(self) -> str:
         """Fixed-point rendering: sign, integer part, '.', fraction part,
@@ -506,20 +436,21 @@ def render_decimal(value: Fraction, digits: int) -> str:
     digits (at least one fractional digit is kept for exact integers too,
     unless the digit budget is exhausted by the integer part).  Below 1 the
     leading "0." counts as one digit, so a value v with 0 < |v| < 0.1 keeps
-    the digits - 1 significant digits that [0.1, 1) gets."""
+    the digits - 1 significant digits that [0.1, 1) gets, and a nonzero
+    value below 1 always shows at least one significant digit."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     value = Fraction(value)
     mag = abs(value)
     if mag >= 1:
-        int_digits = len(str(int(mag)))
-    elif 0 < mag < Fraction(1, 10):
+        places = digits - len(str(int(mag)))
+    elif mag:
         # 10**-(z+1) <= mag < 10**-z: z zeros follow the point
         zeros = len(str((mag.denominator - 1) // mag.numerator)) - 1
-        int_digits = 1 - zeros
+        places = max(digits - 1, 1) + zeros
     else:
-        int_digits = 1
-    return fixed_point(value, max(digits - int_digits, 0))
+        places = digits - 1
+    return fixed_point(value, max(places, 0))
 
 
 def fixed_point(value: Fraction, places: int) -> str:

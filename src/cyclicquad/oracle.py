@@ -1,12 +1,14 @@
 """Independent verification by coordinate embedding: lay the diagonal on
 the x-axis, place the two off-diagonal vertices via the perpendicular-foot
 split, then measure with the shoelace rule and a circumcenter equidistance
-test.  Also hosts the diagonal scan that demonstrates the indeterminacy of
-a quadrilateral's area when only the four sides are fixed.  The scan does
-not embed: it evaluates each sample's closed-form area on integers scaled
-to a shared denominator, with relative error below 2/F for
-F = 10**(digits + guard digits), and the embedding serves as its
-independent oracle in the tests."""
+test.  An `Embedding` holds its points as plain Fraction coordinates, each
+the `precision`-digit approximation of an exact one; only the shoelace area
+comes back as an `ApproxScalar`, for printing.  Also hosts the diagonal
+scan that demonstrates the indeterminacy of a quadrilateral's area when
+only the four sides are fixed.  The scan does not embed: it evaluates each
+sample's closed-form area on integers scaled to a shared denominator, with
+relative error below 2/F for F = 10**(digits + guard digits), and the
+embedding serves as its independent oracle in the tests."""
 
 from __future__ import annotations
 
@@ -14,7 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .exactnum import _GUARD_DIGITS, DEFAULT_DIGITS, ApproxScalar, IncompatibleRadicands, approx
+from .exactnum import (
+    _GUARD_DIGITS,
+    DEFAULT_DIGITS,
+    ApproxScalar,
+    IncompatibleRadicands,
+    approx,
+    sqrt_fraction,
+)
 from .mensuration import (
     DiagQuad,
     GeometryError,
@@ -24,7 +33,7 @@ from .mensuration import (
     abadha_split,
 )
 
-Point = tuple[ApproxScalar, ApproxScalar]
+Point = tuple[Fraction, Fraction]
 
 
 class DegenerateCollinear(GeometryError):
@@ -32,64 +41,46 @@ class DegenerateCollinear(GeometryError):
 
 
 @dataclass(frozen=True)
-class EmbeddedQuad:
-    """Planar realization of a DiagQuad: vertex 0 at the origin, vertex 2
-    on the positive x-axis at the diagonal's length, the apex of the
-    (a, b) triangle strictly above the axis and the apex of the (c, d)
-    triangle strictly below (convex position)."""
+class Embedding:
+    """Planar realization of a figure as rational points, each coordinate
+    the `precision`-digit approximation of an exact one."""
 
-    points: tuple[Point, Point, Point, Point]
+    points: tuple[Point, ...]
     precision: int
-    source: DiagQuad
 
 
-def embed(dq: DiagQuad, digits: int = DEFAULT_DIGITS) -> EmbeddedQuad:
+def embed(dq: DiagQuad, digits: int = DEFAULT_DIGITS) -> Embedding:
+    """Vertex 0 at the origin, vertex 2 on the positive x-axis at the
+    diagonal's length, the apex of the (a, b) triangle strictly above the
+    axis and the apex of the (c, d) triangle strictly below (convex
+    position)."""
     a, b, c, d = dq.sides.sides
-    diag = dq.diagonal
-    seg1, _, h1 = abadha_split(diag, a, b)
-    seg2, _, h2 = abadha_split(diag, d, c)
-    zero = ApproxScalar(Fraction(0), digits)
-    points = (
-        (zero, zero),
-        (approx(seg1, digits), approx(h1, digits)),
-        (approx(diag, digits), zero),
-        (approx(seg2, digits), -approx(h2, digits)),
-    )
-    return EmbeddedQuad(points=points, precision=digits, source=dq)
+    seg1, _, h1 = abadha_split(dq.diagonal, a, b)
+    seg2, _, h2 = abadha_split(dq.diagonal, d, c)
+    diag, x1, y1, x2, y2 = (approx(v, digits).value for v in (dq.diagonal, seg1, h1, seg2, h2))
+    zero = Fraction(0)
+    return Embedding(((zero, zero), (x1, y1), (diag, zero), (x2, -y2)), digits)
 
 
-def embed_triangle(t: Triangle, digits: int = DEFAULT_DIGITS) -> tuple[Point, Point, Point]:
+def embed_triangle(t: Triangle, digits: int = DEFAULT_DIGITS) -> Embedding:
     """Planar realization of a triangle with side a on the x-axis."""
     seg, _, h = abadha_split(t.a, t.b, t.c)
-    zero = ApproxScalar(Fraction(0), digits)
-    return (
-        (zero, zero),
-        (approx(t.a, digits), zero),
-        (approx(seg, digits), approx(h, digits)),
-    )
+    a, x, y = (approx(v, digits).value for v in (t.a, seg, h))
+    zero = Fraction(0)
+    return Embedding(((zero, zero), (a, zero), (x, y)), digits)
 
 
-def shoelace_area(points_or_quad) -> ApproxScalar:
+def shoelace_area(e: Embedding) -> ApproxScalar:
     """Polygon area by the shoelace rule, at the embedding's precision."""
-    if isinstance(points_or_quad, EmbeddedQuad):
-        points = points_or_quad.points
-        digits = points_or_quad.precision
-    else:
-        points = tuple(points_or_quad)
-        digits = min(p[0].digits for p in points)
+    points = e.points
     total = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        x1, y1 = points[i]
-        x2, y2 = points[(i + 1) % n]
-        total += x1.value * y2.value - x2.value * y1.value
-    return ApproxScalar(abs(total) / 2, digits)
+    for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
+        total += x1 * y2 - x2 * y1
+    return ApproxScalar(abs(total) / 2, e.precision)
 
 
 def _circumcenter(p0: Point, p1: Point, p2: Point) -> tuple[Fraction, Fraction]:
-    x0, y0 = p0[0].value, p0[1].value
-    x1, y1 = p1[0].value, p1[1].value
-    x2, y2 = p2[0].value, p2[1].value
+    (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
     ax, ay = 2 * (x1 - x0), 2 * (y1 - y0)
     bx, by = 2 * (x2 - x0), 2 * (y2 - y0)
     ra = x1 * x1 + y1 * y1 - x0 * x0 - y0 * y0
@@ -102,35 +93,26 @@ def _circumcenter(p0: Point, p1: Point, p2: Point) -> tuple[Fraction, Fraction]:
     return cx, cy
 
 
-def concyclic(e: EmbeddedQuad, tolerance=None) -> bool:
+def concyclic(e: Embedding, tolerance=None) -> bool:
     """True iff all four embedded points are equidistant, within tolerance,
     from the circumcenter of the first three.  The default tolerance is
     scale-relative, span * 10**-precision: the embedding carries `precision`
     significant digits plus guard digits, so a cyclic figure passes and a
     visibly non-cyclic one fails at every scale."""
     digits = e.precision
-    p0, p1, p2, p3 = e.points
-    span = max(abs(q[0].value) + abs(q[1].value) for q in e.points)
-    if tolerance is None:
-        tolerance = span / 10**digits
-    elif isinstance(tolerance, ApproxScalar):
-        tolerance = tolerance.value
-    else:
-        tolerance = Fraction(tolerance)
+    (x0, y0), (x1, y1), (x2, y2), _ = e.points
+    span = max(abs(x) + abs(y) for x, y in e.points)
+    tolerance = span / 10**digits if tolerance is None else Fraction(tolerance)
     # collinearity guard on the first three points, scale-relative
-    x0, y0 = p0[0].value, p0[1].value
-    x1, y1 = p1[0].value, p1[1].value
-    x2, y2 = p2[0].value, p2[1].value
     cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if span > 0 and abs(cross) <= tolerance * span * span:
         raise DegenerateCollinear("first three points are collinear within tolerance")
-    cx, cy = _circumcenter(p0, p1, p2)
+    cx, cy = _circumcenter(*e.points[:3])
     radii = [
-        ApproxScalar((q[0].value - cx) ** 2 + (q[1].value - cy) ** 2, digits).sqrt()
-        for q in e.points
+        sqrt_fraction((x - cx) ** 2 + (y - cy) ** 2, digits + _GUARD_DIGITS)
+        for x, y in e.points
     ]
-    spread = max(r.value for r in radii) - min(r.value for r in radii)
-    return spread < tolerance
+    return max(radii) - min(radii) < tolerance
 
 
 def concyclic_exact(dq: DiagQuad) -> bool:

@@ -32,8 +32,8 @@ def _map(value: Fraction, lo: Fraction, hi: Fraction, out_lo: int, out_len: int)
 
 def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
     e = embed(dq, digits)
-    xs = [p[0].value for p in e.points]
-    ys = [p[1].value for p in e.points]
+    xs = [x for x, _ in e.points]
+    ys = [y for _, y in e.points]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))

@@ -165,6 +165,13 @@ class TestScan:
         assert report["max_area"] == "0." + "0" * 78 + "99979998000"
         assert report["argmax_diagonal"] == "0." + "0" * 38 + "14000000000"
 
+    def test_one_digit_shows_a_significant_digit(self, capsys):
+        code, out, _ = run_cli(capsys, "--digits", "1", "scan", "1", "1", "1", "1")
+        assert code == 0
+        report = dict(line.strip().split(": ", 1) for line in out.splitlines()[1:])
+        # first grid diagonal 2/1000, area about 0.002 * sqrt(4 - 0.000004) / 2
+        assert report["first_sample"] == "[0.002, 0.002]"
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -265,6 +272,12 @@ class TestOutFile:
         assert code == 0 and out == ""
         payload = json.loads(path.read_text())
         assert payload["report"]["area"]["coefficient"]["num"] == "6"
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(capsys, "--out", str(path), "area", "3", "4", "5")
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
 class TestGolden:

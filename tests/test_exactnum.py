@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cyclicquad import exactnum
 from cyclicquad.exactnum import (
+    _GUARD_DIGITS,
     ApproxScalar,
     IncompatibleRadicands,
     NegativeRadicand,
@@ -14,6 +15,7 @@ from cyclicquad.exactnum import (
     approx,
     render_decimal,
     square_free_split,
+    sqrt_fraction,
     surd_cmp,
     to_exact,
 )
@@ -185,6 +187,29 @@ class TestApprox:
             v = Surd(1, 7).approx(digits).value
             assert abs(v * v - 7) < Fraction(1, 10 ** (digits - 2))
 
+    @given(
+        st.integers(min_value=2, max_value=10**9).filter(lambda r: square_free_split(r)[0] == 1),
+        st.fractions(max_denominator=10**6).filter(bool),
+        st.integers(min_value=1, max_value=80),
+    )
+    def test_single_term_matches_floor_root(self, r, c, digits):
+        # the former single-term formula, kept as the reference
+        expected = c * sqrt_fraction(Fraction(r), digits + _GUARD_DIGITS)
+        assert Surd(c, r).approx(digits).value == expected
+
+    def test_rational_value_built_with_radicand_one(self):
+        got = Surd(5).approx(30)
+        assert got.value == 5 and got.digits == 30
+
+    def test_exact_never_equals_its_approximation(self):
+        root = Surd(1, 2)
+        assert root != root.approx(10)
+        assert root.approx(10) != root.approx(20)
+        assert len({root, root.approx(10)}) == 2
+        assert Fraction(1, 2) != ApproxScalar(Fraction(1, 2), 10)
+        assert root.approx(10) == root.approx(10)
+        assert hash(root.approx(10)) == hash(root.approx(10))
+
 
 class TestRendering:
     def test_fixed_point_format(self):
@@ -204,13 +229,17 @@ class TestRendering:
         text = render_decimal(Fraction(10**30), 5)
         assert "e" not in text and "E" not in text
 
+    def test_one_digit_below_one_keeps_a_significant_digit(self):
+        assert render_decimal(Fraction(3, 10), 1) == "0.3"
+        assert render_decimal(Fraction(-1, 500), 1) == "-0.002"
+        assert render_decimal(Fraction(96, 100), 1) == "1.0"
+        assert render_decimal(Fraction(1, 500), 2) == "0.002"
+
     def test_approx_scalar_ops(self):
-        a = ApproxScalar(Fraction(2), 40)
-        b = ApproxScalar(Fraction(1, 3), 20)
-        assert (a + b).digits == 20
-        assert (a * b).value == Fraction(2, 3)
-        root = a.sqrt()
-        assert abs(root.value * root.value - 2) < Fraction(1, 10**38)
+        assert ApproxScalar(Fraction(1, 3), 5).decimal() == "0.3333"
+        assert str(ApproxScalar(Fraction(2), 3)) == "2.00"
+        root = sqrt_fraction(Fraction(2), 40)
+        assert abs(root * root - 2) < Fraction(1, 10**38)
 
 
 def test_to_exact_collapses_rational_surd():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclicquad import exactnum, oracle
-from cyclicquad.exactnum import _GUARD_DIGITS, ApproxScalar, IncompatibleRadicands, Surd, approx
+from cyclicquad.exactnum import _GUARD_DIGITS, IncompatibleRadicands, Surd, approx, sqrt_fraction
 from cyclicquad.mensuration import (
     DiagQuad,
     InvalidTriangle,
@@ -43,8 +43,8 @@ class TestEmbed:
         e = embed(DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)), 50)
         half_diag = Surd(Fraction(1, 2), 2)
         for apex, sign in ((e.points[1], 1), (e.points[3], -1)):
-            assert abs(apex[0].value - half_diag.approx(50).value) < Fraction(1, 10**45)
-            assert abs(apex[1].value - sign * half_diag.approx(50).value) < Fraction(
+            assert abs(apex[0] - half_diag.approx(50).value) < Fraction(1, 10**45)
+            assert abs(apex[1] - sign * half_diag.approx(50).value) < Fraction(
                 1, 10**45
             )
 
@@ -61,8 +61,8 @@ class TestEmbed:
             for i in range(4):
                 x1, y1 = e.points[i]
                 x2, y2 = e.points[(i + 1) % 4]
-                dist = ((x2 - x1) * (x2 - x1) + (y2 - y1) * (y2 - y1)).sqrt()
-                assert abs(dist.value - approx(dq.sides.sides[i], 50).value) < TIGHT
+                dist = sqrt_fraction((x2 - x1) ** 2 + (y2 - y1) ** 2, 50 + _GUARD_DIGITS)
+                assert abs(dist - approx(dq.sides.sides[i], 50).value) < TIGHT
 
 
 class TestShoelace:
@@ -250,7 +250,7 @@ class TestAreaScan:
 
         def quarter_root(s, t, x):
             sixteen_t2 = (s + t + x) * (t + x - s) * (s + x - t) * (s + t - x)
-            return ApproxScalar(sixteen_t2, digits + 30).sqrt().value / 4
+            return sqrt_fraction(sixteen_t2, digits + 30 + _GUARD_DIGITS) / 4
 
         for diag, area in result.samples:
             x = diag.value
