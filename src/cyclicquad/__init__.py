@@ -10,7 +10,6 @@ from .exactnum import (
     Surd,
     approx,
     render_decimal,
-    surd_cmp,
     to_exact,
 )
 from .triples import (

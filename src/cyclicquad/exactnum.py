@@ -2,15 +2,21 @@
 sums of quadratic surds, plus configurable-precision decimal
 approximations.
 
-An exact value is either a ``fractions.Fraction`` (rational) or a ``Surd``,
-a sum c1*sqrt(r1) + ... + cn*sqrt(rn) held in one normal form: each ri is
-a squarefree integer, the ri are distinct and ascending, and each ci is a
-nonzero Fraction.  Sums, differences and products of exact values are
-closed in this form, and every Surd operation returns the normal form
-itself: a Fraction when the result is rational, otherwise a Surd.  Products
-are reduced with g = gcd(r, s) as sqrt(r)*sqrt(s) = g*sqrt((r/g)*(s/g)), a
-squarefree radicand again, so arithmetic never factors; only the inputs
-``Surd(c, r)`` and ``Surd.sqrt`` call ``square_free_split``.
+An exact value (``Exact``) is either a ``fractions.Fraction`` (rational) or
+a ``Surd``, an irrational sum c1*sqrt(r1) + ... + cn*sqrt(rn) held in one
+normal form: each ri is a squarefree integer, the ri are distinct and
+ascending, and each ci is a nonzero Fraction.  Sums, differences and
+products of exact values are closed in this form, and every Surd operation
+returns the normal form itself: a Fraction when the result is rational,
+otherwise a Surd.  The constructor does the same: ``Surd(c, r)`` returns
+the Fraction c*isqrt(r) when c == 0 or r is a perfect square, found by
+``isqrt`` without factoring, so no Surd has a rational value.  Products are
+reduced with g = gcd(r, s) as sqrt(r)*sqrt(s) = g*sqrt((r/g)*(s/g)), a
+squarefree radicand again, so arithmetic never factors; only an irrational
+``Surd(c, r)`` or ``Surd.sqrt`` calls ``square_free_split``.  Inputs are
+exact: a coefficient or a square root's argument that is not an int,
+Fraction or Surd raises TypeError, and ``to_exact`` is only the boundary
+coercion of an int length to a Fraction.
 
 Equality is equality of normal forms.  Order is decided by the sign of the
 difference, which is exact: square roots of distinct squarefree integers
@@ -39,7 +45,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
 
-ScalarLike = Union[int, Fraction, "Surd"]
+Exact = Union[Fraction, "Surd"]
 
 # A normal form: ((coefficient, radicand), ...), radicands squarefree,
 # distinct and ascending, coefficients nonzero.  () is zero.
@@ -89,30 +95,32 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 
 class Surd:
-    """An exact sum of terms c*sqrt(r) in normal form (see the module
-    docstring).  ``Surd(c, r)`` builds one term, factoring r; arithmetic
-    with int, Fraction and Surd operands returns a Fraction when the result
-    is rational and a Surd otherwise.  Immutable."""
+    """An exact irrational sum of terms c*sqrt(r) in normal form (see the
+    module docstring).  ``Surd(c, r)`` returns the normal form of c*sqrt(r):
+    the Fraction c*isqrt(r) when c == 0 or r is a perfect square, otherwise
+    a one-term Surd, factoring r once.  Arithmetic with int, Fraction and
+    Surd operands returns a Fraction when the result is rational and a Surd
+    otherwise.  Immutable."""
 
     __slots__ = ("terms",)
 
     terms: Terms
 
-    def __init__(self, coefficient: Union[int, Fraction] = 1, radicand: int = 1):
-        if radicand != int(radicand):
+    def __new__(cls, coefficient: Union[int, Fraction] = 1, radicand: int = 1):
+        if not isinstance(coefficient, (int, Fraction)):
+            raise TypeError(f"not an exact coefficient: {coefficient!r}")
+        if not isinstance(radicand, int):
             raise TypeError("radicand must be an integer")
-        radicand = int(radicand)
         if radicand < 0:
             raise NegativeRadicand(f"negative radicand {radicand}")
-        coefficient = Fraction(coefficient)
-        if coefficient == 0 or radicand == 0:
-            terms = ()
-        else:
-            if radicand > 1:
-                outer, radicand = square_free_split(radicand)
-                coefficient *= outer
-            terms = ((coefficient, radicand),)
-        object.__setattr__(self, "terms", terms)
+        root = isqrt(radicand)
+        if coefficient == 0 or root * root == radicand:
+            return Fraction(coefficient) * root
+        return object.__new__(cls)
+
+    def __init__(self, coefficient: Union[int, Fraction] = 1, radicand: int = 1):
+        outer, core = square_free_split(radicand)
+        object.__setattr__(self, "terms", ((Fraction(coefficient) * outer, core),))
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
@@ -122,32 +130,29 @@ class Surd:
     def _single(self) -> tuple[Fraction, int]:
         if len(self.terms) > 1:
             raise IncompatibleRadicands(f"{self} has no single c*sqrt(r) form")
-        return self.terms[0] if self.terms else (Fraction(0), 1)
+        return self.terms[0]
 
     @property
     def coefficient(self) -> Fraction:
-        """c of a single term c*sqrt(r); 0 for zero."""
+        """c of a single term c*sqrt(r)."""
         return self._single()[0]
 
     @property
     def radicand(self) -> int:
-        """r of a single term c*sqrt(r); 1 for a rational value."""
+        """r of a single term c*sqrt(r)."""
         return self._single()[1]
 
-    @property
-    def is_rational(self) -> bool:
-        return _rational(self.terms)
-
     @staticmethod
-    def sqrt(value: ScalarLike) -> Union[Fraction, "Surd"]:
+    def sqrt(value: Union[int, Exact]) -> Exact:
         """Exact square root of a nonnegative rational, in normal form."""
-        x = to_exact(value)
-        if isinstance(x, Surd):
-            raise IncompatibleRadicands(f"sqrt of the irrational {x} is not a surd")
-        if x < 0:
-            raise NegativeRadicand(f"sqrt of negative value {x}")
+        if isinstance(value, Surd):
+            raise IncompatibleRadicands(f"sqrt of the irrational {value} is not a surd")
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact scalar: {value!r}")
+        if value < 0:
+            raise NegativeRadicand(f"sqrt of negative value {value}")
         # sqrt(p/q) = sqrt(p*q)/q
-        return _normal(Surd(Fraction(1, x.denominator), x.numerator * x.denominator).terms)
+        return Surd(Fraction(1, value.denominator), value.numerator * value.denominator)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -236,23 +241,14 @@ class Surd:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        if _rational(self.terms):
-            return hash(self.terms[0][0] if self.terms else Fraction(0))
         return hash(self.terms)
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __repr__(self):
-        if not self.terms:
-            return "Surd(Fraction(0, 1))"
         return " + ".join(
             f"Surd({c!r})" if r == 1 else f"Surd({c!r}, {r})" for c, r in self.terms
         )
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         (c, r), *rest = self.terms
         text = _term_text(c, r)
         for c, r in rest:
@@ -269,9 +265,6 @@ class Surd:
         c * isqrt(r * 10**2p) / 10**p."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        if _rational(self.terms):
-            # sqrt(1) is exact, so its error bound would never be met
-            return ApproxScalar(self.terms[0][0] if self.terms else Fraction(0), digits)
         places = digits + _GUARD_DIGITS
         target = 10**places
         while True:
@@ -298,13 +291,9 @@ def _terms_of(value) -> Terms | None:
     return None
 
 
-def _rational(terms: Terms) -> bool:
-    return not terms or (len(terms) == 1 and terms[0][1] == 1)
-
-
-def _normal(terms: Terms) -> Union[Fraction, Surd]:
+def _normal(terms: Terms) -> Exact:
     """The value of normal-form terms: a Fraction when rational, else a Surd."""
-    if _rational(terms):
+    if not terms or (len(terms) == 1 and terms[0][1] == 1):
         return terms[0][0] if terms else Fraction(0)
     value = object.__new__(Surd)
     object.__setattr__(value, "terms", terms)
@@ -369,19 +358,14 @@ def _sign(terms: Terms) -> int:
         places *= 2
 
 
-def to_exact(value: ScalarLike) -> Union[Fraction, Surd]:
-    """Normalize a scalar-like input: rationals become Fraction, Surds with
-    a rational value collapse to Fraction, other Surds pass through."""
-    if isinstance(value, Surd):
-        return value.coefficient if value.is_rational else value
-    if isinstance(value, (int, Fraction)):
+def to_exact(value: Union[int, Exact]) -> Exact:
+    """The boundary coercion of an input length: an int becomes a Fraction,
+    a Fraction or Surd passes through, anything else raises TypeError."""
+    if isinstance(value, (Surd, Fraction)):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
-
-
-def surd_cmp(a: ScalarLike, b: ScalarLike) -> int:
-    """Exact three-way comparison: -1, 0 or 1."""
-    return _sign(_terms_of(to_exact(a) - to_exact(b)))
 
 
 # One extra block of digits absorbs rounding in intermediate square roots.
@@ -422,13 +406,14 @@ class ApproxScalar:
         return self.decimal()
 
 
-def approx(value: ScalarLike, digits: int = DEFAULT_DIGITS) -> ApproxScalar:
+def approx(value: Union[int, Exact], digits: int = DEFAULT_DIGITS) -> ApproxScalar:
     """Decimal approximation of any exact scalar, correct to `digits`
     significant digits."""
-    x = to_exact(value)
-    if isinstance(x, Surd):
-        return x.approx(digits)
-    return ApproxScalar(x, digits)
+    if isinstance(value, Surd):
+        return value.approx(digits)
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact scalar: {value!r}")
+    return ApproxScalar(Fraction(value), digits)
 
 
 def render_decimal(value: Fraction, digits: int) -> str:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .construct import brahmagupta_quad, rhombus_from_triple
 from .exactnum import DEFAULT_DIGITS, Surd
@@ -46,193 +46,152 @@ def _entry(id: str, description: str, provenance: str, expected, computed) -> Ma
     return ManifestEntry(id, description, provenance, expected, computed, status)
 
 
-_TRAPEZIUM = Trapezium(base=14, face=9, legs=(13, 12), height=12)
-_TRAPEZIUM_SIDES = (14, 12, 9, 13)
-_QUAD_77_ORDER = (75, 68, 51, 40)
-_QUAD_SUTRA_ORDER = (51, 68, 75, 40)
-
-
-def _checks(digits: int) -> list[Callable[[], ManifestEntry]]:
+def run_manifest(digits: int = DEFAULT_DIGITS) -> list[ManifestEntry]:
+    if digits < 10:
+        raise ValueError("manifest comparisons require at least 10 digits")
+    trapezium = quad(14, 12, 9, 13)
+    root, gross = sutra_area(trapezium), gross_area(trapezium)
+    quad77 = DiagQuad(quad(75, 68, 51, 40), 77)
+    split77 = area_by_diagonal(quad77)
+    diagonal_pairs = [
+        cyclic_diagonal_pair(quad(*order))
+        for order in ((75, 68, 51, 40), (75, 51, 68, 40), (75, 68, 40, 51))
+    ]
+    rhombus_a = rhombus_from_triple(validate_triple(15, 20, 25))
+    rhombus_b = rhombus_from_triple(validate_triple(7, 24, 25))
+    construction = brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(8, 15, 17))
+    glued = construction.as_diag_quad()
     return [
-        lambda: _entry(
+        _entry(
             "trapezium-true-area",
             "trapezium base 14, face 9, sides 13 and 12: true area",
             "Lilavati 168 with autocommentary",
             Fraction(138),
-            trapezium_area(_TRAPEZIUM),
+            trapezium_area(Trapezium(base=14, face=9, legs=(13, 12), height=12)),
         ),
-        lambda: _entry(
+        _entry(
             "trapezium-root-rule",
             "root rule on the same four sides gives sqrt(19800) = 30*sqrt(22)",
             "Lilavati 168, autocommentary",
             Surd(30, 22),
-            sutra_area(quad(*_TRAPEZIUM_SIDES)),
+            root,
         ),
-        lambda: _entry(
+        _entry(
             "trapezium-root-bracket",
             "sqrt(19800) lies strictly between the true area 138 and 141",
             "Lilavati 168, autocommentary ('a little less than 141')",
             True,
-            138 < sutra_area(quad(*_TRAPEZIUM_SIDES)) < 141,
+            138 < root < 141,
         ),
-        lambda: _entry(
+        _entry(
             "trapezium-gross-area",
             "gross rule on the same four sides",
             "Brahmasphutasiddhanta XII.21 (gross rule)",
             Fraction(575, 4),
-            gross_area(quad(*_TRAPEZIUM_SIDES)),
+            gross,
         ),
-        lambda: _entry(
+        _entry(
             "trapezium-gross-exceeds-root",
             "gross value strictly exceeds the root-rule value",
             "Brahmasphutasiddhanta XII.21",
             True,
-            gross_area(quad(*_TRAPEZIUM_SIDES)) > sutra_area(quad(*_TRAPEZIUM_SIDES)),
+            gross > root,
         ),
-        lambda: _entry(
+        _entry(
             "quad77-split-area",
             "sides 75/68/51/40 with assumed diagonal 77: area by triangle split",
             "Lilavati 178, autocommentary (diagonal assumed 77)",
             Fraction(3234),
-            area_by_diagonal(DiagQuad(quad(*_QUAD_77_ORDER), 77)).split_area,
+            split77.split_area,
         ),
-        lambda: _entry(
+        _entry(
             "quad77-perpendiculars",
             "perpendiculars onto the assumed diagonal 77",
             "Lilavati 178, autocommentary (perpendicular computation)",
             [Fraction(60), Fraction(24)],
-            list(area_by_diagonal(DiagQuad(quad(*_QUAD_77_ORDER), 77)).perpendiculars),
+            list(split77.perpendiculars),
         ),
-        lambda: _entry(
+        _entry(
             "quad-root-rule-agreement",
             "root rule on sides 51/68/75/40 agrees with the split value 3234",
             "Lilavati 178 discussion",
             Fraction(3234),
-            sutra_area(quad(*_QUAD_SUTRA_ORDER)),
+            sutra_area(quad(51, 68, 75, 40)),
         ),
-        lambda: _entry(
+        _entry(
             "quad-ptolemy",
             "diagonals 85 and 77 satisfy Ptolemy's equality for 75/40/51/68",
             "Ptolemy's theorem (cyclicity witness)",
             True,
-            ptolemy_check(
-                quad(75, 40, 51, 68), DiagonalPair(Fraction(85), Fraction(77))
-            ),
+            ptolemy_check(quad(75, 40, 51, 68), DiagonalPair(Fraction(85), Fraction(77))),
         ),
-        lambda: _entry(
+        _entry(
             "quad-diagonal-trio",
             "cyclic diagonal values over the three side orderings of {51,68,75,40}",
             "Mahavira, Ganitasarasangraha VII.54 footnote formula",
             [Fraction(77), Fraction(84), Fraction(85)],
-            sorted(
-                {
-                    d
-                    for order in ((75, 68, 51, 40), (75, 51, 68, 40), (75, 68, 40, 51))
-                    for d in (
-                        cyclic_diagonal_pair(quad(*order)).p,
-                        cyclic_diagonal_pair(quad(*order)).q,
-                    )
-                }
-            ),
+            sorted({d for pair in diagonal_pairs for d in (pair.p, pair.q)}),
         ),
-        lambda: _entry(
+        _entry(
             "quad77-circumradii",
             "both diagonal triangles of the 77-split share circumradius 42.5",
             "concyclicity of the 75/68/51/40 figure",
             [Fraction(85, 2), Fraction(85, 2)],
             [
-                triangle_circumradius(
-                    DiagQuad(quad(*_QUAD_77_ORDER), 77).first_triangle()
-                ),
-                triangle_circumradius(
-                    DiagQuad(quad(*_QUAD_77_ORDER), 77).second_triangle()
-                ),
+                triangle_circumradius(quad77.first_triangle()),
+                triangle_circumradius(quad77.second_triangle()),
             ],
         ),
-        lambda: _entry(
+        _entry(
             "rhombus-15-20-25",
             "rhombus from triple (15,20,25): second diagonal and area",
             "Lilavati 174-176 (rhombus family)",
             [Fraction(40), Fraction(600)],
-            [
-                rhombus_second_diagonal(rhombus_from_triple(validate_triple(15, 20, 25))),
-                rhombus_area(rhombus_from_triple(validate_triple(15, 20, 25))),
-            ],
+            [rhombus_second_diagonal(rhombus_a), rhombus_area(rhombus_a)],
         ),
-        lambda: _entry(
+        _entry(
             "rhombus-7-24-25",
             "rhombus from triple (7,24,25): second diagonal and area",
             "Lilavati 174-176 (rhombus family)",
             [Fraction(48), Fraction(336)],
-            [
-                rhombus_second_diagonal(rhombus_from_triple(validate_triple(7, 24, 25))),
-                rhombus_area(rhombus_from_triple(validate_triple(7, 24, 25))),
-            ],
+            [rhombus_second_diagonal(rhombus_b), rhombus_area(rhombus_b)],
         ),
-        lambda: _entry(
+        _entry(
             "square-side-25",
             "square with side 25 as the extreme member of the family",
             "Lilavati 174-176 (comparison square)",
             Fraction(625),
             rhombus_area(Rhombus(side=25, d1=Surd(25, 2))),
         ),
-        lambda: _entry(
+        _entry(
             "construction-sides",
             "gluing triples (3,4,5) and (8,15,17): side multiset {40,51,68,75}",
             "Brahmasphutasiddhanta XII.38; Ganesa's commentary on Lilavati 178",
             [Fraction(40), Fraction(51), Fraction(68), Fraction(75)],
-            sorted(
-                brahmagupta_quad(
-                    validate_triple(3, 4, 5), validate_triple(8, 15, 17)
-                ).sides.sides
-            ),
+            sorted(construction.sides.sides),
         ),
-        lambda: _entry(
+        _entry(
             "construction-glue-diagonal",
             "glue diagonal equals the product of the hypotenuses, 85",
             "Brahmasphutasiddhanta XII.38",
             Fraction(85),
-            brahmagupta_quad(
-                validate_triple(3, 4, 5), validate_triple(8, 15, 17)
-            ).glue_diagonal,
+            construction.glue_diagonal,
         ),
-        lambda: _entry(
+        _entry(
             "construction-split-area",
             "split along the glue diagonal reproduces the integer area 3234",
             "Ganesa's commentary on Lilavati 178",
             Fraction(3234),
-            area_by_diagonal(
-                brahmagupta_quad(
-                    validate_triple(3, 4, 5), validate_triple(8, 15, 17)
-                ).as_diag_quad()
-            ).split_area,
+            area_by_diagonal(glued).split_area,
         ),
-        lambda: _entry(
+        _entry(
             "construction-concyclic",
             "the constructed quadrilateral is concyclic (exact and embedded)",
             "Brahmasphutasiddhanta XII.38 (construction is cyclic)",
             [True, True],
             [
-                concyclic_exact(
-                    brahmagupta_quad(
-                        validate_triple(3, 4, 5), validate_triple(8, 15, 17)
-                    ).as_diag_quad()
-                ),
-                concyclic(
-                    embed(
-                        brahmagupta_quad(
-                            validate_triple(3, 4, 5), validate_triple(8, 15, 17)
-                        ).as_diag_quad(),
-                        digits,
-                    ),
-                    Fraction(1, 10**30),
-                ),
+                concyclic_exact(glued),
+                concyclic(embed(glued, digits), Fraction(1, 10**30)),
             ],
         ),
     ]
-
-
-def run_manifest(digits: int = DEFAULT_DIGITS) -> list[ManifestEntry]:
-    if digits < 10:
-        raise ValueError("manifest comparisons require at least 10 digits")
-    return [check() for check in _checks(digits)]

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .exactnum import ScalarLike, Surd, to_exact
-
-Exact = Union[Fraction, Surd]
+from .exactnum import Exact, Surd, to_exact
 
 
 class GeometryError(ValueError):
@@ -104,7 +101,7 @@ class QuadSides:
         return QuadSides(self.sides[k:] + self.sides[:k])
 
 
-def quad(a: ScalarLike, b: ScalarLike, c: ScalarLike, d: ScalarLike) -> QuadSides:
+def quad(a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> QuadSides:
     return QuadSides((a, b, c, d))
 
 
@@ -235,7 +232,7 @@ def rhombus_area(r: Rhombus) -> Exact:
 
 
 def abadha_split(
-    base: ScalarLike, flank_left: ScalarLike, flank_right: ScalarLike
+    base: int | Exact, flank_left: int | Exact, flank_right: int | Exact
 ) -> tuple[Exact, Exact, Exact]:
     """Foot-of-perpendicular split of a triangle base: returns the two base
     segments (left one adjacent to flank_left) and the height."""

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from cyclicquad.exactnum import approx
 from cyclicquad.mensuration import DiagQuad, InvalidQuad, InvalidTriangle, QuadSides, Triangle, quad
 from cyclicquad.oracle import diagonal_range
 
@@ -26,9 +27,7 @@ def random_quad(rng: random.Random, max_side: int = 500) -> QuadSides:
 def random_diag_quad(rng: random.Random, max_side: int = 200) -> DiagQuad:
     while True:
         q = random_quad(rng, max_side)
-        lower, upper = diagonal_range(q)
-        lo = Fraction(lower) if not hasattr(lower, "radicand") else lower.approx(20).value
-        hi = Fraction(upper) if not hasattr(upper, "radicand") else upper.approx(20).value
+        lo, hi = (approx(v, 20).value for v in diagonal_range(q))
         # rational diagonal strictly inside the hinge interval
         diag = lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
         try:

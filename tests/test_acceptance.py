@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from cyclicquad.cli import main
 from cyclicquad.construct import brahmagupta_quad, reflect_swap, rhombus_from_triple
-from cyclicquad.exactnum import IncompatibleRadicands, Surd, approx
+from cyclicquad.exactnum import Surd, approx
 from cyclicquad.mensuration import (
     DiagQuad,
     DiagonalPair,
@@ -71,7 +71,7 @@ def test_02_gross_exceeds_sutra():
     with criterion(2, "gross rule 143.75 exactly, strictly above the root rule"):
         q = quad(14, 12, 9, 13)
         assert gross_area(q) == Fraction(575, 4)
-        assert gross_area(q) > Surd(1) * sutra_area(q)
+        assert gross_area(q) > sutra_area(q)
 
 
 def test_03_worked_example_77():
@@ -121,7 +121,7 @@ def test_07_gross_dominates():
         rng = random.Random(101)
         for _ in range(1000):
             q = random_quad(rng, max_side=500)
-            g, s = gross_area(q), Surd(1) * sutra_area(q)
+            g, s = gross_area(q), sutra_area(q)
             a, b, c, d = q.sides
             if a == c and b == d:
                 assert g == s
@@ -180,11 +180,7 @@ def test_11_reflect_swap_properties():
             assert sorted(swapped.sides.sides) == sorted(dq.sides.sides)
             assert swapped.diagonal == dq.diagonal
             assert split_triangle_areas(swapped) == split_triangle_areas(dq)
-            try:
-                before = sum(split_triangle_areas(dq), Surd(0))
-            except IncompatibleRadicands:
-                continue
-            assert sum(split_triangle_areas(swapped), Surd(0)) == before
+            assert sum(split_triangle_areas(swapped)) == sum(split_triangle_areas(dq))
 
 
 def test_12_all_small_constructions():

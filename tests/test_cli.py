@@ -245,8 +245,12 @@ class TestFactoring:
     @pytest.mark.parametrize(
         "argv, calls",
         [
-            (["area", "75", "68", "51", "40", "--diagonal", "77"], 7),
-            (["construct", "3", "4", "5", "8", "15", "17"], 5),
+            # rational roots are found by isqrt and never factored
+            (["area", "75", "68", "51", "40", "--diagonal", "77"], 0),
+            (["construct", "3", "4", "5", "8", "15", "17"], 0),
+            # sqrt(19800) only
+            (["area", "14", "12", "9", "13"], 1),
+            (["reproduce"], 4),
         ],
     )
     def test_each_root_factored_once(self, capsys, monkeypatch, argv, calls):

@@ -16,9 +16,27 @@ from cyclicquad.exactnum import (
     render_decimal,
     square_free_split,
     sqrt_fraction,
-    surd_cmp,
     to_exact,
 )
+
+
+def is_normal_form(value) -> bool:
+    """A Fraction, or a Surd whose terms are a normal form with an
+    irrational term: no Surd has a rational value."""
+    if isinstance(value, Fraction):
+        return True
+    terms = value.terms
+    radicands = [r for _, r in terms]
+    return (
+        isinstance(value, Surd)
+        and radicands[-1] > 1
+        and radicands == sorted(set(radicands))
+        and all(c and square_free_split(r) == (1, r) for c, r in terms)
+    )
+
+
+coefficients = st.integers(-50, 50) | st.fractions(max_denominator=50)
+radicands = st.integers(0, 10**6) | st.integers(0, 1000).map(lambda n: n * n)
 
 
 class TestNormalize:
@@ -28,15 +46,15 @@ class TestNormalize:
 
     def test_perfect_square(self):
         s = Surd(1, 9)
-        assert s.coefficient == 3 and s.radicand == 1
+        assert s == 3 and isinstance(s, Fraction)
 
     def test_zero_coefficient_absorbs_radicand(self):
         s = Surd(0, 7)
-        assert s.coefficient == 0 and s.radicand == 1
+        assert s == 0 and isinstance(s, Fraction)
 
     def test_zero_radicand_gives_zero(self):
         s = Surd(5, 0)
-        assert s.coefficient == 0 and s.radicand == 1
+        assert s == 0 and isinstance(s, Fraction)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(NegativeRadicand):
@@ -46,9 +64,36 @@ class TestNormalize:
         rng = random.Random(7)
         for _ in range(200):
             s = Surd(Fraction(rng.randint(-50, 50), rng.randint(1, 50)), rng.randint(1, 10**6))
-            again = Surd(s.coefficient, s.radicand)
-            assert again.coefficient == s.coefficient
-            assert again.radicand == s.radicand
+            c, r = (s.coefficient, s.radicand) if isinstance(s, Surd) else (s, 1)
+            again = Surd(c, r)
+            assert again == s and type(again) is type(s)
+
+    @given(coefficients, radicands, coefficients, radicands)
+    def test_constructor_returns_normal_form(self, c, r, c2, r2):
+        value = Surd(c, r)
+        assert isinstance(value, Surd) == (c != 0 and isqrt(r) ** 2 != r)
+        assert value == c * Surd.sqrt(r)
+        other = Surd(c2, r2)
+        results = [value, value + other, value - other, value * other, -value]
+        if other:
+            results.append(value / other)
+        assert all(is_normal_form(v) for v in results)
+
+    def test_rational_values_are_not_factored(self, monkeypatch):
+        calls = []
+        original = exactnum.square_free_split
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(exactnum, "square_free_split", counted)
+        assert Surd(3, 10**40) == 3 * 10**20
+        assert Surd(Fraction(2, 7), 0) == 0
+        assert Surd.sqrt(Fraction(49, 36)) == Fraction(7, 6)
+        assert Surd.sqrt(0) == 0
+        assert calls == []
+        assert Surd(1, 8).terms == ((Fraction(2), 2),) and calls == [8]
 
     @given(st.integers(min_value=1, max_value=10**12))
     def test_square_free_split_reconstructs(self, n):
@@ -96,7 +141,8 @@ class TestArithmetic:
     def test_results_are_normal_forms(self):
         assert isinstance(Surd(1, 2) * Surd(1, 2), Fraction)
         assert isinstance(Surd(1, 2) + 3 - Surd(1, 2), Fraction)
-        assert isinstance(Surd(1) * Fraction(5, 2), Fraction)
+        assert isinstance(Surd(1), Fraction)
+        assert isinstance(Surd(1, 8) / Surd(1, 2), Fraction)
         assert isinstance(Surd.sqrt(Fraction(9, 4)), Fraction)
         # sqrt(6) * sqrt(10) = 2*sqrt(15), merged by gcd without factoring
         assert (Surd(1, 6) * Surd(1, 10)).terms == ((Fraction(2), 15),)
@@ -144,11 +190,11 @@ class TestArithmetic:
 
 class TestComparison:
     def test_lilavati_bracket(self):
-        assert surd_cmp(Surd(30, 22), 141) < 0
-        assert surd_cmp(Surd(30, 22), 138) > 0
+        assert Surd(30, 22) < 141
+        assert Surd(30, 22) > 138
 
     def test_equal_normalized_forms(self):
-        assert surd_cmp(Surd(2, 2), Surd(1, 8)) == 0
+        assert Surd(2, 2) == Surd(1, 8)
 
     def test_sign_of_near_cancelling_sum(self):
         # sqrt(2) + sqrt(3) minus a rational less than 2e-90 below it: positive,
@@ -158,16 +204,16 @@ class TestComparison:
         total = Surd(1, 2) + Surd(1, 3)
         assert total > below
         assert total < below + Fraction(3, scale)
-        assert surd_cmp(total, below) == 1
+        assert below < total
 
     def test_cmp_agrees_with_high_precision_approx(self):
         rng = random.Random(17)
         for _ in range(300):
             a = Surd(Fraction(rng.randint(-40, 40), rng.randint(1, 40)), rng.randint(1, 400))
             b = Surd(Fraction(rng.randint(-40, 40), rng.randint(1, 40)), rng.randint(1, 400))
-            gap = a.approx(60).value - b.approx(60).value
+            gap = approx(a, 60).value - approx(b, 60).value
             if abs(gap) > Fraction(1, 10**55):
-                assert surd_cmp(a, b) == (1 if gap > 0 else -1)
+                assert (a > b) if gap > 0 else (a < b)
 
 
 class TestApprox:
@@ -198,7 +244,7 @@ class TestApprox:
         assert Surd(c, r).approx(digits).value == expected
 
     def test_rational_value_built_with_radicand_one(self):
-        got = Surd(5).approx(30)
+        got = approx(Surd(5), 30)
         assert got.value == 5 and got.digits == 30
 
     def test_exact_never_equals_its_approximation(self):
@@ -242,7 +288,22 @@ class TestRendering:
         assert abs(root * root - 2) < Fraction(1, 10**38)
 
 
-def test_to_exact_collapses_rational_surd():
-    assert to_exact(Surd(Fraction(3, 2), 1)) == Fraction(3, 2)
+def test_to_exact_is_the_boundary_coercion():
+    assert to_exact(3) == 3 and isinstance(to_exact(3), Fraction)
+    half, root = Fraction(3, 2), Surd(1, 2)
+    assert to_exact(half) is half and to_exact(root) is root
+    # a rational value built with radicand 1 is already a Fraction
     assert isinstance(to_exact(Surd(Fraction(3, 2), 1)), Fraction)
-    assert isinstance(to_exact(Surd(1, 2)), Surd)
+    with pytest.raises(TypeError):
+        to_exact(0.5)
+
+
+def test_inexact_inputs_rejected():
+    with pytest.raises(TypeError):
+        Surd(0.1, 2)
+    with pytest.raises(TypeError):
+        Surd("1/2", 2)
+    with pytest.raises(TypeError):
+        Surd.sqrt(2.0)
+    with pytest.raises(TypeError):
+        approx(0.5)

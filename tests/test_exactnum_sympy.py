@@ -73,8 +73,8 @@ def test_equality_and_hash_agree(pairs):
         rebuilt = (a + b) - b
         assert rebuilt == a and hash(rebuilt) == hash(a)
         assert len({a, rebuilt}) == 1
-    rational_surd = Surd(Fraction(7, 3))
-    assert rational_surd == Fraction(7, 3) and hash(rational_surd) == hash(Fraction(7, 3))
+    # a rational value is a Fraction, whatever builds it
+    assert isinstance(Surd(Fraction(7, 3)), Fraction)
     assert Surd(2, 2) * Surd(3, 2) == Surd(12) == 12
     assert hash(Surd(12)) == hash(12)
 

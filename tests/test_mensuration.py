@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from cyclicquad.exactnum import Surd, to_exact
+from cyclicquad.exactnum import Surd
 from cyclicquad.mensuration import (
     DegenerateRhombus,
     DiagQuad,
@@ -75,17 +75,17 @@ class TestSutraArea:
         for _ in range(1000):
             q = random_quad(rng)
             g, s = gross_area(q), sutra_area(q)
-            assert not g < Surd(1) * s
+            assert not g < s
             a, b, c, d = q.sides
             if a == c and b == d:
-                assert g == Surd(1) * s
+                assert g == s
             else:
-                assert g > Surd(1) * s
+                assert g > s
 
     def test_gross_equality_cases(self):
         for a, b in ((3, 4), (7, 7), (10, 1)):
             q = quad(a, b, a, b)
-            assert gross_area(q) == Surd(1) * sutra_area(q)
+            assert gross_area(q) == sutra_area(q)
 
 
 class TestClosure:
@@ -118,7 +118,7 @@ class TestHeron:
             t = random_triangle(rng)
             s = semiperimeter(t.sides)
             area = heron_area(t)
-            assert to_exact((Surd(1) * area) * area) == s * (s - t.a) * (s - t.b) * (s - t.c)
+            assert area * area == s * (s - t.a) * (s - t.b) * (s - t.c)
 
     def test_surd_side_supported(self):
         # half of the side-25 square, cut along its diagonal
@@ -171,7 +171,7 @@ class TestRhombus:
             d1 = Fraction(rng.randint(1, 2 * side * 100 - 1), 100)
             r = Rhombus(side=side, d1=d1)
             d2 = rhombus_second_diagonal(r)
-            assert to_exact((Surd(1) * d1) * d1 + (Surd(1) * d2) * d2) == 4 * side * side
+            assert d1 * d1 + d2 * d2 == 4 * side * side
 
 
 class TestAbadha:
@@ -195,10 +195,10 @@ class TestAbadha:
         for _ in range(300):
             t = random_triangle(rng)
             seg_l, seg_r, h = abadha_split(t.a, t.b, t.c)
-            assert to_exact(Surd(1) * seg_l + seg_r) == to_exact(Surd(1) * t.a)
-            h_sq = to_exact((Surd(1) * h) * h)
-            assert to_exact((Surd(1) * seg_l) * seg_l) + h_sq == t.b * t.b
-            assert to_exact((Surd(1) * seg_r) * seg_r) + h_sq == t.c * t.c
+            assert seg_l + seg_r == t.a
+            h_sq = h * h
+            assert seg_l * seg_l + h_sq == t.b * t.b
+            assert seg_r * seg_r + h_sq == t.c * t.c
 
 
 class TestAreaByDiagonal:

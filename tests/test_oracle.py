@@ -93,13 +93,8 @@ class TestShoelace:
         for _ in range(500):
             dq = random_diag_quad(rng)
             oracle_area = shoelace_area(embed(dq, 50))
-            try:
-                t1, t2 = split_triangle_areas(dq)
-                split = Surd(1) * t1 + t2
-                expected = split.approx(50).value
-            except IncompatibleRadicands:
-                t1, t2 = split_triangle_areas(dq)
-                expected = approx(t1, 50).value + approx(t2, 50).value
+            t1, t2 = split_triangle_areas(dq)
+            expected = approx(t1 + t2, 50).value
             assert abs(oracle_area.value - expected) < TIGHT
 
 
