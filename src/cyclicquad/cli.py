@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .construct import brahmagupta_quad, rhombus_from_triple
 from .exactnum import DEFAULT_DIGITS, ApproxScalar, IncompatibleRadicands, Surd, approx
@@ -258,12 +258,15 @@ def cmd_triples(args) -> int:
     if args.pairs:
         report["hypotenuse_pairs"] = [
             [[p.l, p.m, p.n], [s.l, s.m, s.n]]
-            for p, s in hypotenuse_pairs(args.max_hypotenuse)
+            for p, s in hypotenuse_pairs(found)
         ]
     return _write_report(args, "triples", report)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later `main()` in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cyclicquad",
         description="Exact mensuration of quadrilaterals: gross and root "

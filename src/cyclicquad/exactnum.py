@@ -125,6 +125,11 @@ class Surd:
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the normal form: the default protocol
+        # calls Surd.__new__ without arguments, which returns a Fraction
+        return _normal, (self.terms,)
+
     # -- classification ----------------------------------------------------
 
     def _single(self) -> tuple[Fraction, int]:
@@ -422,16 +427,19 @@ def render_decimal(value: Fraction, digits: int) -> str:
     unless the digit budget is exhausted by the integer part).  Below 1 the
     leading "0." counts as one digit, so a value v with 0 < |v| < 0.1 keeps
     the digits - 1 significant digits that [0.1, 1) gets, and a nonzero
-    value below 1 always shows at least one significant digit."""
+    value below 1 always shows at least one significant digit.  Works on the
+    integers `value.numerator` and `value.denominator` alone, so an int is
+    accepted as well."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    value = Fraction(value)
-    mag = abs(value)
-    if mag >= 1:
-        places = digits - len(str(int(mag)))
-    elif mag:
-        # 10**-(z+1) <= mag < 10**-z: z zeros follow the point
-        zeros = len(str((mag.denominator - 1) // mag.numerator)) - 1
+    num, den = value.numerator, value.denominator
+    if num < 0:
+        num = -num
+    if num >= den:
+        places = digits - len(str(num // den))
+    elif num:
+        # 10**-(z+1) <= |value| < 10**-z: z zeros follow the point
+        zeros = len(str((den - 1) // num)) - 1
         places = max(digits - 1, 1) + zeros
     else:
         places = digits - 1
@@ -441,12 +449,15 @@ def render_decimal(value: Fraction, digits: int) -> str:
 def fixed_point(value: Fraction, places: int) -> str:
     """`value` rounded half away from zero to `places` fractional digits, as
     sign, integer part, '.', fraction part (no '.' when places is 0), with
-    no exponent; byte-identical across platforms."""
-    mag = abs(value)
-    scale = 10**places
-    units = (2 * mag.numerator * scale + mag.denominator) // (2 * mag.denominator)
+    no exponent; byte-identical across platforms.  Works on the integers
+    `value.numerator` and `value.denominator` alone."""
+    num, den = value.numerator, value.denominator
+    negative = num < 0
+    if negative:
+        num = -num
+    units = (2 * num * 10**places + den) // (2 * den)
     text = str(units).rjust(places + 1, "0")
-    sign = "-" if value < 0 and units else ""
+    sign = "-" if negative and units else ""
     if places:
         return f"{sign}{text[:-places]}.{text[-places:]}"
     return sign + text

@@ -21,7 +21,7 @@ _SNAP_H = 160
 
 
 def _fmt(value: Fraction) -> str:
-    return fixed_point(Fraction(value), 2)
+    return fixed_point(value, 2)
 
 
 def _map(value: Fraction, lo: Fraction, hi: Fraction, out_lo: int, out_len: int) -> Fraction:

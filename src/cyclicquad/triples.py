@@ -67,16 +67,16 @@ def generate_triples(max_hypotenuse: int) -> list[PythTriple]:
 
 
 def hypotenuse_pairs(
-    max_hypotenuse: int,
+    triples: list[PythTriple],
 ) -> list[tuple[PythTriple, PythTriple]]:
-    """All unordered pairs of distinct triples sharing a hypotenuse, sorted
-    by (n, first.l); within a pair the smaller-l triple comes first."""
+    """All unordered pairs of distinct triples sharing a hypotenuse, from a
+    list sorted by (n, l) as `generate_triples` returns it.  The pairs come
+    sorted by (n, first.l); within a pair the smaller-l triple comes first."""
     by_n: dict[int, list[PythTriple]] = {}
-    for t in generate_triples(max_hypotenuse):
+    for t in triples:
         by_n.setdefault(t.n, []).append(t)
     pairs = []
-    for n in sorted(by_n):
-        group = by_n[n]
+    for group in by_n.values():
         for i, first in enumerate(group):
             for second in group[i + 1 :]:
                 pairs.append((first, second))

@@ -1,10 +1,12 @@
+import argparse
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 import cyclicquad.cli as cli
-from cyclicquad import exactnum
+from cyclicquad import exactnum, triples
 from cyclicquad.cli import main
 from cyclicquad.manifest import ManifestEntry
 
@@ -240,6 +242,19 @@ class TestTriples:
         assert code == 0
         assert json.loads(out)["report"]["hypotenuse_pairs"] == []
 
+    def test_pairs_enumerate_the_triples_once(self, capsys, monkeypatch):
+        calls = []
+        original = triples.generate_triples
+
+        def counting(max_hypotenuse):
+            calls.append(max_hypotenuse)
+            return original(max_hypotenuse)
+
+        monkeypatch.setattr(triples, "generate_triples", counting)
+        monkeypatch.setattr(cli, "generate_triples", counting)
+        code, _, _ = run_cli(capsys, "triples", "50", "--pairs")
+        assert code == 0 and calls == [50]
+
 
 class TestFactoring:
     @pytest.mark.parametrize(
@@ -298,3 +313,56 @@ class TestGolden:
         )
         with open(os.path.join(DATA, "scan_lilavati.svg")) as handle:
             assert out == handle.read()
+
+
+def run_catching_exit(capsys, argv):
+    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    # (golden under tests/data/cli/ or None, argv); run in this order
+    SEQUENCE = [
+        ("area_trapezium.txt", ["area", "14", "12", "9", "13"]),
+        ("area_triangle_digits12.json", ["--digits", "12", "--format", "json", "area", "2", "2", "3"]),
+        (None, ["area"]),
+        ("scan_steps9.txt", ["--steps", "9", "scan", "75", "40", "51", "68"]),
+        ("area_trapezium.txt", ["area", "14", "12", "9", "13"]),
+    ]
+
+    def test_calls_share_one_parser_without_leaking_state(self, capsys):
+        fresh = []
+        for _, argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            fresh.append(run_catching_exit(capsys, argv))
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        for (golden, argv), expected in zip(self.SEQUENCE, fresh):
+            got = run_catching_exit(capsys, argv)
+            assert got == expected
+            if golden:
+                assert got == (0, (Path(DATA) / "cli" / golden).read_text(), "")
+        assert cli.build_parser() is parser
+        assert fresh[2][0] == 2 and "the following arguments are required: sides" in fresh[2][2]
+
+    def test_warm_calls_construct_no_parser(self, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        run_cli(capsys, "area", "3", "4", "5")
+        assert built  # the counter sees the cold build
+        built.clear()
+        for _ in range(20):
+            run_cli(capsys, "area", "3", "4", "5")
+        assert built == []

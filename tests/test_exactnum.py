@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -13,6 +15,7 @@ from cyclicquad.exactnum import (
     NegativeRadicand,
     Surd,
     approx,
+    fixed_point,
     render_decimal,
     square_free_split,
     sqrt_fraction,
@@ -188,6 +191,24 @@ class TestArithmetic:
             assert lhs == rhs
 
 
+class TestCopyAndPickle:
+    @pytest.mark.parametrize(
+        "value",
+        [Surd(1, 2), Surd(Fraction(-3, 7), 30), Surd(1, 2) + Surd(3, 5), Fraction(1, 3) - Surd(2, 3)],
+        ids=["one-term", "fraction-coefficient", "two-term-sum", "rational-plus-term"],
+    )
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_round_trip_keeps_value_and_hash(self, value, clone):
+        got = clone(value)
+        assert isinstance(got, Surd)
+        assert got == value and hash(got) == hash(value)
+        assert got.terms == value.terms and is_normal_form(got)
+
+
 class TestComparison:
     def test_lilavati_bracket(self):
         assert Surd(30, 22) < 141
@@ -286,6 +307,63 @@ class TestRendering:
         assert str(ApproxScalar(Fraction(2), 3)) == "2.00"
         root = sqrt_fraction(Fraction(2), 40)
         assert abs(root * root - 2) < Fraction(1, 10**38)
+
+
+def reference_render_decimal(value, digits):
+    """The Fraction-based renderer the integer version replaced."""
+    value = Fraction(value)
+    mag = abs(value)
+    if mag >= 1:
+        places = digits - len(str(int(mag)))
+    elif mag:
+        zeros = len(str((mag.denominator - 1) // mag.numerator)) - 1
+        places = max(digits - 1, 1) + zeros
+    else:
+        places = digits - 1
+    return reference_fixed_point(value, max(places, 0))
+
+
+def reference_fixed_point(value, places):
+    mag = abs(value)
+    scale = 10**places
+    units = (2 * mag.numerator * scale + mag.denominator) // (2 * mag.denominator)
+    text = str(units).rjust(places + 1, "0")
+    sign = "-" if value < 0 and units else ""
+    if places:
+        return f"{sign}{text[:-places]}.{text[-places:]}"
+    return sign + text
+
+
+signs = st.sampled_from([1, -1])
+rendered_values = st.one_of(
+    st.fractions(),
+    st.integers(-(10**40), 10**40),
+    # above 10**30
+    st.builds(lambda s, n, d: s * Fraction(n, d), signs,
+              st.integers(10**30, 10**45), st.integers(1, 10**6)),
+    # below 10**-40
+    st.builds(lambda s, n, k: s * Fraction(n, 10**k), signs,
+              st.integers(1, 10**6), st.integers(47, 90)),
+    # just below a power of ten, so rounding carries into a new digit:
+    # 0.99999, -9996/10000, 999.96, ...
+    st.builds(lambda s, a, b, e: s * Fraction(10**a - b, 10**e), signs,
+              st.integers(1, 40), st.integers(1, 9), st.integers(0, 60)),
+)
+
+
+class TestIntegerRenderer:
+    @given(rendered_values, st.integers(1, 60))
+    def test_render_decimal_matches_fraction_reference(self, value, digits):
+        assert render_decimal(value, digits) == reference_render_decimal(value, digits)
+
+    @given(rendered_values, st.integers(0, 80))
+    def test_fixed_point_matches_fraction_reference(self, value, places):
+        assert fixed_point(value, places) == reference_fixed_point(Fraction(value), places)
+
+    @pytest.mark.parametrize("value", [Fraction(99999, 10**5), Fraction(-9996, 10000), Fraction(0), 0, -7])
+    @pytest.mark.parametrize("digits", [1, 2, 4, 60])
+    def test_carries_zero_and_integers(self, value, digits):
+        assert render_decimal(value, digits) == reference_render_decimal(value, digits)
 
 
 def test_to_exact_is_the_boundary_coercion():

@@ -68,19 +68,19 @@ class TestGenerate:
 
 class TestHypotenusePairs:
     def test_contains_lilavati_pair(self):
-        pairs = hypotenuse_pairs(25)
+        pairs = hypotenuse_pairs(generate_triples(25))
         assert (PythTriple(7, 24, 25), PythTriple(15, 20, 25)) in pairs
 
     def test_no_pair_below_25(self):
         # every hypotenuse up to 20 occurs once, so no pairs at all
-        assert hypotenuse_pairs(20) == []
-        assert all(p.n != 15 and s.n != 15 for p, s in hypotenuse_pairs(20))
+        assert hypotenuse_pairs(generate_triples(20)) == []
+        assert all(p.n != 15 and s.n != 15 for p, s in hypotenuse_pairs(generate_triples(20)))
 
     def test_single_triple_no_pairs(self):
-        assert hypotenuse_pairs(5) == []
+        assert hypotenuse_pairs(generate_triples(5)) == []
 
     def test_pairs_share_hypotenuse_and_are_sorted(self):
-        pairs = hypotenuse_pairs(300)
+        pairs = hypotenuse_pairs(generate_triples(300))
         keys = [(p.n, p.l) for p, _ in pairs]
         assert keys == sorted(keys)
         for p, s in pairs:
