@@ -4,7 +4,6 @@ rhombus families, integer cyclic quadrilateral construction, and an
 independent coordinate-embedding oracle."""
 
 from .exactnum import (
-    ApproxScalar,
     IncompatibleRadicands,
     NegativeRadicand,
     Surd,

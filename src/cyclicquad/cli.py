@@ -1,16 +1,20 @@
 """Command-line surface.
 
 Subcommands: reproduce, area, construct, scan, rhombus, triples.
-Exit codes: 0 success, 1 manifest failure, 2 usage or domain error.
+Exit codes: 0 success, 1 manifest failure, 2 usage or domain error
+(`UsageError`, `GeometryError`, `NotPythagorean`, `IncompatibleRadicands`).
+Any other exception is a bug and propagates.
 
 Commands build their reports from the program's own values, and two
 renderers print every report:
 - text shows an exact value as `c*sqrt(r) (decimal)`, or `c (decimal)` when
-  it is rational, always with its coefficient (`1*sqrt(3)`), an
-  approximation as its decimal and a list as `[a, b]`;
+  it is rational, always with its coefficient (`1*sqrt(3)`), and a list as
+  `[a, b]`;
 - JSON is deterministic: fixed key order, an exact value as
-  {coefficient: {num, den}, radicand, decimal} with every field a string,
-  an approximation as its decimal string.
+  {coefficient: {num, den}, radicand, decimal} with every field a string.
+The decimal of an exact value is `render_decimal(approx(value, digits),
+digits)`.  `scan` prints approximations only, so it renders them to decimal
+strings itself and neither renderer sees a Fraction approximation.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .construct import brahmagupta_quad, rhombus_from_triple
-from .exactnum import DEFAULT_DIGITS, ApproxScalar, IncompatibleRadicands, Surd, approx
+from .exactnum import DEFAULT_DIGITS, IncompatibleRadicands, Surd, approx, render_decimal
 from .manifest import run_manifest
 from .mensuration import (
     DiagQuad,
@@ -50,6 +54,10 @@ EXIT_MANIFEST_FAILURE = 1
 EXIT_USAGE = 2
 
 
+class UsageError(ValueError):
+    """The command line asks for something the program does not do."""
+
+
 def _report_digits(args) -> int:
     # text mode trims decimals for readability; JSON keeps full precision
     return args.digits if args.format == "json" else min(args.digits, 12)
@@ -63,17 +71,19 @@ def _term(value) -> tuple[Fraction, int]:
     return value, 1
 
 
+def _decimal(value, digits: int) -> str:
+    return render_decimal(approx(value, digits), digits)
+
+
 def _json_value(value, digits: int):
-    """The json.dumps hook: a decimal string for an approximation, one
-    c*sqrt(r) term with its decimal for an exact value."""
-    if isinstance(value, ApproxScalar):
-        return value.decimal()
+    """The json.dumps hook: one c*sqrt(r) term with its decimal for an exact
+    value."""
     if isinstance(value, (Fraction, Surd)):
         c, r = _term(value)
         return {
             "coefficient": {"num": str(c.numerator), "den": str(c.denominator)},
             "radicand": str(r),
-            "decimal": approx(value, digits).decimal(),
+            "decimal": _decimal(value, digits),
         }
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
@@ -89,17 +99,17 @@ def _text(value, digits: int) -> str:
     if isinstance(value, (Fraction, Surd)):
         c, r = _term(value)
         exact = str(c) if r == 1 else f"{c}*sqrt({r})"
-        return f"{exact} ({approx(value, digits).decimal()})"
-    return str(value)
+        return f"{exact} ({_decimal(value, digits)})"
+    raise TypeError(f"{type(value).__name__} has no text form")
 
 
 def _parse_length(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a number: {text!r}") from exc
+        raise UsageError(f"not a number: {text!r}") from exc
     if value <= 0:
-        raise ValueError(f"lengths must be positive: {text}")
+        raise UsageError(f"lengths must be positive: {text}")
     return value
 
 
@@ -109,7 +119,7 @@ def _write(text: str, out_path) -> None:
         try:
             handle = open(out_path, "w")
         except OSError as exc:
-            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
         with handle:
             handle.write(text)
     else:
@@ -143,7 +153,7 @@ def _write_report(args, command: str, report: dict) -> int:
 
 def cmd_reproduce(args) -> int:
     if args.digits < 10:
-        raise ValueError("reproduce requires at least 10 precision digits")
+        raise UsageError("reproduce requires at least 10 precision digits")
     entries = run_manifest(args.digits)
     failures = [e for e in entries if e.status != "pass"]
     if args.format == "json":
@@ -162,7 +172,7 @@ def cmd_area(args) -> int:
     sides = [_parse_length(s) for s in args.sides]
     if len(sides) == 3:
         if args.diagonal is not None:
-            raise ValueError("a diagonal applies only to four-sided input")
+            raise UsageError("a diagonal applies only to four-sided input")
         report = {
             "figure": "triangle",
             "sides": sides,
@@ -188,7 +198,7 @@ def cmd_area(args) -> int:
             report["cyclic_diagonals"] = [pair.p, pair.q]
             report["cyclic"] = concyclic_exact(dq)
     else:
-        raise ValueError("area takes three sides (triangle) or four (quadrilateral)")
+        raise UsageError("area takes three sides (triangle) or four (quadrilateral)")
     return _write_report(args, "area", report)
 
 
@@ -210,24 +220,26 @@ def cmd_construct(args) -> int:
 
 def cmd_scan(args) -> int:
     sides = [_parse_length(s) for s in args.sides]
-    if len(sides) != 4:
-        raise ValueError("scan takes exactly four sides")
     q = quad(*sides)
     digits = _report_digits(args)
     result = area_scan(q, args.steps, digits)
     if args.format == "svg":
         _write(scan_svg(q, result, digits), args.out)
         return EXIT_OK
+
+    def sample(pair):
+        return [render_decimal(v, digits) for v in pair]
+
     report = {
         "sides": sides,
         "steps": args.steps,
-        "argmax_diagonal": result.argmax_diagonal,
-        "max_area": result.max_area,
-        "first_sample": result.samples[0],
-        "last_sample": result.samples[-1],
+        "argmax_diagonal": render_decimal(result.argmax_diagonal, digits),
+        "max_area": render_decimal(result.max_area, digits),
+        "first_sample": sample(result.samples[0]),
+        "last_sample": sample(result.samples[-1]),
     }
     if args.format == "json":
-        report["samples"] = result.samples
+        report["samples"] = [sample(pair) for pair in result.samples]
     return _write_report(args, "scan", report)
 
 
@@ -237,7 +249,7 @@ def cmd_rhombus(args) -> int:
     elif len(args.dims) == 2 and not args.triple:
         r = Rhombus(side=_parse_length(args.dims[0]), d1=_parse_length(args.dims[1]))
     else:
-        raise ValueError("rhombus takes SIDE D1 or --triple L M N")
+        raise UsageError("rhombus takes SIDE D1 or --triple L M N")
     square = Rhombus(side=r.side, d1=r.side * Surd(1, 2))
     report = {
         "side": r.side,
@@ -250,6 +262,8 @@ def cmd_rhombus(args) -> int:
 
 
 def cmd_triples(args) -> int:
+    if args.max_hypotenuse < 5:
+        raise UsageError("max_hypotenuse must be >= 5")
     found = generate_triples(args.max_hypotenuse)
     report: dict = {
         "max_hypotenuse": args.max_hypotenuse,
@@ -322,13 +336,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.digits < 1:
-            raise ValueError("--digits must be at least 1")
+            raise UsageError("--digits must be at least 1")
         if args.steps < 3:
-            raise ValueError("--steps must be at least 3")
+            raise UsageError("--steps must be at least 3")
         if args.format == "svg" and args.command != "scan":
-            raise ValueError("--format svg applies only to scan")
+            raise UsageError("--format svg applies only to scan")
         return _COMMANDS[args.command](args)
-    except (GeometryError, NotPythagorean, IncompatibleRadicands, ValueError) as exc:
+    except (GeometryError, NotPythagorean, IncompatibleRadicands, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

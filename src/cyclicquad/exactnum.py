@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: arbitrary-precision rationals extended with
-sums of quadratic surds, plus configurable-precision decimal
-approximations.
+sums of quadratic surds, plus rational approximations to a chosen number of
+digits and their decimal rendering.
 
 An exact value (``Exact``) is either a ``fractions.Fraction`` (rational) or
 a ``Surd``, an irrational sum c1*sqrt(r1) + ... + cn*sqrt(rn) held in one
@@ -31,16 +31,13 @@ value, and the single-term accessors ``coefficient``/``radicand`` of a sum
 raise ``IncompatibleRadicands``.
 
 Exact and approximate values stay apart.  An approximation is a plain
-Fraction wherever the program computes with it (``sqrt_fraction``, the
-``value`` of ``approx``); ``ApproxScalar(value, digits)`` only marks a
-result as approximate, so that the renderers print it as a decimal with
-``digits`` significant digits.  It has no arithmetic and never equals an
-exact value.
+Fraction (``approx``, ``sqrt_fraction``), and a Surd never equals one
+because no Surd has a rational value.  It becomes a decimal string with
+``render_decimal`` only where a report prints it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
@@ -262,8 +259,8 @@ class Surd:
 
     # -- approximation -----------------------------------------------------
 
-    def approx(self, digits: int = 50) -> "ApproxScalar":
-        """Decimal approximation with relative error below
+    def approx(self, digits: int = 50) -> Fraction:
+        """Rational approximation with relative error below
         10**-(digits + guard digits), refined like the sign (module
         docstring) until the error bound meets the relative target.  A
         single term c*sqrt(r) passes at the first precision with the value
@@ -275,7 +272,7 @@ class Surd:
         while True:
             total, bound, den = _estimate(self.terms, places)
             if abs(total) >= bound * (target + 1):
-                return ApproxScalar(Fraction(total, den * 10**places), digits)
+                return Fraction(total, den * 10**places)
             places *= 2
 
 
@@ -392,33 +389,14 @@ def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
     return Fraction(isqrt(n * d * scale * scale), d * scale)
 
 
-@dataclass(frozen=True)
-class ApproxScalar:
-    """A print record marking `value` as approximate: the renderers print it
-    as a decimal with `digits` significant digits.  It does no arithmetic
-    and is never equal to an exact value; code that computes with an
-    approximation uses the Fraction `value`."""
-
-    value: Fraction
-    digits: int
-
-    def decimal(self) -> str:
-        """Fixed-point rendering: sign, integer part, '.', fraction part,
-        no exponent.  Byte-identical across platforms for given digits."""
-        return render_decimal(self.value, self.digits)
-
-    def __str__(self):
-        return self.decimal()
-
-
-def approx(value: Union[int, Exact], digits: int = DEFAULT_DIGITS) -> ApproxScalar:
-    """Decimal approximation of any exact scalar, correct to `digits`
-    significant digits."""
+def approx(value: Union[int, Exact], digits: int = DEFAULT_DIGITS) -> Fraction:
+    """Rational approximation of any exact scalar, correct to `digits`
+    significant digits: a rational value comes back as itself."""
     if isinstance(value, Surd):
         return value.approx(digits)
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"not an exact scalar: {value!r}")
-    return ApproxScalar(Fraction(value), digits)
+    return Fraction(value)
 
 
 def render_decimal(value: Fraction, digits: int) -> str:

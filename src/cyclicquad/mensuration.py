@@ -96,10 +96,6 @@ class QuadSides:
     def d(self) -> Exact:
         return self.sides[3]
 
-    def rotated(self, k: int) -> "QuadSides":
-        k %= 4
-        return QuadSides(self.sides[k:] + self.sides[:k])
-
 
 def quad(a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> QuadSides:
     return QuadSides((a, b, c, d))

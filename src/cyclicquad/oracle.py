@@ -2,13 +2,15 @@
 the x-axis, place the two off-diagonal vertices via the perpendicular-foot
 split, then measure with the shoelace rule and a circumcenter equidistance
 test.  An `Embedding` holds its points as plain Fraction coordinates, each
-the `precision`-digit approximation of an exact one; only the shoelace area
-comes back as an `ApproxScalar`, for printing.  Also hosts the diagonal
-scan that demonstrates the indeterminacy of a quadrilateral's area when
-only the four sides are fixed.  The scan does not embed: it evaluates each
-sample's closed-form area on integers scaled to a shared denominator, with
-relative error below 2/F for F = 10**(digits + guard digits), and the
-embedding serves as its independent oracle in the tests."""
+the `precision`-digit approximation of an exact one.  Every approximation
+here, the shoelace area and the scan's samples included, is a plain
+Fraction; a report renders it as a decimal only where it prints it.  Also
+hosts the diagonal scan that demonstrates the indeterminacy of a
+quadrilateral's area when only the four sides are fixed.  The scan does
+not embed: it evaluates each sample's closed-form area on integers scaled
+to a shared denominator, with relative error below 2/F for
+F = 10**(digits + guard digits), and the embedding serves as its
+independent oracle in the tests."""
 
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from math import isqrt, lcm
 from .exactnum import (
     _GUARD_DIGITS,
     DEFAULT_DIGITS,
-    ApproxScalar,
     IncompatibleRadicands,
     approx,
     sqrt_fraction,
@@ -57,7 +58,7 @@ def embed(dq: DiagQuad, digits: int = DEFAULT_DIGITS) -> Embedding:
     a, b, c, d = dq.sides.sides
     seg1, _, h1 = abadha_split(dq.diagonal, a, b)
     seg2, _, h2 = abadha_split(dq.diagonal, d, c)
-    diag, x1, y1, x2, y2 = (approx(v, digits).value for v in (dq.diagonal, seg1, h1, seg2, h2))
+    diag, x1, y1, x2, y2 = (approx(v, digits) for v in (dq.diagonal, seg1, h1, seg2, h2))
     zero = Fraction(0)
     return Embedding(((zero, zero), (x1, y1), (diag, zero), (x2, -y2)), digits)
 
@@ -65,18 +66,18 @@ def embed(dq: DiagQuad, digits: int = DEFAULT_DIGITS) -> Embedding:
 def embed_triangle(t: Triangle, digits: int = DEFAULT_DIGITS) -> Embedding:
     """Planar realization of a triangle with side a on the x-axis."""
     seg, _, h = abadha_split(t.a, t.b, t.c)
-    a, x, y = (approx(v, digits).value for v in (t.a, seg, h))
+    a, x, y = (approx(v, digits) for v in (t.a, seg, h))
     zero = Fraction(0)
     return Embedding(((zero, zero), (a, zero), (x, y)), digits)
 
 
-def shoelace_area(e: Embedding) -> ApproxScalar:
+def shoelace_area(e: Embedding) -> Fraction:
     """Polygon area by the shoelace rule, at the embedding's precision."""
     points = e.points
     total = Fraction(0)
     for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
         total += x1 * y2 - x2 * y1
-    return ApproxScalar(abs(total) / 2, e.precision)
+    return abs(total) / 2
 
 
 def _circumcenter(p0: Point, p1: Point, p2: Point) -> tuple[Fraction, Fraction]:
@@ -116,15 +117,14 @@ def concyclic(e: Embedding, tolerance=None) -> bool:
 
 
 def concyclic_exact(dq: DiagQuad) -> bool:
-    """Exact concyclicity of the convex embedding: both triangles must have
-    the same circumcenter.  Both centers lie on the diagonal's perpendicular
-    bisector, so the test reduces to one exact surd comparison."""
+    """Exact concyclicity of the convex embedding: the angles B between a
+    and b and D between c and d, both facing the diagonal x, must sum to pi,
+    so cos B == -cos D.  By the law of cosines that is
+    (a^2 + b^2 - x^2) * c * d == -(c^2 + d^2 - x^2) * a * b, one exact
+    comparison with no square root."""
     a, b, c, d = dq.sides.sides
     diag_sq = dq.diagonal * dq.diagonal
-    _, _, h1 = abadha_split(dq.diagonal, a, b)
-    _, _, h2 = abadha_split(dq.diagonal, d, c)
-    # center heights: (a^2 + b^2 - diag^2)/(4 h1) above, mirrored below
-    return (a * a + b * b - diag_sq) * h2 == -((d * d + c * c - diag_sq) * h1)
+    return (a * a + b * b - diag_sq) * c * d == -((c * c + d * d - diag_sq) * a * b)
 
 
 def diagonal_range(q: QuadSides):
@@ -136,9 +136,9 @@ def diagonal_range(q: QuadSides):
 
 @dataclass(frozen=True)
 class ScanResult:
-    samples: tuple[tuple[ApproxScalar, ApproxScalar], ...]
-    argmax_diagonal: ApproxScalar
-    max_area: ApproxScalar
+    samples: tuple[tuple[Fraction, Fraction], ...]
+    argmax_diagonal: Fraction
+    max_area: Fraction
 
 
 def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanResult:
@@ -167,8 +167,8 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     if steps < 3:
         raise ValueError("steps must be >= 3")
     lower, upper = diagonal_range(q)
-    lo = approx(lower, digits).value
-    hi = approx(upper, digits).value
+    lo = approx(lower, digits)
+    hi = approx(upper, digits)
     step = (hi - lo) / (steps + 1)
     squares = [s * s for s in q.sides]
     if not all(isinstance(v, Fraction) for v in squares):
@@ -196,10 +196,7 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
         roots.append(isqrt(p1 * scale_sq) + isqrt(p2 * scale_sq))
     area_den = 4 * den * den * scale
     samples = tuple(
-        (
-            ApproxScalar(Fraction(x0 + i * dx, den), digits),
-            ApproxScalar(Fraction(r, area_den), digits),
-        )
+        (Fraction(x0 + i * dx, den), Fraction(r, area_den))
         for i, r in enumerate(roots, start=1)
     )
     best = samples[max(range(steps), key=roots.__getitem__)]

@@ -54,7 +54,7 @@ def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
         bx, by = pts[(i + 1) % 4]
         mx, my = (ax + bx) / 2, (ay + by) / 2
         parts.append(
-            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12">{_fmt(approx(sides[i], 12).value)}</text>'
+            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12">{_fmt(approx(sides[i], 12))}</text>'
         )
     parts.append(
         f'<text x="{x0 + 4}" y="{_SNAP_Y + _SNAP_H + 18}" font-size="13">{label}</text>'
@@ -64,8 +64,8 @@ def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
 
 def scan_svg(q: QuadSides, result: ScanResult, digits: int) -> str:
     px, py, pw, ph = _PLOT
-    diags = [s[0].value for s in result.samples]
-    areas = [s[1].value for s in result.samples]
+    diags = [s[0] for s in result.samples]
+    areas = [s[1] for s in result.samples]
     lo_d, hi_d = diags[0], diags[-1]
     lo_a, hi_a = min(areas), max(areas)
     curve = " ".join(
@@ -78,13 +78,13 @@ def scan_svg(q: QuadSides, result: ScanResult, digits: int) -> str:
         f'<polyline points="{curve}" fill="none" stroke="black" stroke-width="2"/>',
         f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_fmt(lo_d)} to {_fmt(hi_d)}</text>',
         f'<text x="{px}" y="{py - 12}" font-size="13">area {_fmt(lo_a)} to {_fmt(hi_a)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_fmt(result.max_area.value)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_fmt(result.argmax_diagonal.value)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_fmt(result.max_area)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_fmt(result.argmax_diagonal)}</text>',
     ]
     snapshots = [
-        (result.samples[0][0].value, 20, "smallest sampled diagonal"),
-        (result.argmax_diagonal.value, 20 + _SNAP_W + 30, "area-maximizing diagonal"),
-        (result.samples[-1][0].value, 20 + 2 * (_SNAP_W + 30), "largest sampled diagonal"),
+        (result.samples[0][0], 20, "smallest sampled diagonal"),
+        (result.argmax_diagonal, 20 + _SNAP_W + 30, "area-maximizing diagonal"),
+        (result.samples[-1][0], 20 + 2 * (_SNAP_W + 30), "largest sampled diagonal"),
     ]
     for diag, x0, label in snapshots:
         body.extend(_snapshot(DiagQuad(q, diag), digits, x0, label))

@@ -28,10 +28,6 @@ class PythTriple:
                 f"{self.l}**2 + {self.m}**2 != {self.n}**2"
             )
 
-    @property
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.l, self.m), self.n) == 1
-
     def scaled(self, k: int) -> "PythTriple":
         return PythTriple(self.l * k, self.m * k, self.n * k)
 

@@ -27,7 +27,7 @@ def random_quad(rng: random.Random, max_side: int = 500) -> QuadSides:
 def random_diag_quad(rng: random.Random, max_side: int = 200) -> DiagQuad:
     while True:
         q = random_quad(rng, max_side)
-        lo, hi = (approx(v, 20).value for v in diagonal_range(q))
+        lo, hi = (approx(v, 20) for v in diagonal_range(q))
         # rational diagonal strictly inside the hinge interval
         diag = lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
         try:

@@ -197,6 +197,21 @@ class TestScan:
             main(["scan", "3", "4", "5"])
         assert exc.value.code == 2
 
+    def test_json_scan_bypasses_the_hook(self, capsys, monkeypatch):
+        # the samples are rendered to strings by the command, so json.dumps
+        # calls the hook only for the four exact sides
+        calls = []
+        original = cli._json_value
+
+        def counting(value, digits):
+            calls.append(value)
+            return original(value, digits)
+
+        monkeypatch.setattr(cli, "_json_value", counting)
+        code, out, _ = run_cli(capsys, "--format", "json", "scan", "75", "40", "51", "68")
+        assert code == 0 and len(json.loads(out)["report"]["samples"]) == 999
+        assert calls == [75, 40, 51, 68]
+
 
 class TestRhombus:
     def test_dims(self, capsys):
@@ -254,6 +269,23 @@ class TestTriples:
         monkeypatch.setattr(cli, "generate_triples", counting)
         code, _, _ = run_cli(capsys, "triples", "50", "--pairs")
         assert code == 0 and calls == [50]
+
+    def test_below_five_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "triples", "4")
+        assert code == 2 and out == ""
+        assert err == "error: max_hypotenuse must be >= 5\n"
+
+
+class TestExitCodes:
+    def test_a_bug_is_not_a_usage_error(self, capsys, monkeypatch):
+        # a plain ValueError from inside the program is a bug: it propagates
+        # instead of exiting 2 as if the input were at fault
+        def broken(q):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "sutra_area", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["area", "3", "4", "5", "6"])
 
 
 class TestFactoring:

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from cyclicquad import exactnum
 from cyclicquad.exactnum import (
     _GUARD_DIGITS,
-    ApproxScalar,
     IncompatibleRadicands,
     NegativeRadicand,
     Surd,
@@ -122,7 +121,7 @@ class TestArithmetic:
         assert total > 0 and -total < 0
         assert Surd(1, 3) - Surd(2, 5) < 0
         # sympy.N(2*sqrt(5) + sqrt(3), 40) = 6.2041867625684566863457936789684248...
-        assert total.approx(30).decimal() == "6.20418676256845668634579367897"
+        assert render_decimal(total.approx(30), 30) == "6.20418676256845668634579367897"
         with pytest.raises(IncompatibleRadicands):
             total.coefficient
 
@@ -232,7 +231,7 @@ class TestComparison:
         for _ in range(300):
             a = Surd(Fraction(rng.randint(-40, 40), rng.randint(1, 40)), rng.randint(1, 400))
             b = Surd(Fraction(rng.randint(-40, 40), rng.randint(1, 40)), rng.randint(1, 400))
-            gap = approx(a, 60).value - approx(b, 60).value
+            gap = approx(a, 60) - approx(b, 60)
             if abs(gap) > Fraction(1, 10**55):
                 assert (a > b) if gap > 0 else (a < b)
 
@@ -240,18 +239,18 @@ class TestComparison:
 class TestApprox:
     def test_root_19800(self):
         got = Surd(30, 22).approx(7)
-        assert abs(got.value - Fraction("140.7124")) < Fraction(5, 10**4)
+        assert abs(got - Fraction("140.7124")) < Fraction(5, 10**4)
 
     def test_rational_value(self):
-        assert approx(5, 3).decimal() == "5.00"
+        assert render_decimal(approx(5, 3), 3) == "5.00"
 
     def test_root_two(self):
-        assert Surd(1, 2).approx(5).decimal() == "1.4142"
+        assert render_decimal(Surd(1, 2).approx(5), 5) == "1.4142"
 
     def test_error_bound(self):
         # squared approximation must straddle the radicand tightly
         for digits in (10, 30, 50):
-            v = Surd(1, 7).approx(digits).value
+            v = Surd(1, 7).approx(digits)
             assert abs(v * v - 7) < Fraction(1, 10 ** (digits - 2))
 
     @given(
@@ -262,20 +261,28 @@ class TestApprox:
     def test_single_term_matches_floor_root(self, r, c, digits):
         # the former single-term formula, kept as the reference
         expected = c * sqrt_fraction(Fraction(r), digits + _GUARD_DIGITS)
-        assert Surd(c, r).approx(digits).value == expected
+        assert Surd(c, r).approx(digits) == expected
 
     def test_rational_value_built_with_radicand_one(self):
         got = approx(Surd(5), 30)
-        assert got.value == 5 and got.digits == 30
+        assert type(got) is Fraction and got == 5
 
-    def test_exact_never_equals_its_approximation(self):
+    @pytest.mark.parametrize(
+        "value", [3, Fraction(-7, 3), Surd(1, 2), Surd(2, 3) + Surd(1, 5) - 1]
+    )
+    def test_approx_returns_a_fraction(self, value):
+        for digits in (1, 10, 60):
+            assert type(approx(value, digits)) is Fraction
+
+    def test_surd_never_equals_its_approximation(self):
         root = Surd(1, 2)
-        assert root != root.approx(10)
+        for value in (root, -root, root + 1, Surd(1, 2) + Surd(1, 3)):
+            for digits in (1, 10, 60):
+                near = approx(value, digits)
+                assert value != near and near != value
+                assert len({value, near}) == 2
         assert root.approx(10) != root.approx(20)
-        assert len({root, root.approx(10)}) == 2
-        assert Fraction(1, 2) != ApproxScalar(Fraction(1, 2), 10)
         assert root.approx(10) == root.approx(10)
-        assert hash(root.approx(10)) == hash(root.approx(10))
 
 
 class TestRendering:
@@ -302,9 +309,9 @@ class TestRendering:
         assert render_decimal(Fraction(96, 100), 1) == "1.0"
         assert render_decimal(Fraction(1, 500), 2) == "0.002"
 
-    def test_approx_scalar_ops(self):
-        assert ApproxScalar(Fraction(1, 3), 5).decimal() == "0.3333"
-        assert str(ApproxScalar(Fraction(2), 3)) == "2.00"
+    def test_approximations_render_as_decimals(self):
+        assert render_decimal(approx(Fraction(1, 3), 5), 5) == "0.3333"
+        assert render_decimal(approx(2, 3), 3) == "2.00"
         root = sqrt_fraction(Fraction(2), 40)
         assert abs(root * root - 2) < Fraction(1, 10**38)
 

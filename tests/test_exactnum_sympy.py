@@ -83,7 +83,7 @@ def test_equality_and_hash_agree(pairs):
 def test_approx_within_relative_bound(pairs, digits):
     bound = Fraction(1, 10 ** (digits + _GUARD_DIGITS))
     for a, _, _ in pairs:
-        got = approx(a, digits).value
+        got = approx(a, digits)
         exact = sympy.Rational(str(sympy.N(as_sympy(a), digits + _GUARD_DIGITS + 30)))
         assert abs(sympy.Rational(got.numerator, got.denominator) - exact) <= bound * abs(exact)
 

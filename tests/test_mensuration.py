@@ -231,7 +231,7 @@ class TestAreaByDiagonal:
         assert isinstance(split_area, Surd) and len(split_area.terms) == 2
         assert split_area == t1 + t2
         oracle = shoelace_area(embed(dq, 50))
-        assert abs(split_area.approx(50).value - oracle.value) < Fraction(1, 10**40)
+        assert abs(split_area.approx(50) - oracle) < Fraction(1, 10**40)
 
 
 class TestCyclicDiagonals:

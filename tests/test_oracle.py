@@ -4,9 +4,17 @@ from fractions import Fraction
 import pytest
 
 from cyclicquad import exactnum, oracle
-from cyclicquad.exactnum import _GUARD_DIGITS, IncompatibleRadicands, Surd, approx, sqrt_fraction
+from cyclicquad.exactnum import (
+    _GUARD_DIGITS,
+    IncompatibleRadicands,
+    Surd,
+    approx,
+    render_decimal,
+    sqrt_fraction,
+)
 from cyclicquad.mensuration import (
     DiagQuad,
+    InvalidQuad,
     InvalidTriangle,
     Triangle,
     cyclic_diagonal_pair,
@@ -31,6 +39,15 @@ from conftest import random_diag_quad, random_quad
 TIGHT = Fraction(1, 10**30)
 
 
+def random_rational_quad(rng: random.Random):
+    while True:
+        sides = (Fraction(rng.randint(1, 60), rng.randint(1, 6)) for _ in range(4))
+        try:
+            return quad(*sides)
+        except InvalidQuad:
+            continue
+
+
 class TestEmbed:
     def test_lilavati_quad_apexes(self):
         e = embed(DiagQuad(quad(75, 68, 51, 40), 77), 50)
@@ -43,8 +60,8 @@ class TestEmbed:
         e = embed(DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)), 50)
         half_diag = Surd(Fraction(1, 2), 2)
         for apex, sign in ((e.points[1], 1), (e.points[3], -1)):
-            assert abs(apex[0] - half_diag.approx(50).value) < Fraction(1, 10**45)
-            assert abs(apex[1] - sign * half_diag.approx(50).value) < Fraction(
+            assert abs(apex[0] - half_diag.approx(50)) < Fraction(1, 10**45)
+            assert abs(apex[1] - sign * half_diag.approx(50)) < Fraction(
                 1, 10**45
             )
 
@@ -62,21 +79,21 @@ class TestEmbed:
                 x1, y1 = e.points[i]
                 x2, y2 = e.points[(i + 1) % 4]
                 dist = sqrt_fraction((x2 - x1) ** 2 + (y2 - y1) ** 2, 50 + _GUARD_DIGITS)
-                assert abs(dist - approx(dq.sides.sides[i], 50).value) < TIGHT
+                assert abs(dist - approx(dq.sides.sides[i], 50)) < TIGHT
 
 
 class TestShoelace:
     def test_lilavati_quad(self):
         area = shoelace_area(embed(DiagQuad(quad(75, 68, 51, 40), 77), 50))
-        assert abs(area.value - 3234) < TIGHT
+        assert abs(area - 3234) < TIGHT
 
     def test_unit_square(self):
         area = shoelace_area(embed(DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)), 50))
-        assert abs(area.value - 1) < TIGHT
+        assert abs(area - 1) < TIGHT
 
     def test_lilavati_trapezium_via_diagonal(self):
         area = shoelace_area(embed(DiagQuad(quad(14, 13, 9, 12), 15), 50))
-        assert abs(area.value - 138) < TIGHT
+        assert abs(area - 138) < TIGHT
 
     def test_triangle_embedding_matches_heron(self):
         rng = random.Random(61)
@@ -86,7 +103,7 @@ class TestShoelace:
                 continue
             t = Triangle(*sides)
             area = shoelace_area(embed_triangle(t, 50))
-            assert abs(area.value - approx(heron_area(t), 50).value) < TIGHT
+            assert abs(area - approx(heron_area(t), 50)) < TIGHT
 
     def test_agrees_with_heron_split(self):
         rng = random.Random(67)
@@ -94,8 +111,8 @@ class TestShoelace:
             dq = random_diag_quad(rng)
             oracle_area = shoelace_area(embed(dq, 50))
             t1, t2 = split_triangle_areas(dq)
-            expected = approx(t1 + t2, 50).value
-            assert abs(oracle_area.value - expected) < TIGHT
+            expected = approx(t1 + t2, 50)
+            assert abs(oracle_area - expected) < TIGHT
 
 
 class TestConcyclic:
@@ -113,6 +130,42 @@ class TestConcyclic:
         dq = DiagQuad(quad(3, 4, 3, 4), 5)
         assert concyclic(embed(dq, 50), TIGHT)
         assert concyclic_exact(dq)
+
+    def test_exact_agrees_with_the_cyclic_diagonal(self):
+        # cyclic iff the diagonal is the cyclic one: x^2 == p^2, with the
+        # surd cyclic diagonal itself and random rational diagonals
+        rng = random.Random(29)
+        cyclic = 0
+        for _ in range(300):
+            q = random_rational_quad(rng)
+            p = cyclic_diagonal_pair(q).p
+            lo, hi = (approx(v, 20) for v in diagonal_range(q))
+            for x in (p, lo + (hi - lo) * Fraction(rng.randint(1, 99), 100)):
+                try:
+                    dq = DiagQuad(q, x)
+                except (InvalidQuad, InvalidTriangle):
+                    continue
+                assert concyclic_exact(dq) == (x * x == p * p)
+                cyclic += x * x == p * p
+        assert cyclic >= 300
+
+    def test_exact_takes_no_square_root(self, monkeypatch):
+        figures = [
+            DiagQuad(quad(75, 68, 51, 40), 77),
+            DiagQuad(quad(14, 12, 9, 13), 15),
+            DiagQuad(quad(2, 3, 4, 5), Surd.sqrt(Fraction(253, 13))),
+            DiagQuad(quad(Surd(3, 2), 5, 6, 7), 8),
+        ]
+        seen = []
+        original = exactnum.square_free_split
+
+        def counting(n):
+            seen.append(n)
+            return original(n)
+
+        monkeypatch.setattr(exactnum, "square_free_split", counting)
+        assert [concyclic_exact(dq) for dq in figures] == [True, False, True, False]
+        assert seen == []
 
     def test_default_tolerance_scales_down(self):
         # a rhombus at scale 1e-40 is far from cyclic unless it is a square
@@ -155,31 +208,31 @@ class TestDiagonalRange:
 class TestAreaScan:
     def test_square_family_peak(self):
         result = area_scan(quad(25, 25, 25, 25), 999, 30)
-        assert abs(result.max_area.value - 625) < Fraction(1, 10**3)
-        target = Surd(25, 2).approx(30).value
+        assert abs(result.max_area - 625) < Fraction(1, 10**3)
+        target = Surd(25, 2).approx(30)
         step = Fraction(50, 1000)
-        assert abs(result.argmax_diagonal.value - target) <= step
+        assert abs(result.argmax_diagonal - target) <= step
 
     def test_square_family_hits_rhombus_samples(self):
         # grid step is 0.05, so diagonals 14 and 30 are sampled exactly
         result = area_scan(quad(25, 25, 25, 25), 999, 30)
-        by_diag = {d.value: a.value for d, a in result.samples}
+        by_diag = {d: a for d, a in result.samples}
         assert abs(by_diag[Fraction(30)] - 600) < Fraction(1, 10**20)
         assert abs(by_diag[Fraction(14)] - 336) < Fraction(1, 10**20)
 
     def test_lilavati_family_peak(self):
         result = area_scan(quad(75, 40, 51, 68), 999, 30)
-        assert abs(result.max_area.value - 3234) < Fraction(1, 100)
+        assert abs(result.max_area - 3234) < Fraction(1, 100)
         step = Fraction(115 - 35, 1000)
-        assert abs(result.argmax_diagonal.value - 85) <= step
+        assert abs(result.argmax_diagonal - 85) <= step
 
     def test_samples_strictly_increasing_and_vary(self):
         result = area_scan(quad(14, 13, 9, 12), 99, 20)
-        diags = [d.value for d, _ in result.samples]
+        diags = [d for d, _ in result.samples]
         assert diags == sorted(diags) and len(set(diags)) == len(diags)
-        areas = [a.value for _, a in result.samples]
+        areas = [a for _, a in result.samples]
         assert min(areas) < max(areas)
-        assert result.max_area.value == max(areas)
+        assert result.max_area == max(areas)
 
     def test_scan_maximality_random(self):
         rng = random.Random(71)
@@ -188,10 +241,10 @@ class TestAreaScan:
             lower, upper = diagonal_range(q)
             step = (Fraction(upper) - Fraction(lower)) / 1000
             result = area_scan(q, 999, 30)
-            target = approx(cyclic_diagonal_pair(q).p, 30).value
-            assert abs(result.argmax_diagonal.value - target) <= step
-            ceiling = approx(sutra_area(q), 30).value
-            assert result.max_area.value <= ceiling + Fraction(1, 10**6)
+            target = approx(cyclic_diagonal_pair(q).p, 30)
+            assert abs(result.argmax_diagonal - target) <= step
+            ceiling = approx(sutra_area(q), 30)
+            assert result.max_area <= ceiling + Fraction(1, 10**6)
 
     @pytest.mark.parametrize(
         "sides",
@@ -208,18 +261,18 @@ class TestAreaScan:
         q = quad(*sides)
         result = area_scan(q, 999, digits)
         lower, upper = diagonal_range(q)
-        lo = approx(lower, digits).value
-        step = (approx(upper, digits).value - lo) / 1000
+        lo = approx(lower, digits)
+        step = (approx(upper, digits) - lo) / 1000
         bound = Fraction(2, 10 ** (digits + _GUARD_DIGITS))
         oracle_areas = []
         for i, (diag, area) in enumerate(result.samples, start=1):
-            assert diag.value == lo + i * step
-            dq = DiagQuad(q, diag.value)
+            assert diag == lo + i * step
+            dq = DiagQuad(q, diag)
             expected = shoelace_area(embed(dq, digits))
-            assert area.decimal() == expected.decimal()
-            reference = shoelace_area(embed(dq, digits + 30)).value
-            assert abs(area.value - reference) <= bound * reference
-            oracle_areas.append(expected.value)
+            assert render_decimal(area, digits) == render_decimal(expected, digits)
+            reference = shoelace_area(embed(dq, digits + 30))
+            assert abs(area - reference) <= bound * reference
+            oracle_areas.append(expected)
         first_max = oracle_areas.index(max(oracle_areas))
         assert result.argmax_diagonal == result.samples[first_max][0]
         assert result.max_area == result.samples[first_max][1]
@@ -240,7 +293,7 @@ class TestAreaScan:
         lower, upper = diagonal_range(q)
         result = area_scan(q, 9, digits)
         assert len(result.samples) == 9
-        assert lower < result.samples[0][0].value < result.samples[-1][0].value < upper
+        assert lower < result.samples[0][0] < result.samples[-1][0] < upper
         bound = Fraction(2, 10 ** (digits + _GUARD_DIGITS))
 
         def quarter_root(s, t, x):
@@ -248,9 +301,9 @@ class TestAreaScan:
             return sqrt_fraction(sixteen_t2, digits + 30 + _GUARD_DIGITS) / 4
 
         for diag, area in result.samples:
-            x = diag.value
+            x = diag
             reference = quarter_root(a, b, x) + quarter_root(c, d, x)
-            assert abs(area.value - reference) <= bound * reference
+            assert abs(area - reference) <= bound * reference
 
     def test_side_with_irrational_square_refused(self):
         with pytest.raises(IncompatibleRadicands):
