@@ -26,9 +26,11 @@ for p = 20, 40, 80, ...; the error is below sum(|ci|) units of 10**-p, so
 the first p whose estimate exceeds that bound decides the sign, and such a
 p exists because the sum is nonzero.
 
-Division by a sum of two or more terms, the square root of an irrational
-value, and the single-term accessors ``coefficient``/``radicand`` of a sum
-raise ``IncompatibleRadicands``.
+Division by a sum over one radicand, a + b*sqrt(r), multiplies by the
+conjugate: (a - b*sqrt(r))/(a*a - b*b*r).  Division by any other sum of two
+or more terms, the square root of an irrational value, and the single-term
+accessors ``coefficient``/``radicand`` of a sum raise
+``IncompatibleRadicands``.
 
 Exact and approximate values stay apart.  An approximation is a plain
 Fraction (``approx``, ``sqrt_fraction``), and a Surd never equals one
@@ -39,6 +41,7 @@ because no Surd has a rational value.  It becomes a decimal string with
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Union
 
@@ -65,15 +68,145 @@ class NegativeRadicand(ValueError):
 def square_free_split(n: int) -> tuple[int, int]:
     """Split n >= 1 as outer**2 * core with core squarefree.
 
-    Trial division up to the cube root; the remainder then has at most two
-    prime factors, so it is squarefree unless it is a perfect square.
+    Four steps, each exact:
+
+    1. Trial division by the primes below 1000, stopping once p**3 > n, so
+       a small n costs no more than trial division to its cube root.  What
+       is left has no prime factor below 1000, or at most two prime factors.
+    2. A cofactor that is a perfect square r*r gives outer r (``isqrt``).  A
+       cofactor below 1009**3 that is not a square then has at most two
+       prime factors, so it is squarefree.
+    3. Miller-Rabin with the 13 prime bases 2..41.  A "composite" verdict is
+       proven by its witness.  A "prime" verdict is proven below
+       3,317,044,064,679,887,385,961,981, the least strong pseudoprime to
+       all 13 bases (Sorenson and Webster, Math. Comp. 2017; the 12 bases
+       2..37 alone are fooled by 318,665,857,834,031,151,167,461).  Above
+       that bound a cofactor that passes takes certified trial division to
+       its cube root instead (``_trial_split``), which is slow: at least
+       7*10**7 divisions.
+    4. A composite cofactor is split by Pollard's rho with Brent's cycle
+       finding (Brent, BIT 1980), and the parts are split in turn and
+       merged: o1**2*c1 * o2**2*c2 = (o1*o2*g)**2 * (c1/g)*(c2/g) with
+       g = gcd(c1, c2), and (c1/g)*(c2/g) is squarefree again.
+
+    Rho costs about p**(1/2) steps for the least prime factor p of a
+    composite cofactor, so a product of two primes near 10**20 can still run
+    for a long time.
     """
     if n < 1:
         raise ValueError("square_free_split requires n >= 1")
-    outer = 1
-    core = 1
-    d = 2
-    while d * d * d <= n:
+    outer, core, rest = _divide_out(n, _SMALL_PRIMES)
+    rough_outer, rough_core = _split_rough(rest)
+    return outer * rough_outer, core * rough_core
+
+
+# The primes below 1000, for trial division.
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
+    149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
+    227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
+    307, 311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383,
+    389, 397, 401, 409, 419, 421, 431, 433, 439, 443, 449, 457, 461, 463,
+    467, 479, 487, 491, 499, 503, 509, 521, 523, 541, 547, 557, 563, 569,
+    571, 577, 587, 593, 599, 601, 607, 613, 617, 619, 631, 641, 643, 647,
+    653, 659, 661, 673, 677, 683, 691, 701, 709, 719, 727, 733, 739, 743,
+    751, 757, 761, 769, 773, 787, 797, 809, 811, 821, 823, 827, 829, 839,
+    853, 857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929, 937, 941,
+    947, 953, 967, 971, 977, 983, 991, 997,
+)
+
+# 1009 is the least prime above 1000: below 1009**3, a number with no prime
+# factor below 1000 has at most two prime factors.
+_ROUGH_CUBE = 1009**3
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Below this bound, passing Miller-Rabin for all of _MILLER_RABIN_BASES
+# proves primality.
+_MILLER_RABIN_PROVEN = 3_317_044_064_679_887_385_961_981
+
+# Differences multiplied together between two gcds in _rho_factor.
+_RHO_BATCH = 128
+
+
+def _split_rough(n: int) -> tuple[int, int]:
+    """``square_free_split`` of an n >= 1 that has no prime factor below
+    1000, or at most two prime factors (steps 2 to 4 of its docstring)."""
+    root = isqrt(n)
+    if root * root == n:
+        return root, 1
+    if n < _ROUGH_CUBE:
+        return 1, n
+    if _passes_miller_rabin(n):
+        return (1, n) if n < _MILLER_RABIN_PROVEN else _trial_split(n)
+    d = _rho_factor(n)
+    outer1, core1 = _split_rough(d)
+    outer2, core2 = _split_rough(n // d)
+    g = gcd(core1, core2)
+    return outer1 * outer2 * g, (core1 // g) * (core2 // g)
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """False when one of _MILLER_RABIN_BASES witnesses that the odd n > 41
+    is composite; True when none does."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n, which is odd and not a perfect
+    square: Pollard's rho on x -> x*x + c mod n with Brent's cycle finding,
+    multiplying _RHO_BATCH differences between gcds and stepping back one
+    difference at a time when a batch's gcd overshoots to n.  c runs 1, 2,
+    ... until one gives a proper factor, so the result is deterministic."""
+    c = 0
+    while True:
+        c += 1
+        y = ys = x = 2
+        g = q = r = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _divide_out(n: int, divisors) -> tuple[int, int, int]:
+    """Trial division of n by the ascending `divisors` until d**3 > n:
+    (outer, core, rest) with n = outer**2 * core * rest, core squarefree and
+    rest divisible by no divisor tried.  Every prime factor of rest is then
+    above the last divisor tried, or rest has at most two prime factors."""
+    outer = core = 1
+    for d in divisors:
+        if d * d * d > n:
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -82,13 +215,20 @@ def square_free_split(n: int) -> tuple[int, int]:
             outer *= d ** (e // 2)
             if e % 2:
                 core *= d
-        d += 1 if d == 2 else 2
-    r = isqrt(n)
-    if r * r == n:
-        outer *= r
-    else:
-        core *= n
-    return outer, core
+    return outer, core, n
+
+
+def _trial_split(n: int) -> tuple[int, int]:
+    """``square_free_split`` of an n with no prime factor below 1000, by
+    trial division with the odd numbers from 1009 up to the cube root; what
+    is left has at most two prime factors, so it is squarefree unless it is
+    a perfect square.  Certified for every such n, and slow for a large one
+    without small factors."""
+    outer, core, rest = _divide_out(n, count(1009, 2))
+    root = isqrt(rest)
+    if root * root == rest:
+        return outer * root, core
+    return outer, core * rest
 
 
 class Surd:
@@ -326,11 +466,17 @@ def _product(a: Terms, b: Terms) -> Terms:
 def _reciprocal(terms: Terms) -> Terms:
     if not terms:
         raise ZeroDivisionError("division by zero Surd")
-    if len(terms) > 1:
-        raise IncompatibleRadicands(f"cannot divide by the sum {_normal(terms)}")
-    ((c, r),) = terms
-    # 1/(c*sqrt(r)) = sqrt(r)/(c*r)
-    return ((1 / (c * r), r),)
+    if len(terms) == 1:
+        ((c, r),) = terms
+        # 1/(c*sqrt(r)) = sqrt(r)/(c*r)
+        return ((1 / (c * r), r),)
+    if len(terms) == 2 and terms[0][1] == 1:
+        # 1/(a + b*sqrt(r)) = (a - b*sqrt(r))/(a*a - b*b*r); the norm
+        # a*a - b*b*r is nonzero because sqrt(r) is irrational
+        (a, _), (b, r) = terms
+        norm = a * a - b * b * r
+        return ((a / norm, 1), (-b / norm, r))
+    raise IncompatibleRadicands(f"cannot divide by the sum {_normal(terms)}")
 
 
 def _estimate(terms: Terms, places: int) -> tuple[int, int, int]:

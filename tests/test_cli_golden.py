@@ -4,6 +4,7 @@ Each case is (golden file under tests/data/cli/, exit code, argv).  A run
 that exits 0 must print the file on stdout and nothing on stderr; a refusal
 must print the file on stderr and nothing on stdout."""
 
+import signal
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,22 @@ def test_output_matches_golden(capsys, name, code, argv):
     shown, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
     assert shown == (GOLDEN / name).read_text()
     assert silent == ""
+
+
+def test_area_with_large_prime_radicand_finishes(capsys):
+    # Heron's radicand here has three prime factors near 2*10**8, which trial
+    # division to the cube root took about 20 s to reach
+    def timed_out(signum, frame):
+        raise TimeoutError("area did not finish within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        code = main(["area", "12433071/61", "92602035/488", "185871427/976"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / "area_large_prime_radicand.txt").read_text()
+    assert captured.err == ""

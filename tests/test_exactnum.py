@@ -105,6 +105,114 @@ class TestNormalize:
         assert square_free_split(core) == (1, core)
 
 
+def reference_square_free_split(n: int) -> tuple[int, int]:
+    """The trial division to the cube root that the factoring replaced."""
+    outer = 1
+    core = 1
+    d = 2
+    while d * d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            outer *= d ** (e // 2)
+            if e % 2:
+                core *= d
+        d += 1 if d == 2 else 2
+    r = isqrt(n)
+    if r * r == n:
+        outer *= r
+    else:
+        core *= n
+    return outer, core
+
+
+# 10**11 + 3 and 10**11 + 19 are prime, as are 1009, 1013, 1019, 1000003 and
+# 1000033.
+SEMIPRIME_22_DIGITS = (10**11 + 3) * (10**11 + 19)
+# Least prime above 3,317,044,064,679,887,385,961,981, the bound below which
+# Miller-Rabin with the 13 prime bases up to 41 is proven.
+PRIME_ABOVE_MILLER_RABIN_BOUND = 3317044064679887385962123
+
+
+class TestSquareFreeSplit:
+    @given(st.integers(min_value=1, max_value=10**13 - 1))
+    def test_matches_reference(self, n):
+        assert square_free_split(n) == reference_square_free_split(n)
+
+    @given(st.integers(min_value=1, max_value=10**13 - 1), st.integers(min_value=2, max_value=10**6))
+    def test_square_times_n_matches_reference(self, n, k):
+        # k*k*n = (k*outer)**2 * core is the unique split when n = outer**2 * core
+        outer, core = reference_square_free_split(n)
+        assert square_free_split(k * k * n) == (k * outer, core)
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            # Carmichael numbers: 7*11*13*41 and 5*7*17*19*73
+            (41041, (1, 41041)),
+            (825265, (1, 825265)),
+            # a strong pseudoprime to base 2: 151*751*28351
+            (3215031751, (1, 3215031751)),
+            (1009**2, (1009, 1)),
+            (1000003**2, (1000003, 1)),
+            (1009**2 * 1013, (1009, 1013)),
+            (1000003**2 * 1000033, (1000003, 1000033)),
+            (1009**3 * 1013**4, (1009 * 1013**2, 1009)),
+            ((1009 * 1013) ** 2 * 1019, (1009 * 1013, 1019)),
+            (SEMIPRIME_22_DIGITS, (1, SEMIPRIME_22_DIGITS)),
+            # 399165290221 * 798330580441, a strong pseudoprime to all 12
+            # prime bases up to 37; base 41 witnesses it
+            (318665857834031151167461, (1, 318665857834031151167461)),
+            # the Heron radicand of `area 12433071/61 92602035/488
+            # 185871427/976` times 1952**2: 11*541*95783 and three primes
+            # near 2*10**8
+            (3883006676443045890647088289187111, (1, 3883006676443045890647088289187111)),
+        ],
+    )
+    def test_adversarial_cases(self, n, expected):
+        assert square_free_split(n) == expected
+
+    def test_miller_rabin_verdicts(self):
+        # 13 bases: the 12 up to 37 pass the first, and all 13 pass the
+        # bound itself, 1287836182261 * 2575672364521
+        assert not exactnum._passes_miller_rabin(318665857834031151167461)
+        assert exactnum._passes_miller_rabin(exactnum._MILLER_RABIN_PROVEN)
+        assert not exactnum._passes_miller_rabin(3215031751)
+        assert not exactnum._passes_miller_rabin(825265)
+        assert exactnum._passes_miller_rabin(10**11 + 3)
+        assert exactnum._passes_miller_rabin(PRIME_ABOVE_MILLER_RABIN_BOUND)
+
+    def test_probable_prime_above_bound_takes_trial_division(self, monkeypatch):
+        # certified trial division of a number this size runs to its cube
+        # root, about 7.5*10**7 divisions; record the routing instead
+        calls = []
+
+        def recorded(n):
+            calls.append(n)
+            return 1, n
+
+        monkeypatch.setattr(exactnum, "_trial_split", recorded)
+        n = PRIME_ABOVE_MILLER_RABIN_BOUND
+        assert square_free_split(n) == (1, n)
+        assert square_free_split(n * 1009**2 * 3**3) == (1009 * 3, 3 * n)
+        assert square_free_split(n * n) == (n, 1)
+        assert calls == [n, n]
+        # just below the bound, a pass proves primality
+        calls.clear()
+        below = 3317044064679887385961813  # the greatest prime below it
+        assert square_free_split(below) == (1, below)
+        assert calls == []
+
+    def test_trial_division_fallback_is_exact(self, monkeypatch):
+        # with the proven bound lowered, probable primes and the composites
+        # built from them take the real fallback
+        monkeypatch.setattr(exactnum, "_MILLER_RABIN_PROVEN", 10**6)
+        for n in (1000003, 1000003 * 1000033, 1009**3 * 1000003, 10**9 + 7):
+            assert square_free_split(n) == reference_square_free_split(n)
+
+
 class TestArithmetic:
     def test_mul_examples(self):
         assert Surd(30, 22) * Surd(30, 22) == 19800
@@ -129,6 +237,22 @@ class TestArithmetic:
         assert Surd(1, 6) / Surd(1, 2) == Surd(1, 3)
         assert Surd(3, 5) / 3 == Surd(1, 5)
         assert 10 / Surd(1, 2) == Surd(5, 2)
+
+    @given(
+        st.fractions(max_denominator=10**4).filter(bool),
+        st.fractions(max_denominator=10**4).filter(bool),
+        st.integers(min_value=2, max_value=10**6).filter(lambda r: square_free_split(r)[0] == 1),
+        coefficients,
+        radicands,
+    )
+    def test_division_by_sum_over_one_radicand(self, a, b, r, c, s):
+        x = a + Surd(b, r)
+        inverse = 1 / x
+        assert x * inverse == 1 and is_normal_form(inverse)
+        # (a + b*sqrt(r)) * (a - b*sqrt(r)) = a*a - b*b*r
+        assert inverse == (a - Surd(b, r)) / (a * a - b * b * r)
+        y = Surd(c, s)
+        assert (y / x) * x == y and is_normal_form(y / x)
 
     def test_mul_commutative_associative(self):
         rng = random.Random(11)

@@ -1,6 +1,7 @@
 """Differential test of Surd arithmetic against sympy, used as a test-only
 oracle: random sums of one to four terms, checked for + - *, division by
-single terms, order, ==/hash consistency, approx and square_free_split."""
+single terms, order, ==/hash consistency, approx and square_free_split
+(random n up to 10**12 and 25-35-digit products of known primes)."""
 
 import random
 from fractions import Fraction
@@ -91,6 +92,30 @@ def test_approx_within_relative_bound(pairs, digits):
 def test_square_free_split_matches_factorint():
     rng = random.Random(7)
     for n in [1, 2, 4, 12, 19800, 2**20, 3**7 * 5**2] + [rng.randint(1, 10**12) for _ in range(200)]:
+        outer = core = 1
+        for p, e in sympy.factorint(n).items():
+            outer *= p ** (e // 2)
+            core *= p ** (e % 2)
+        assert square_free_split(n) == (outer, core)
+
+
+def known_prime_products(count: int) -> list[int]:
+    """Products of primes between 10**4 and 10**9, some squared or cubed,
+    with 25 to 35 digits."""
+    rng = random.Random(11)
+    products = []
+    while len(products) < count:
+        n = 1
+        while n < 10**24:
+            prime = sympy.nextprime(int(10 ** rng.uniform(4, 9)))
+            n *= prime ** rng.choice((1, 1, 1, 2, 3))
+        if n < 10**35:
+            products.append(n)
+    return products
+
+
+def test_square_free_split_matches_factorint_on_large_products():
+    for n in known_prime_products(40):
         outer = core = 1
         for p, e in sympy.factorint(n).items():
             outer *= p ** (e // 2)

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from cyclicquad.exactnum import Surd
+from cyclicquad.exactnum import IncompatibleRadicands, Surd
 from cyclicquad.mensuration import (
     DegenerateRhombus,
     DiagQuad,
@@ -260,6 +260,18 @@ class TestCyclicDiagonals:
             q = random_quad(rng)
             pair = cyclic_diagonal_pair(q)
             assert ptolemy_check(q, pair)
+
+    def test_divides_by_a_sum_over_one_radicand(self):
+        # with b = d, p**2 = q**2 = (ac + b*b)*b*(a + c) / (b*(a + c)); here
+        # ac = 2 and a + c = -1 + 3*sqrt(2), divided through its conjugate
+        q = quad(1 + Surd(1, 2), 3, Surd(2, 2) - 2, 3)
+        pair = cyclic_diagonal_pair(q)
+        assert pair == DiagonalPair(Surd(1, 11), Surd(1, 11))
+        assert ptolemy_check(q, pair)
+
+    def test_irrational_diagonal_square_refused_by_sqrt(self):
+        with pytest.raises(IncompatibleRadicands, match="sqrt of the irrational"):
+            cyclic_diagonal_pair(quad(Surd(3, 2), 5, 6, 7))
 
 
 class TestPtolemyCheck:
