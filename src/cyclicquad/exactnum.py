@@ -27,10 +27,15 @@ the first p whose estimate exceeds that bound decides the sign, and such a
 p exists because the sum is nonzero.
 
 Division by a sum over one radicand, a + b*sqrt(r), multiplies by the
-conjugate: (a - b*sqrt(r))/(a*a - b*b*r).  Division by any other sum of two
-or more terms, the square root of an irrational value, and the single-term
-accessors ``coefficient``/``radicand`` of a sum raise
-``IncompatibleRadicands``.
+conjugate: (a - b*sqrt(r))/(a*a - b*b*r).  The square root of a positive
+a + b*sqrt(r) denests when its norm a*a - b*b*r is the square of a rational
+d: sqrt(a + b*sqrt(r)) = sqrt((a + d)/2) + sgn(b)*sqrt((a - d)/2) (Borodin,
+Fagin, Hopcroft and Tompa, J. Symbolic Comput. 1, 1985).  For such a value
+the test is complete: a square root in this field squares to a + b*sqrt(r)
+only with at most two terms, and two terms force a square norm.  Division
+by any other sum of two or more terms, the square root of any other
+irrational value, and the single-term accessors ``coefficient``/``radicand``
+of a sum raise ``IncompatibleRadicands``.
 
 Exact and approximate values stay apart.  An approximation is a plain
 Fraction (``approx``, ``sqrt_fraction``), and a Surd never equals one
@@ -52,11 +57,7 @@ Exact = Union[Fraction, "Surd"]
 Terms = tuple[tuple[Fraction, int], ...]
 
 
-class ExactnessError(ArithmeticError):
-    """Base for failures of the exact-arithmetic substrate."""
-
-
-class IncompatibleRadicands(ExactnessError):
+class IncompatibleRadicands(ArithmeticError):
     """The operation's result has no form the caller asked for: a single
     c*sqrt(r) term, a surd square root, or a quotient by a single term."""
 
@@ -286,8 +287,20 @@ class Surd:
 
     @staticmethod
     def sqrt(value: Union[int, Exact]) -> Exact:
-        """Exact square root of a nonnegative rational, in normal form."""
+        """Exact square root of a nonnegative value, in normal form.  An
+        irrational value is denested (module docstring) or refused."""
         if isinstance(value, Surd):
+            if value < 0:
+                raise NegativeRadicand(f"sqrt of negative value {value}")
+            if len(value.terms) == 2 and value.terms[0][1] == 1:
+                (a, _), (b, r) = value.terms
+                norm = a * a - b * b * r
+                # in lowest terms n/m is a square iff n*m is
+                root = isqrt(max(norm.numerator, 0) * norm.denominator)
+                if root * root == norm.numerator * norm.denominator:
+                    d = Fraction(root, norm.denominator)
+                    low = Surd.sqrt((a - d) / 2)
+                    return Surd.sqrt((a + d) / 2) + (low if b > 0 else -low)
             raise IncompatibleRadicands(f"sqrt of the irrational {value} is not a surd")
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"not an exact scalar: {value!r}")
@@ -344,14 +357,6 @@ class Surd:
             return NotImplemented
         return _normal(_product(theirs, _reciprocal(self.terms)))
 
-    def __pow__(self, exponent: int):
-        if exponent != int(exponent) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = Fraction(1)
-        for _ in range(int(exponent)):
-            result = result * self
-        return result
-
     # -- exact comparison --------------------------------------------------
 
     def _cmp(self, other):
@@ -407,7 +412,7 @@ class Surd:
         c * isqrt(r * 10**2p) / 10**p."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        places = digits + _GUARD_DIGITS
+        places = digits + GUARD_DIGITS
         target = 10**places
         while True:
             total, bound, den = _estimate(self.terms, places)
@@ -517,7 +522,7 @@ def to_exact(value: Union[int, Exact]) -> Exact:
 
 
 # One extra block of digits absorbs rounding in intermediate square roots.
-_GUARD_DIGITS = 10
+GUARD_DIGITS = 10
 
 DEFAULT_DIGITS = 50
 

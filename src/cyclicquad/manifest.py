@@ -137,10 +137,7 @@ def run_manifest(digits: int = DEFAULT_DIGITS) -> list[ManifestEntry]:
             "both diagonal triangles of the 77-split share circumradius 42.5",
             "concyclicity of the 75/68/51/40 figure",
             [Fraction(85, 2), Fraction(85, 2)],
-            [
-                triangle_circumradius(quad77.first_triangle()),
-                triangle_circumradius(quad77.second_triangle()),
-            ],
+            [triangle_circumradius(t) for t in quad77.triangles],
         ),
         _entry(
             "rhombus-15-20-25",

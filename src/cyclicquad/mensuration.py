@@ -10,7 +10,7 @@ cyclic diagonal formulas tied to Ptolemy's theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import Exact, Surd, to_exact
@@ -80,22 +80,6 @@ class QuadSides:
                     f"closure fails: side {side} >= sum of the other three"
                 )
 
-    @property
-    def a(self) -> Exact:
-        return self.sides[0]
-
-    @property
-    def b(self) -> Exact:
-        return self.sides[1]
-
-    @property
-    def c(self) -> Exact:
-        return self.sides[2]
-
-    @property
-    def d(self) -> Exact:
-        return self.sides[3]
-
 
 def quad(a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> QuadSides:
     return QuadSides((a, b, c, d))
@@ -105,25 +89,21 @@ def quad(a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> Quad
 class DiagQuad:
     """A quadrilateral with one diagonal fixed.  The diagonal always joins
     the vertex between sides d and a to the vertex between sides b and c,
-    splitting the figure into triangles (a, b, diagonal) and
-    (c, d, diagonal); rotate the side order for any other split."""
+    splitting the figure into `triangles`, Triangle(a, b, diagonal) and
+    Triangle(c, d, diagonal), each validated once here; rotate the side
+    order for any other split."""
 
     sides: QuadSides
     diagonal: Exact
+    triangles: tuple[Triangle, Triangle] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "diagonal", to_exact(self.diagonal))
-        if not self.diagonal > 0:
-            raise InvalidQuad(f"diagonal must be positive: {self.diagonal}")
-        # both induced triangles must be valid; Triangle raises otherwise
-        self.first_triangle()
-        self.second_triangle()
-
-    def first_triangle(self) -> Triangle:
-        return Triangle(self.sides.a, self.sides.b, self.diagonal)
-
-    def second_triangle(self) -> Triangle:
-        return Triangle(self.sides.c, self.sides.d, self.diagonal)
+        diagonal = to_exact(self.diagonal)
+        a, b, c, d = self.sides.sides
+        # Triangle raises InvalidTriangle for a nonpositive diagonal too
+        triangles = (Triangle(a, b, diagonal), Triangle(c, d, diagonal))
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "triangles", triangles)
 
 
 @dataclass(frozen=True)
@@ -207,8 +187,6 @@ def heron_area(t: Triangle) -> Exact:
     itself a surd (its square is rational)."""
     a2, b2, c2 = (s * s for s in t.sides)
     sixteen_t2 = 2 * (a2 * b2 + b2 * c2 + c2 * a2) - a2 * a2 - b2 * b2 - c2 * c2
-    if sixteen_t2 <= 0:
-        raise InvalidTriangle(f"degenerate triangle {t.sides}")
     return Surd.sqrt(sixteen_t2) / 4
 
 
@@ -227,29 +205,12 @@ def rhombus_area(r: Rhombus) -> Exact:
     return r.d1 * rhombus_second_diagonal(r) / 2
 
 
-def abadha_split(
-    base: int | Exact, flank_left: int | Exact, flank_right: int | Exact
-) -> tuple[Exact, Exact, Exact]:
-    """Foot-of-perpendicular split of a triangle base: returns the two base
-    segments (left one adjacent to flank_left) and the height."""
-    base = to_exact(base)
-    left = to_exact(flank_left)
-    right = to_exact(flank_right)
-    if not (base > 0 and left > 0 and right > 0):
-        raise InvalidTriangle(
-            f"no triangle with base {base} and flanks {left}, {right}"
-        )
-    segment_left = (base * base + left * left - right * right) / (2 * base)
-    segment_right = base - segment_left
-    height_sq = left * left - segment_left * segment_left
-    # positive altitude squared is equivalent to the strict triangle
-    # inequality, given positive lengths
-    if height_sq <= 0:
-        raise InvalidTriangle(
-            f"no triangle with base {base} and flanks {left}, {right}"
-        )
-    height = Surd.sqrt(height_sq)
-    return segment_left, segment_right, height
+def abadha_split(t: Triangle) -> tuple[Exact, Exact, Exact]:
+    """Foot-of-perpendicular split of side c: returns the two segments of c
+    (the first adjacent to side a) and the height onto c."""
+    segment_a = (t.c * t.c + t.a * t.a - t.b * t.b) / (2 * t.c)
+    height = Surd.sqrt(t.a * t.a - segment_a * segment_a)
+    return segment_a, t.c - segment_a, height
 
 
 def area_by_diagonal(dq: DiagQuad) -> MensurationReport:
@@ -267,7 +228,7 @@ def area_by_diagonal(dq: DiagQuad) -> MensurationReport:
 
 def split_triangle_areas(dq: DiagQuad) -> tuple[Exact, Exact]:
     """The two Heron areas on either side of the diagonal, unsummed."""
-    return heron_area(dq.first_triangle()), heron_area(dq.second_triangle())
+    return tuple(heron_area(t) for t in dq.triangles)
 
 
 def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .exactnum import (
-    _GUARD_DIGITS,
     DEFAULT_DIGITS,
+    GUARD_DIGITS,
     IncompatibleRadicands,
     approx,
     sqrt_fraction,
@@ -55,20 +55,20 @@ def embed(dq: DiagQuad, digits: int = DEFAULT_DIGITS) -> Embedding:
     diagonal's length, the apex of the (a, b) triangle strictly above the
     axis and the apex of the (c, d) triangle strictly below (convex
     position)."""
-    a, b, c, d = dq.sides.sides
-    seg1, _, h1 = abadha_split(dq.diagonal, a, b)
-    seg2, _, h2 = abadha_split(dq.diagonal, d, c)
+    t1, t2 = dq.triangles
+    seg1, _, h1 = abadha_split(t1)
+    _, seg2, h2 = abadha_split(t2)
     diag, x1, y1, x2, y2 = (approx(v, digits) for v in (dq.diagonal, seg1, h1, seg2, h2))
     zero = Fraction(0)
     return Embedding(((zero, zero), (x1, y1), (diag, zero), (x2, -y2)), digits)
 
 
 def embed_triangle(t: Triangle, digits: int = DEFAULT_DIGITS) -> Embedding:
-    """Planar realization of a triangle with side a on the x-axis."""
-    seg, _, h = abadha_split(t.a, t.b, t.c)
-    a, x, y = (approx(v, digits) for v in (t.a, seg, h))
+    """Planar realization of a triangle with side c on the x-axis."""
+    seg, _, h = abadha_split(t)
+    c, x, y = (approx(v, digits) for v in (t.c, seg, h))
     zero = Fraction(0)
-    return Embedding(((zero, zero), (a, zero), (x, y)), digits)
+    return Embedding(((zero, zero), (c, zero), (x, y)), digits)
 
 
 def shoelace_area(e: Embedding) -> Fraction:
@@ -110,7 +110,7 @@ def concyclic(e: Embedding, tolerance=None) -> bool:
         raise DegenerateCollinear("first three points are collinear within tolerance")
     cx, cy = _circumcenter(*e.points[:3])
     radii = [
-        sqrt_fraction((x - cx) ** 2 + (y - cy) ** 2, digits + _GUARD_DIGITS)
+        sqrt_fraction((x - cx) ** 2 + (y - cy) ** 2, digits + GUARD_DIGITS)
         for x, y in e.points
     ]
     return max(radii) - min(radii) < tolerance
@@ -180,7 +180,7 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     # per triangle: P = k * X^2 - X^4 - c for the scaled diagonal X
     k1, c1 = 2 * (sa + sb) * den, (sa - sb) ** 2 * den * den
     k2, c2 = 2 * (sc + sd) * den, (sc - sd) ** 2 * den * den
-    scale = 10 ** (digits + _GUARD_DIGITS)
+    scale = 10 ** (digits + GUARD_DIGITS)
     scale_sq = scale * scale
     roots = []
     for i in range(1, steps + 1):

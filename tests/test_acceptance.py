@@ -93,8 +93,7 @@ def test_04_diagonal_trio_and_circumradii():
             diagonals |= {pair.p, pair.q}
         assert diagonals == {Fraction(77), Fraction(84), Fraction(85)}
         dq = DiagQuad(quad(75, 68, 51, 40), 77)
-        assert triangle_circumradius(dq.first_triangle()) == Fraction(85, 2)
-        assert triangle_circumradius(dq.second_triangle()) == Fraction(85, 2)
+        assert [triangle_circumradius(t) for t in dq.triangles] == [Fraction(85, 2)] * 2
 
 
 def test_05_rhombus_family():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cyclicquad.cli as cli
-from cyclicquad import exactnum, triples
+from cyclicquad import exactnum, mensuration, triples
 from cyclicquad.cli import main
 from cyclicquad.manifest import ManifestEntry
 
@@ -104,6 +104,11 @@ class TestArea:
         code, out, err = run_cli(capsys, "area", "2", "3", "4", "5", "--diagonal", "3")
         assert code == 2 and out == ""
         assert err == "error: 6 + 2*sqrt(2) has no single c*sqrt(r) form\n"
+
+    def test_nonpositive_diagonal(self, capsys):
+        code, out, err = run_cli(capsys, "area", "75", "68", "51", "40", "--diagonal", "0")
+        assert code == 2 and out == ""
+        assert err == "error: lengths must be positive: 0\n"
 
     def test_diagonal_on_triangle(self, capsys):
         code, _, err = run_cli(capsys, "area", "3", "4", "5", "--diagonal", "2")
@@ -312,6 +317,21 @@ class TestFactoring:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(seen) == len(set(seen)) == calls
+
+
+class TestValidation:
+    def test_split_validates_each_triangle_once(self, capsys, monkeypatch):
+        seen = []
+        original = mensuration.Triangle.__post_init__
+
+        def counting(self):
+            seen.append(self)
+            original(self)
+
+        monkeypatch.setattr(mensuration.Triangle, "__post_init__", counting)
+        code, _, _ = run_cli(capsys, "area", "75", "68", "51", "40", "--diagonal", "77")
+        assert code == 0
+        assert len(seen) == 2
 
 
 class TestOutFile:

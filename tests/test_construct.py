@@ -138,12 +138,8 @@ class TestReflectSwap:
         dq = built.as_diag_quad()
         for which in ("first_triangle", "second_triangle"):
             swapped = reflect_swap(dq, which)
-            assert triangle_circumradius(
-                swapped.first_triangle()
-            ) == triangle_circumradius(dq.first_triangle())
-            assert triangle_circumradius(
-                swapped.second_triangle()
-            ) == triangle_circumradius(dq.second_triangle())
+            for before, after in zip(dq.triangles, swapped.triangles):
+                assert triangle_circumradius(after) == triangle_circumradius(before)
 
     def test_unknown_selector(self):
         dq = DiagQuad(quad(25, 25, 25, 25), Surd(25, 2))

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from cyclicquad import exactnum
 from cyclicquad.exactnum import (
-    _GUARD_DIGITS,
+    GUARD_DIGITS,
     IncompatibleRadicands,
     NegativeRadicand,
     Surd,
@@ -286,7 +286,7 @@ class TestArithmetic:
 
         monkeypatch.setattr(exactnum, "square_free_split", counted)
         results = [a + b, a - b, a * b, b * a, a * single, a / single,
-                   single / b.terms[0][0], 7 / single, a ** 3, -a, abs(b)]
+                   single / b.terms[0][0], 7 / single, a * a * a, -a, abs(b)]
         assert all(isinstance(r, (Fraction, Surd)) for r in results)
         assert calls == []
 
@@ -312,6 +312,32 @@ class TestArithmetic:
             lhs = (a + b) * (a + b)
             rhs = a * a + 2 * a * b + b * b
             assert lhs == rhs
+
+
+class TestDenesting:
+    def test_square_of_a_binomial_denests(self):
+        assert Surd.sqrt(3 + Surd(2, 2)) == 1 + Surd(1, 2)
+        assert Surd.sqrt(3 - Surd(2, 2)) == Surd(1, 2) - 1
+        # (sqrt(2) + sqrt(6))**2 = 8 + 4*sqrt(3)
+        assert Surd.sqrt(8 + Surd(4, 3)) == Surd(1, 2) + Surd(1, 6)
+
+    def test_refusals(self):
+        with pytest.raises(NegativeRadicand):
+            Surd.sqrt(-Surd(1, 2))
+        with pytest.raises(NegativeRadicand):
+            Surd.sqrt(1 - Surd(1, 2))
+        # norm 1 - 2 = -1 is not a square
+        with pytest.raises(IncompatibleRadicands, match="sqrt of the irrational"):
+            Surd.sqrt(1 + Surd(1, 2))
+        # norm 25 - 24 = 1 is a square, but the sum has two radicands
+        with pytest.raises(IncompatibleRadicands, match="sqrt of the irrational"):
+            Surd.sqrt(5 + Surd(2, 6) + Surd(1, 2))
+
+    @given(coefficients, coefficients, radicands)
+    def test_sqrt_of_a_square(self, p, q, r):
+        x = p + Surd(q, r)
+        root = Surd.sqrt(x * x)
+        assert root == abs(x) and is_normal_form(root)
 
 
 class TestCopyAndPickle:
@@ -384,7 +410,7 @@ class TestApprox:
     )
     def test_single_term_matches_floor_root(self, r, c, digits):
         # the former single-term formula, kept as the reference
-        expected = c * sqrt_fraction(Fraction(r), digits + _GUARD_DIGITS)
+        expected = c * sqrt_fraction(Fraction(r), digits + GUARD_DIGITS)
         assert Surd(c, r).approx(digits) == expected
 
     def test_rational_value_built_with_radicand_one(self):

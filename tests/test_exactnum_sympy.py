@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclicquad.exactnum import _GUARD_DIGITS, Surd, approx, square_free_split
+from cyclicquad.exactnum import GUARD_DIGITS, Surd, approx, square_free_split
 
 sympy = pytest.importorskip("sympy")
 
@@ -82,10 +82,10 @@ def test_equality_and_hash_agree(pairs):
 
 @pytest.mark.parametrize("digits", [5, 30, 60])
 def test_approx_within_relative_bound(pairs, digits):
-    bound = Fraction(1, 10 ** (digits + _GUARD_DIGITS))
+    bound = Fraction(1, 10 ** (digits + GUARD_DIGITS))
     for a, _, _ in pairs:
         got = approx(a, digits)
-        exact = sympy.Rational(str(sympy.N(as_sympy(a), digits + _GUARD_DIGITS + 30)))
+        exact = sympy.Rational(str(sympy.N(as_sympy(a), digits + GUARD_DIGITS + 30)))
         assert abs(sympy.Rational(got.numerator, got.denominator) - exact) <= bound * abs(exact)
 
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -94,7 +97,7 @@ class TestClosure:
         scale = 10**90
         floors = sum(isqrt(r * scale * scale) for r in (2, 3, 5))
         surds = (Surd(1, 2), Surd(1, 3), Surd(1, 5))
-        assert quad(*surds, Fraction(floors, scale)).d == Fraction(floors, scale)
+        assert quad(*surds, Fraction(floors, scale)).sides[3] == Fraction(floors, scale)
         with pytest.raises(InvalidQuad):
             quad(*surds, Fraction(floors + 3, scale))
 
@@ -176,11 +179,11 @@ class TestRhombus:
 
 class TestAbadha:
     def test_lilavati_perpendicular_split(self):
-        assert abadha_split(77, 75, 68) == (45, 32, 60)
-        assert abadha_split(77, 40, 51) == (32, 45, 24)
+        assert abadha_split(Triangle(75, 68, 77)) == (45, 32, 60)
+        assert abadha_split(Triangle(40, 51, 77)) == (32, 45, 24)
 
     def test_right_triangle_altitude(self):
-        assert abadha_split(5, 3, 4) == (
+        assert abadha_split(Triangle(3, 4, 5)) == (
             Fraction(9, 5),
             Fraction(16, 5),
             Fraction(12, 5),
@@ -188,17 +191,58 @@ class TestAbadha:
 
     def test_invalid(self):
         with pytest.raises(InvalidTriangle):
-            abadha_split(10, 2, 3)
+            abadha_split(Triangle(2, 3, 10))
 
     def test_segment_and_flank_identities(self):
         rng = random.Random(41)
         for _ in range(300):
             t = random_triangle(rng)
-            seg_l, seg_r, h = abadha_split(t.a, t.b, t.c)
+            seg_l, seg_r, h = abadha_split(Triangle(t.b, t.c, t.a))
             assert seg_l + seg_r == t.a
             h_sq = h * h
             assert seg_l * seg_l + h_sq == t.b * t.b
             assert seg_r * seg_r + h_sq == t.c * t.c
+
+
+class TestDiagQuad:
+    def test_keeps_its_two_checked_triangles(self):
+        dq = DiagQuad(quad(75, 68, 51, 40), 77)
+        assert dq.triangles == (Triangle(75, 68, 77), Triangle(51, 40, 77))
+
+    def test_equality_hash_and_repr_ignore_triangles(self):
+        dq = DiagQuad(quad(75, 68, 51, 40), 77)
+        twin = DiagQuad(quad(75, 68, 51, 40), Fraction(77))
+        object.__setattr__(twin, "triangles", dq.triangles[::-1])
+        assert twin.triangles != dq.triangles
+        assert dq == twin and hash(dq) == hash(twin)
+        assert repr(dq) == repr(twin) == (
+            f"DiagQuad(sides={dq.sides!r}, diagonal={dq.diagonal!r})"
+        )
+
+    @pytest.mark.parametrize(
+        "dq",
+        [DiagQuad(quad(75, 68, 51, 40), 77), DiagQuad(quad(25, 25, 25, 25), Surd(25, 2))],
+        ids=["rational", "surd-diagonal"],
+    )
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_clones_keep_the_triangles(self, dq, clone):
+        got = clone(dq)
+        assert got == dq and hash(got) == hash(dq)
+        assert got.triangles == dq.triangles
+
+    def test_replace_rebuilds_the_triangles(self):
+        dq = dataclasses.replace(DiagQuad(quad(75, 68, 51, 40), 77), diagonal=85)
+        assert dq == DiagQuad(quad(75, 68, 51, 40), 85)
+        assert dq.triangles == (Triangle(75, 68, 85), Triangle(51, 40, 85))
+
+    def test_nonpositive_diagonal_is_an_invalid_triangle(self):
+        for diagonal in (0, -1):
+            with pytest.raises(InvalidTriangle):
+                DiagQuad(quad(75, 68, 51, 40), diagonal)
 
 
 class TestAreaByDiagonal:

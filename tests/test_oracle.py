@@ -5,7 +5,7 @@ import pytest
 
 from cyclicquad import exactnum, oracle
 from cyclicquad.exactnum import (
-    _GUARD_DIGITS,
+    GUARD_DIGITS,
     IncompatibleRadicands,
     Surd,
     approx,
@@ -78,7 +78,7 @@ class TestEmbed:
             for i in range(4):
                 x1, y1 = e.points[i]
                 x2, y2 = e.points[(i + 1) % 4]
-                dist = sqrt_fraction((x2 - x1) ** 2 + (y2 - y1) ** 2, 50 + _GUARD_DIGITS)
+                dist = sqrt_fraction((x2 - x1) ** 2 + (y2 - y1) ** 2, 50 + GUARD_DIGITS)
                 assert abs(dist - approx(dq.sides.sides[i], 50)) < TIGHT
 
 
@@ -263,7 +263,7 @@ class TestAreaScan:
         lower, upper = diagonal_range(q)
         lo = approx(lower, digits)
         step = (approx(upper, digits) - lo) / 1000
-        bound = Fraction(2, 10 ** (digits + _GUARD_DIGITS))
+        bound = Fraction(2, 10 ** (digits + GUARD_DIGITS))
         oracle_areas = []
         for i, (diag, area) in enumerate(result.samples, start=1):
             assert diag == lo + i * step
@@ -294,11 +294,11 @@ class TestAreaScan:
         result = area_scan(q, 9, digits)
         assert len(result.samples) == 9
         assert lower < result.samples[0][0] < result.samples[-1][0] < upper
-        bound = Fraction(2, 10 ** (digits + _GUARD_DIGITS))
+        bound = Fraction(2, 10 ** (digits + GUARD_DIGITS))
 
         def quarter_root(s, t, x):
             sixteen_t2 = (s + t + x) * (t + x - s) * (s + x - t) * (s + t - x)
-            return sqrt_fraction(sixteen_t2, digits + 30 + _GUARD_DIGITS) / 4
+            return sqrt_fraction(sixteen_t2, digits + 30 + GUARD_DIGITS) / 4
 
         for diag, area in result.samples:
             x = diag
