@@ -13,8 +13,8 @@ renderers print every report:
 - JSON is deterministic: fixed key order, an exact value as
   {coefficient: {num, den}, radicand, decimal} with every field a string.
 The decimal of an exact value is `render_decimal(approx(value, digits),
-digits)`.  `scan` prints approximations only, so it renders them to decimal
-strings itself and neither renderer sees a Fraction approximation.
+digits)`.  `scan` prints approximations only: it renders each sample to a
+decimal string from the scan's integer numerator and denominator.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -28,7 +28,14 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .construct import brahmagupta_quad, rhombus_from_triple
-from .exactnum import DEFAULT_DIGITS, IncompatibleRadicands, Surd, approx, render_decimal
+from .exactnum import (
+    DEFAULT_DIGITS,
+    IncompatibleRadicands,
+    Surd,
+    approx,
+    render_decimal,
+    render_ratio,
+)
 from .manifest import run_manifest
 from .mensuration import (
     DiagQuad,
@@ -227,19 +234,22 @@ def cmd_scan(args) -> int:
         _write(scan_svg(q, result, digits), args.out)
         return EXIT_OK
 
-    def sample(pair):
-        return [render_decimal(v, digits) for v in pair]
+    den, x0, dx, roots, area_den = result.den, result.x0, result.dx, result.roots, result.area_den
 
+    def sample(i):
+        return [render_ratio(x0 + i * dx, den, digits), render_ratio(roots[i], area_den, digits)]
+
+    argmax_diagonal, max_area = sample(result.argmax)
     report = {
         "sides": sides,
         "steps": args.steps,
-        "argmax_diagonal": render_decimal(result.argmax_diagonal, digits),
-        "max_area": render_decimal(result.max_area, digits),
-        "first_sample": sample(result.samples[0]),
-        "last_sample": sample(result.samples[-1]),
+        "argmax_diagonal": argmax_diagonal,
+        "max_area": max_area,
+        "first_sample": sample(0),
+        "last_sample": sample(len(roots) - 1),
     }
     if args.format == "json":
-        report["samples"] = [sample(pair) for pair in result.samples]
+        report["samples"] = [sample(i) for i in range(len(roots))]
     return _write_report(args, "scan", report)
 
 

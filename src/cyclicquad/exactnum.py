@@ -40,7 +40,9 @@ of a sum raise ``IncompatibleRadicands``.
 Exact and approximate values stay apart.  An approximation is a plain
 Fraction (``approx``, ``sqrt_fraction``), and a Surd never equals one
 because no Surd has a rational value.  It becomes a decimal string with
-``render_decimal`` only where a report prints it.
+``render_decimal`` only where a report prints it.  ``render_ratio`` and
+``fixed_ratio`` print an integer ratio num/den the same way without
+building a Fraction, for callers that hold a numerator and denominator.
 """
 
 from __future__ import annotations
@@ -556,31 +558,38 @@ def render_decimal(value: Fraction, digits: int) -> str:
     unless the digit budget is exhausted by the integer part).  Below 1 the
     leading "0." counts as one digit, so a value v with 0 < |v| < 0.1 keeps
     the digits - 1 significant digits that [0.1, 1) gets, and a nonzero
-    value below 1 always shows at least one significant digit.  Works on the
-    integers `value.numerator` and `value.denominator` alone, so an int is
+    value below 1 always shows at least one significant digit.  An int is
     accepted as well."""
+    return render_ratio(value.numerator, value.denominator, digits)
+
+
+def render_ratio(num: int, den: int, digits: int) -> str:
+    """`render_decimal` of num/den for integers num and den > 0, without
+    building the Fraction: the string is the same for an unreduced ratio."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    num, den = value.numerator, value.denominator
-    if num < 0:
-        num = -num
-    if num >= den:
-        places = digits - len(str(num // den))
-    elif num:
+    size = -num if num < 0 else num
+    if size >= den:
+        places = digits - len(str(size // den))
+    elif size:
         # 10**-(z+1) <= |value| < 10**-z: z zeros follow the point
-        zeros = len(str((den - 1) // num)) - 1
+        zeros = len(str((den - 1) // size)) - 1
         places = max(digits - 1, 1) + zeros
     else:
         places = digits - 1
-    return fixed_point(value, max(places, 0))
+    return fixed_ratio(num, den, max(places, 0))
 
 
 def fixed_point(value: Fraction, places: int) -> str:
     """`value` rounded half away from zero to `places` fractional digits, as
     sign, integer part, '.', fraction part (no '.' when places is 0), with
-    no exponent; byte-identical across platforms.  Works on the integers
-    `value.numerator` and `value.denominator` alone."""
-    num, den = value.numerator, value.denominator
+    no exponent; byte-identical across platforms."""
+    return fixed_ratio(value.numerator, value.denominator, places)
+
+
+def fixed_ratio(num: int, den: int, places: int) -> str:
+    """`fixed_point` of num/den for integers num and den > 0, without
+    building the Fraction: the string is the same for an unreduced ratio."""
     negative = num < 0
     if negative:
         num = -num

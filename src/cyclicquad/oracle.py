@@ -2,19 +2,21 @@
 the x-axis, place the two off-diagonal vertices via the perpendicular-foot
 split, then measure with the shoelace rule and a circumcenter equidistance
 test.  An `Embedding` holds its points as plain Fraction coordinates, each
-the `precision`-digit approximation of an exact one.  Every approximation
-here, the shoelace area and the scan's samples included, is a plain
-Fraction; a report renders it as a decimal only where it prints it.  Also
-hosts the diagonal scan that demonstrates the indeterminacy of a
-quadrilateral's area when only the four sides are fixed.  The scan does
-not embed: it evaluates each sample's closed-form area on integers scaled
-to a shared denominator, with relative error below 2/F for
-F = 10**(digits + guard digits), and the embedding serves as its
-independent oracle in the tests."""
+the `precision`-digit approximation of an exact one, and the shoelace
+area is a plain Fraction; a report renders it as a decimal only where it
+prints it.  Also hosts the diagonal scan that demonstrates the
+indeterminacy of a quadrilateral's area when only the four sides are
+fixed.  The scan does not embed: it evaluates each sample's closed-form
+area on integers scaled to a shared denominator, with relative error below
+2/F for F = 10**(digits + guard digits), and returns those integers
+(`ScanResult`), so a renderer prints a sample from its numerator and
+denominator.  The embedding serves as its independent oracle in the
+tests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -136,9 +138,33 @@ def diagonal_range(q: QuadSides):
 
 @dataclass(frozen=True)
 class ScanResult:
-    samples: tuple[tuple[Fraction, Fraction], ...]
-    argmax_diagonal: Fraction
-    max_area: Fraction
+    """A diagonal scan on integers: sample i, for 0 <= i < len(roots), has
+    diagonal (x0 + i*dx)/den and area roots[i]/area_den, and `argmax` is the
+    index of the first maximum.  `samples`, `argmax_diagonal` and `max_area`
+    give the same values as Fractions; `samples` is built on first read."""
+
+    den: int
+    x0: int
+    dx: int
+    roots: tuple[int, ...]
+    area_den: int
+    argmax: int
+
+    @cached_property
+    def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        x0, dx, den, area_den = self.x0, self.dx, self.den, self.area_den
+        return tuple(
+            (Fraction(x0 + i * dx, den), Fraction(r, area_den))
+            for i, r in enumerate(self.roots)
+        )
+
+    @property
+    def argmax_diagonal(self) -> Fraction:
+        return Fraction(self.x0 + self.argmax * self.dx, self.den)
+
+    @property
+    def max_area(self) -> Fraction:
+        return Fraction(self.roots[self.argmax], self.area_den)
 
 
 def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanResult:
@@ -175,15 +201,15 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
         raise IncompatibleRadicands("the scan needs sides with rational squares")
     den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
     sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
-    x0 = lo.numerator * (den // lo.denominator)
     dx = step.numerator * (den // step.denominator)
+    x0 = lo.numerator * (den // lo.denominator) + dx
     # per triangle: P = k * X^2 - X^4 - c for the scaled diagonal X
     k1, c1 = 2 * (sa + sb) * den, (sa - sb) ** 2 * den * den
     k2, c2 = 2 * (sc + sd) * den, (sc - sd) ** 2 * den * den
     scale = 10 ** (digits + GUARD_DIGITS)
     scale_sq = scale * scale
     roots = []
-    for i in range(1, steps + 1):
+    for i in range(steps):
         xx = (x0 + i * dx) ** 2
         x4 = xx * xx
         p1 = k1 * xx - x4 - c1
@@ -194,10 +220,11 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
                 f"with sides {', '.join(str(s) for s in q.sides)}"
             )
         roots.append(isqrt(p1 * scale_sq) + isqrt(p2 * scale_sq))
-    area_den = 4 * den * den * scale
-    samples = tuple(
-        (Fraction(x0 + i * dx, den), Fraction(r, area_den))
-        for i, r in enumerate(roots, start=1)
+    return ScanResult(
+        den=den,
+        x0=x0,
+        dx=dx,
+        roots=tuple(roots),
+        area_den=4 * den * den * scale,
+        argmax=max(range(steps), key=roots.__getitem__),
     )
-    best = samples[max(range(steps), key=roots.__getitem__)]
-    return ScanResult(samples=samples, argmax_diagonal=best[0], max_area=best[1])

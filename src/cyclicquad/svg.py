@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import approx, fixed_point
+from .exactnum import approx, fixed_point, fixed_ratio, render_decimal
 from .mensuration import DiagQuad, QuadSides
 from .oracle import ScanResult, embed
 
@@ -24,10 +24,13 @@ def _fmt(value: Fraction) -> str:
     return fixed_point(value, 2)
 
 
-def _map(value: Fraction, lo: Fraction, hi: Fraction, out_lo: int, out_len: int) -> Fraction:
-    if hi == lo:
-        return Fraction(out_lo) + Fraction(out_len, 2)
-    return out_lo + (value - lo) * out_len / (hi - lo)
+def _label(value: Fraction) -> str:
+    """A length or area as text: two places from 0.1 up, three significant
+    digits below it (render_decimal counts the leading "0." as one), so a
+    small figure's labels do not read 0.00."""
+    if 10 * value < 1:
+        return render_decimal(value, 4)
+    return fixed_point(value, 2)
 
 
 def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
@@ -36,7 +39,7 @@ def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
     ys = [y for _, y in e.points]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
+    span = max(hi_x - lo_x, hi_y - lo_y)
     pad = 16
     scale = Fraction(min(_SNAP_W, _SNAP_H) - 2 * pad) / span
     pts = []
@@ -54,7 +57,7 @@ def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
         bx, by = pts[(i + 1) % 4]
         mx, my = (ax + bx) / 2, (ay + by) / 2
         parts.append(
-            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12">{_fmt(approx(sides[i], 12))}</text>'
+            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12">{_label(approx(sides[i], 12))}</text>'
         )
     parts.append(
         f'<text x="{x0 + 4}" y="{_SNAP_Y + _SNAP_H + 18}" font-size="13">{label}</text>'
@@ -63,30 +66,41 @@ def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
 
 
 def scan_svg(q: QuadSides, result: ScanResult, digits: int) -> str:
+    """The curve places sample i of n at x = px + i*pw/(n - 1) and its area
+    r/area_den at y = py + ph - (r - r_min)*ph/(r_max - r_min), exact
+    integer ratios; a zero range places every sample at the middle."""
     px, py, pw, ph = _PLOT
-    diags = [s[0] for s in result.samples]
-    areas = [s[1] for s in result.samples]
-    lo_d, hi_d = diags[0], diags[-1]
-    lo_a, hi_a = min(areas), max(areas)
-    curve = " ".join(
-        f"{_fmt(_map(d, lo_d, hi_d, px, pw))},{_fmt(py + ph - (_map(a, lo_a, hi_a, 0, ph)))}"
-        for d, a in zip(diags, areas)
-    )
+    den, x0, dx, roots, area_den = result.den, result.x0, result.dx, result.roots, result.area_den
+    last = len(roots) - 1
+    lo_r, hi_r = min(roots), max(roots)
+    if dx:
+        xs = [fixed_ratio(px * last + i * pw, last, 2) for i in range(last + 1)]
+    else:
+        xs = [fixed_ratio(2 * px + pw, 2, 2)] * (last + 1)
+    if hi_r > lo_r:
+        span = hi_r - lo_r
+        top = (py + ph) * span + lo_r * ph
+        ys = [fixed_ratio(top - r * ph, span, 2) for r in roots]
+    else:
+        ys = [fixed_ratio(2 * py + ph, 2, 2)] * (last + 1)
+    curve = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
+    lo_d, hi_d = Fraction(x0, den), Fraction(x0 + last * dx, den)
+    lo_a, hi_a = Fraction(lo_r, area_den), Fraction(hi_r, area_den)
     body: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}">',
         f'<rect x="{px}" y="{py}" width="{pw}" height="{ph}" fill="none" stroke="black" stroke-width="2"/>',
         f'<polyline points="{curve}" fill="none" stroke="black" stroke-width="2"/>',
-        f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_fmt(lo_d)} to {_fmt(hi_d)}</text>',
-        f'<text x="{px}" y="{py - 12}" font-size="13">area {_fmt(lo_a)} to {_fmt(hi_a)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_fmt(result.max_area)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_fmt(result.argmax_diagonal)}</text>',
+        f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_label(lo_d)} to {_label(hi_d)}</text>',
+        f'<text x="{px}" y="{py - 12}" font-size="13">area {_label(lo_a)} to {_label(hi_a)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_label(result.max_area)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_label(result.argmax_diagonal)}</text>',
     ]
     snapshots = [
-        (result.samples[0][0], 20, "smallest sampled diagonal"),
+        (lo_d, 20, "smallest sampled diagonal"),
         (result.argmax_diagonal, 20 + _SNAP_W + 30, "area-maximizing diagonal"),
-        (result.samples[-1][0], 20 + 2 * (_SNAP_W + 30), "largest sampled diagonal"),
+        (hi_d, 20 + 2 * (_SNAP_W + 30), "largest sampled diagonal"),
     ]
-    for diag, x0, label in snapshots:
-        body.extend(_snapshot(DiagQuad(q, diag), digits, x0, label))
+    for diag, left, label in snapshots:
+        body.extend(_snapshot(DiagQuad(q, diag), digits, left, label))
     body.append("</svg>")
     return "\n".join(body) + "\n"

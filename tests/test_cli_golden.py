@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI output for the worked examples, text and JSON forms.
+"""Byte-for-byte CLI output for the worked examples, text, JSON and SVG forms.
 
 Each case is (golden file under tests/data/cli/, exit code, argv).  A run
 that exits 0 must print the file on stdout and nothing on stderr; a refusal
@@ -27,6 +27,8 @@ CASES = (
     + [(f"{name}.json", 0, ["--format", "json", *argv]) for name, argv in _REPORTS]
     + [
         ("reproduce.json", 0, ["--format", "json", "reproduce"]),
+        ("scan_steps999.json", 0, ["--format", "json", "scan", "75", "40", "51", "68"]),
+        ("scan_steps999.svg", 0, ["--format", "svg", "scan", "75", "40", "51", "68"]),
         (
             "area_incommensurable_split.err",
             2,

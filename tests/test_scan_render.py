@@ -1,0 +1,154 @@
+"""The scan's renderers print from the integer `ScanResult`: the JSON samples
+and the SVG curve must equal what the Fraction samples give."""
+
+import io
+import json
+import re
+from contextlib import redirect_stdout
+from fractions import Fraction
+from unittest.mock import patch
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import cyclicquad.cli as cli
+import cyclicquad.svg as svg
+from cyclicquad.exactnum import Surd, fixed_point, render_decimal
+from cyclicquad.mensuration import InvalidQuad, InvalidTriangle, quad
+from cyclicquad.oracle import ScanResult, area_scan
+from cyclicquad.svg import _PLOT, scan_svg
+
+
+def reference_map(value, lo, hi, out_lo, out_len):
+    """The Fraction mapping the curve used before it worked on integers."""
+    if hi == lo:
+        return Fraction(out_lo) + Fraction(out_len, 2)
+    return out_lo + (value - lo) * out_len / (hi - lo)
+
+
+def reference_curve(result: ScanResult) -> str:
+    px, py, pw, ph = _PLOT
+    diags = [s[0] for s in result.samples]
+    areas = [s[1] for s in result.samples]
+    lo_d, hi_d = diags[0], diags[-1]
+    lo_a, hi_a = min(areas), max(areas)
+    return " ".join(
+        f"{fixed_point(reference_map(d, lo_d, hi_d, px, pw), 2)},"
+        f"{fixed_point(py + ph - reference_map(a, lo_a, hi_a, 0, ph), 2)}"
+        for d, a in zip(diags, areas)
+    )
+
+
+def svg_curve(text: str) -> str:
+    return re.search(r'<polyline points="([^"]*)"', text).group(1)
+
+
+def json_samples(result: ScanResult, digits: int) -> list:
+    """The JSON samples `cmd_scan` prints for `result`, whatever the sides."""
+    out = io.StringIO()
+    argv = ["--format", "json", "--digits", str(digits), "scan", "3", "4", "3", "4"]
+    with patch.object(cli, "area_scan", lambda q, steps, digits: result), redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue())["report"]["samples"]
+
+
+rational_sides = st.fractions(min_value=Fraction(1, 12), max_value=200, max_denominator=12)
+surd_sides = st.one_of(
+    rational_sides,
+    st.builds(Surd, st.fractions(min_value=Fraction(1, 4), max_value=40, max_denominator=4),
+              st.sampled_from([2, 3, 5, 6, 7])),
+)
+
+
+def quad_of(sides):
+    try:
+        return quad(*sides)
+    except InvalidQuad:
+        assume(False)
+
+
+def scan_of(q, steps, digits):
+    try:
+        return area_scan(q, steps, digits)
+    except InvalidTriangle:
+        # a low-digit grid end can fall outside a very thin feasible interval
+        assume(False)
+
+
+quads = st.one_of(
+    st.tuples(*[rational_sides] * 4),
+    st.tuples(*[surd_sides] * 4),
+).map(quad_of)
+
+
+class TestRenderersMatchFractions:
+    @settings(deadline=None)
+    @given(quads, st.integers(3, 60), st.integers(1, 60))
+    def test_json_samples(self, q, steps, digits):
+        result = scan_of(q, steps, digits)
+        expected = [[render_decimal(d, digits), render_decimal(a, digits)] for d, a in result.samples]
+        assert json_samples(result, digits) == expected
+
+    @settings(deadline=None)
+    @given(quads, st.integers(3, 60), st.integers(1, 60))
+    def test_svg_curve(self, q, steps, digits):
+        result = scan_of(q, steps, digits)
+        # the snapshots embed the figure, factoring at up to 60 digits
+        with patch.object(svg, "_snapshot", lambda *args: []):
+            text = scan_svg(q, result, digits)
+        assert svg_curve(text) == reference_curve(result)
+
+    @pytest.mark.parametrize("roots", [(7, 7, 7), (1, 9, 4)], ids=["flat", "varied"])
+    def test_zero_step(self, roots):
+        # every sample at diagonal 5 of the figure (3, 4, 3, 4)
+        result = ScanResult(den=2, x0=10, dx=0, roots=roots, area_den=3, argmax=roots.index(max(roots)))
+        assert svg_curve(scan_svg(quad(3, 4, 3, 4), result, 12)) == reference_curve(result)
+        expected = [[render_decimal(d, 12), render_decimal(a, 12)] for d, a in result.samples]
+        assert json_samples(result, 12) == expected
+        assert result.argmax_diagonal == 5
+
+    def test_renderers_leave_the_fraction_samples_unbuilt(self):
+        q = quad(75, 40, 51, 68)
+        result = area_scan(q, 99, 12)
+        scan_svg(q, result, 12)
+        json_samples(result, 12)
+        assert "samples" not in vars(result)
+        assert len(result.samples) == 99 and "samples" in vars(result)
+
+
+def polygons(text: str) -> list[list[tuple[float, float]]]:
+    return [
+        [tuple(float(v) for v in point.split(",")) for point in points.split()]
+        for points in re.findall(r'<polygon points="([^"]*)"', text)
+    ]
+
+
+def svg_scan(*sides) -> str:
+    result = area_scan(quad(*sides), 9, 12)
+    return scan_svg(quad(*sides), result, 12)
+
+
+class TestSmallFigures:
+    @pytest.mark.parametrize("k", [Fraction(1, 40), Fraction(1, 10**39)], ids=["1/40", "1e-39"])
+    def test_snapshots_fill_their_box_at_any_scale(self, k):
+        expected = polygons(svg_scan(3, 4, 5, 6))
+        scaled = polygons(svg_scan(*(k * s for s in (3, 4, 5, 6))))
+        assert len(scaled) == len(expected) == 3
+        for got, want in zip(scaled, expected):
+            for (gx, gy), (wx, wy) in zip(got, want):
+                assert abs(gx - wx) <= 0.01 and abs(gy - wy) <= 0.01
+
+    def test_labels_keep_significant_digits(self):
+        side = Fraction(1, 10**39)
+        text = svg_scan(side, side, side, side)
+        labels = re.findall(r">(?:diagonal |area |max area |at diagonal )?([0-9.]+)(?: to ([0-9.]+))?<", text)
+        values = [v for pair in labels for v in pair if v]
+        # 4 plot labels (two of them ranges) and 4 side labels per snapshot
+        assert len(values) == 6 + 12
+        assert all(Fraction(v) > 0 for v in values)
+        assert "at diagonal 0." + "0" * 38 + "140<" in text
+        assert ">0." + "0" * 38 + "100<" in text
+
+    def test_labels_from_a_tenth_keep_two_places(self):
+        text = svg_scan(Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10))
+        assert ">0.10<" in text
