@@ -12,6 +12,8 @@ renderers print every report:
   `[a, b]`;
 - JSON is deterministic: fixed key order, an exact value as
   {coefficient: {num, den}, radicand, decimal} with every field a string.
+  `_json` writes it directly, byte-identical to `json.dumps(indent=2)` with
+  `_json_value` as the hook for exact values.
 The decimal of an exact value is `render_decimal(approx(value, digits),
 digits)`.  `scan` prints approximations only: it renders each sample to a
 decimal string from the scan's integer numerator and denominator.
@@ -22,10 +24,10 @@ one exits 2 and names the value.  `--format svg` applies only to scan.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .construct import brahmagupta_quad, rhombus_from_triple
 from .exactnum import (
@@ -83,8 +85,8 @@ def _decimal(value, digits: int) -> str:
 
 
 def _json_value(value, digits: int):
-    """The json.dumps hook: one c*sqrt(r) term with its decimal for an exact
-    value."""
+    """The JSON form of a value `_json` has no rule for: one c*sqrt(r) term
+    with its decimal for an exact value."""
     if isinstance(value, (Fraction, Surd)):
         c, r = _term(value)
         return {
@@ -95,12 +97,62 @@ def _json_value(value, digits: int):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+@lru_cache(maxsize=256)
+def _list_template(length: int, pad: str) -> str:
+    """`%` template of a JSON list of `length` rendered scalars, each on its
+    own line indented two spaces past `pad`."""
+    inner = pad + "  "
+    return "[" + inner + ("%s," + inner) * (length - 1) + "%s" + pad + "]"
+
+
+def _json(value, pad: str, digits: int) -> str:
+    """`value` as `json.dumps(value, indent=2, default=hook)` writes it, with
+    `_json_value` as the hook.  `pad` is a newline and the indent of the line
+    the value starts on: a bare newline at the top level."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return repr(value)
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        # a list of only ints or only strs fills one template, with no
+        # Python call per item: triple and pair rows, scan samples
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            return _list_template(len(value), pad) % tuple(value)
+        if kinds == {str}:
+            return _list_template(len(value), pad) % tuple(map(encode_basestring_ascii, value))
+        inner = pad + "  "
+        items = [_json(v, inner, digits) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(v, inner, digits)}" for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _json(_json_value(value, digits), pad, digits)
+
+
 def _text(value, digits: int) -> str:
     """Text form of one report value."""
     # int and str first: isinstance against Fraction goes through the
     # numbers ABCs, slow on the thousands of ints in a triples list
     if isinstance(value, (int, str)):
         return str(value)
+    # a list of ints, such as a triple, is already its own repr
+    if type(value) is list and set(map(type, value)) <= {int}:
+        return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_text(v, digits) for v in value) + "]"
     if isinstance(value, (Fraction, Surd)):
@@ -143,8 +195,7 @@ def _write_json(args, command: str, **body) -> None:
         },
         **body,
     }
-    hook = partial(_json_value, digits=args.digits)
-    _write(json.dumps(payload, indent=2, default=hook) + "\n", args.out)
+    _write(_json(payload, "\n", args.digits) + "\n", args.out)
 
 
 def _write_report(args, command: str, report: dict) -> int:

@@ -203,8 +203,8 @@ class TestScan:
         assert exc.value.code == 2
 
     def test_json_scan_bypasses_the_hook(self, capsys, monkeypatch):
-        # the samples are rendered to strings by the command, so json.dumps
-        # calls the hook only for the four exact sides
+        # the samples are rendered to strings by the command, so the JSON
+        # writer calls the hook only for the four exact sides
         calls = []
         original = cli._json_value
 

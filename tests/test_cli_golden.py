@@ -19,6 +19,8 @@ _REPORTS = [
     ("area_triangle_digits12", ["--digits", "12", "area", "2", "2", "3"]),
     ("rhombus_1_1", ["rhombus", "1", "1"]),
     ("triples_25_pairs", ["triples", "25", "--pairs"]),
+    # six pairs share hypotenuse 65, so pair lists print nested and long
+    ("triples_65_pairs", ["triples", "65", "--pairs"]),
     ("scan_steps9", ["--steps", "9", "scan", "75", "40", "51", "68"]),
 ]
 

@@ -1,0 +1,96 @@
+"""The direct JSON and text writers against their references.
+
+`cli._json` must give the bytes `json.dumps(indent=2)` gives with
+`cli._json_value` as the hook, and `cli._text` the bytes of the recursive
+writer it replaced, copied here as `reference_text`."""
+
+import json
+from fractions import Fraction
+from functools import partial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cyclicquad import cli
+from cyclicquad.exactnum import Surd
+
+
+def reference_text(value, digits: int) -> str:
+    """Text form of one report value, as the recursive writer printed it."""
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(reference_text(v, digits) for v in value) + "]"
+    if isinstance(value, (Fraction, Surd)):
+        c, r = cli._term(value)
+        exact = str(c) if r == 1 else f"{c}*sqrt({r})"
+        return f"{exact} ({cli._decimal(value, digits)})"
+    raise TypeError(f"{type(value).__name__} has no text form")
+
+
+def reference_json(value, digits: int) -> str:
+    return json.dumps(value, indent=2, default=partial(cli._json_value, digits=digits))
+
+
+# quotes, backslashes and control characters among any other code point
+keys = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f') | st.characters(), max_size=8)
+ints = st.integers(-(10**100), 10**100)
+fractions = st.builds(Fraction, ints, st.integers(1, 10**30))
+# single-term surds; a square radicand gives back a Fraction
+surds = st.builds(Surd, fractions, st.integers(1, 10**6))
+scalars = st.one_of(ints, st.booleans(), keys, fractions, surds)
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+        | st.lists(ints, max_size=6)
+        | st.lists(keys, max_size=6)
+    )
+
+
+text_trees = st.recursive(scalars, containers, max_leaves=30)
+json_trees = st.recursive(
+    scalars | st.none(),
+    lambda children: containers(children) | st.dictionaries(keys, children, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(deadline=None)
+    @given(json_trees, st.integers(1, 60))
+    def test_matches_json_dumps(self, value, digits):
+        assert cli._json(value, "\n", digits) == reference_json(value, digits)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [1, True, "x", None],
+            [[True, 1], [False], [0, 1]],
+            [[], (), {}, [[]]],
+            [[1, 2, 3], [4, 5, 6], [7, 8]],
+            [["a", "b"], ["c", "d"], [1, "e"]],
+            {"pairs": [[[7, 24, 25], [15, 20, 25]], [[14, 48, 50], [30, 40, 50]]]},
+            {"é \"\\": [-(10**99), Fraction(-7, 3), Surd(Fraction(2, 3), 12)]},
+            Surd(1, 2),
+        ],
+    )
+    def test_examples(self, value):
+        assert cli._json(value, "\n", 20) == reference_json(value, 20)
+
+    def test_unknown_type_raises_from_the_hook(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli._json({"a": [1, {2}]}, "\n", 20)
+
+
+class TestTextWriter:
+    @settings(deadline=None)
+    @given(text_trees, st.integers(1, 60))
+    def test_matches_reference(self, value, digits):
+        assert cli._text(value, digits) == reference_text(value, digits)
+
+    def test_int_rows(self):
+        rows = [[3, 4, 5], [6, 8, 10], (5, 12, 13), [], [True, 0]]
+        assert cli._text(rows, 12) == "[[3, 4, 5], [6, 8, 10], [5, 12, 13], [], [True, 0]]"
