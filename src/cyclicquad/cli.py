@@ -27,6 +27,7 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .construct import brahmagupta_quad, rhombus_from_triple
@@ -98,11 +99,42 @@ def _json_value(value, digits: int):
 
 
 @lru_cache(maxsize=256)
-def _list_template(length: int, pad: str) -> str:
-    """`%` template of a JSON list of `length` rendered scalars, each on its
-    own line indented two spaces past `pad`."""
+def _list_template(shape: tuple[int, ...], pad: str) -> str:
+    """`%` template of a JSON list of `shape[0]` items, each on its own line
+    indented two spaces past `pad`, and each a list of shape `shape[1:]`
+    nested the same way; a rendered scalar for the empty shape.  No
+    dimension is 0."""
+    if not shape:
+        return "%s"
     inner = pad + "  "
-    return "[" + inner + ("%s," + inner) * (length - 1) + "%s" + pad + "]"
+    item = _list_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
+
+
+def _block(value, pad: str) -> str | None:
+    """`value`, a non-empty list, as one filled template when its items are
+    scalars or lists nested to one shape, and the scalars, all at the same
+    depth, are all ints or all strs: triple and pair rows, scan samples.
+    None for any other list."""
+    shape = []
+    leaves = value
+    kinds = set(map(type, leaves))
+    while kinds == {list}:
+        lengths = set(map(len, leaves))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        leaves = list(chain.from_iterable(leaves))
+        kinds = set(map(type, leaves))
+    if kinds == {str}:
+        leaves = map(encode_basestring_ascii, leaves)
+    elif kinds != {int}:
+        return None
+    # only the row template is cached: one keyed by the outer length would
+    # keep output-sized strings alive
+    inner = pad + "  "
+    row = _list_template(tuple(shape), inner)
+    return ("[" + inner + ("," + inner).join([row] * len(value)) + pad + "]") % tuple(leaves)
 
 
 def _json(value, pad: str, digits: int) -> str:
@@ -117,13 +149,11 @@ def _json(value, pad: str, digits: int) -> str:
     if cls is list or cls is tuple:
         if not value:
             return "[]"
-        # a list of only ints or only strs fills one template, with no
-        # Python call per item: triple and pair rows, scan samples
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            return _list_template(len(value), pad) % tuple(value)
-        if kinds == {str}:
-            return _list_template(len(value), pad) % tuple(map(encode_basestring_ascii, value))
+        # a list of only ints or only strs, or of rows of them, fills one
+        # template, with no Python call per item
+        block = _block(value, pad)
+        if block is not None:
+            return block
         inner = pad + "  "
         items = [_json(v, inner, digits) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -144,14 +174,29 @@ def _json(value, pad: str, digits: int) -> str:
     return _json(_json_value(value, digits), pad, digits)
 
 
+def _int_leaves(value: list) -> bool:
+    """Whether `value` nests only lists, to any depth, around int leaves."""
+    level = value
+    while True:
+        kinds = set(map(type, level))
+        if kinds <= {int}:
+            return True
+        if not kinds <= {int, list}:
+            return False
+        if int in kinds:
+            level = [v for v in level if type(v) is list]
+        level = list(chain.from_iterable(level))
+
+
 def _text(value, digits: int) -> str:
     """Text form of one report value."""
-    # int and str first: isinstance against Fraction goes through the
-    # numbers ABCs, slow on the thousands of ints in a triples list
+    # int and str first: they are the common scalars, and isinstance
+    # against Fraction goes through the numbers ABCs
     if isinstance(value, (int, str)):
         return str(value)
-    # a list of ints, such as a triple, is already its own repr
-    if type(value) is list and set(map(type, value)) <= {int}:
+    # a list nesting only lists and ints, such as the triples and their
+    # pairs, is already its own repr
+    if type(value) is list and _int_leaves(value):
         return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_text(v, digits) for v in value) + "]"
@@ -328,13 +373,10 @@ def cmd_triples(args) -> int:
     found = generate_triples(args.max_hypotenuse)
     report: dict = {
         "max_hypotenuse": args.max_hypotenuse,
-        "triples": [[t.l, t.m, t.n] for t in found],
+        "triples": list(map(list, found)),
     }
     if args.pairs:
-        report["hypotenuse_pairs"] = [
-            [[p.l, p.m, p.n], [s.l, s.m, s.n]]
-            for p, s in hypotenuse_pairs(found)
-        ]
+        report["hypotenuse_pairs"] = [[list(p), list(s)] for p, s in hypotenuse_pairs(found)]
     return _write_report(args, "triples", report)
 
 

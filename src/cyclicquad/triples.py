@@ -2,31 +2,42 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain, combinations
 from math import gcd
+from operator import itemgetter
+from typing import NamedTuple
 
 
 class NotPythagorean(ValueError):
     """The given legs and hypotenuse do not satisfy l**2 + m**2 == n**2."""
 
 
-@dataclass(frozen=True, order=True)
-class PythTriple:
-    """A Pythagorean triple in canonical order l <= m < n."""
-
+class _Sides(NamedTuple):
     l: int
     m: int
     n: int
 
-    def __post_init__(self):
-        if min(self.l, self.m, self.n) < 1:
+
+class PythTriple(_Sides):
+    """A Pythagorean triple in canonical order l <= m < n: a tuple (l, m, n),
+    checked when it is made, so it equals, hashes and sorts as that tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, l: int, m: int, n: int) -> "PythTriple":
+        self = tuple.__new__(cls, (l, m, n))
+        if min(l, m, n) < 1:
             raise NotPythagorean(f"sides must be positive: {self}")
-        if self.l > self.m:
+        if l > m:
             raise NotPythagorean(f"legs out of canonical order l <= m: {self}")
-        if self.l**2 + self.m**2 != self.n**2:
-            raise NotPythagorean(
-                f"{self.l}**2 + {self.m}**2 != {self.n}**2"
-            )
+        if l**2 + m**2 != n**2:
+            raise NotPythagorean(f"{l}**2 + {m}**2 != {n}**2")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PythTriple":
+        # `_replace` goes through `_make`: check its result too
+        return cls(*iterable)
 
     def scaled(self, k: int) -> "PythTriple":
         return PythTriple(self.l * k, self.m * k, self.n * k)
@@ -43,23 +54,32 @@ def generate_triples(max_hypotenuse: int) -> list[PythTriple]:
     """All triples with hypotenuse <= max_hypotenuse, each once, sorted by
     (n, l).  Non-primitive triples are included: every primitive from the
     Euclid parametrization (p**2 - q**2, 2pq, p**2 + q**2) is scaled by all
-    k with k*n within bound."""
+    k with k*n within bound.
+
+    Each triple comes once without de-duplication: coprime p > q of opposite
+    parity give every primitive triple exactly once, and every triple is
+    k times exactly one primitive, k being the gcd of its sides.  A multiple
+    of a validated primitive keeps the identity, the leg order and positive
+    sides, so it is built as a tuple without checking it again."""
     if max_hypotenuse < 5:
         raise ValueError("max_hypotenuse must be >= 5")
-    found: set[PythTriple] = set()
+    new = tuple.__new__
+    found: list[PythTriple] = []
     p = 2
     while p * p + 1 <= max_hypotenuse:
         for q in range(1 + p % 2, p, 2):  # opposite parity
-            if gcd(p, q) != 1:
-                continue
             n = p * p + q * q
             if n > max_hypotenuse:
+                break  # n grows with q
+            if gcd(p, q) != 1:
                 continue
-            primitive = validate_triple(p * p - q * q, 2 * p * q, n)
-            for k in range(1, max_hypotenuse // n + 1):
-                found.add(primitive.scaled(k))
+            l, m, n = validate_triple(p * p - q * q, 2 * p * q, n)
+            found += [
+                new(PythTriple, (k * l, k * m, k * n)) for k in range(1, max_hypotenuse // n + 1)
+            ]
         p += 1
-    return sorted(found, key=lambda t: (t.n, t.l))
+    found.sort(key=itemgetter(2, 0))  # (n, l)
+    return found
 
 
 def hypotenuse_pairs(
@@ -71,9 +91,4 @@ def hypotenuse_pairs(
     by_n: dict[int, list[PythTriple]] = {}
     for t in triples:
         by_n.setdefault(t.n, []).append(t)
-    pairs = []
-    for group in by_n.values():
-        for i, first in enumerate(group):
-            for second in group[i + 1 :]:
-                pairs.append((first, second))
-    return pairs
+    return list(chain.from_iterable(combinations(group, 2) for group in by_n.values()))

@@ -21,6 +21,8 @@ _REPORTS = [
     ("triples_25_pairs", ["triples", "25", "--pairs"]),
     # six pairs share hypotenuse 65, so pair lists print nested and long
     ("triples_65_pairs", ["triples", "65", "--pairs"]),
+    # seven triples on hypotenuse 325, so 21 pairs on one hypotenuse
+    ("triples_325_pairs", ["triples", "325", "--pairs"]),
     ("scan_steps9", ["--steps", "9", "scan", "75", "40", "51", "68"]),
 ]
 

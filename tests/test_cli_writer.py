@@ -41,19 +41,46 @@ surds = st.builds(Surd, fractions, st.integers(1, 10**6))
 scalars = st.one_of(ints, st.booleans(), keys, fractions, surds)
 
 
-def containers(children):
+
+
+def blocks(leaves):
+    """Nested lists of `leaves` shaped like triple and pair rows: uniform
+    k x 3 and k x 2 x 3 blocks, ragged rows with empty ones, and any mix of
+    depths such as [[1, 2], [3, [4]]]."""
+    row = st.lists(leaves, min_size=3, max_size=3)
+    return st.one_of(
+        st.lists(row, max_size=6),
+        st.lists(st.lists(row, min_size=2, max_size=2), max_size=6),
+        st.lists(st.lists(leaves, max_size=4), max_size=6),
+        st.recursive(leaves, lambda c: st.lists(c, max_size=4), max_leaves=12),
+    )
+
+
+def containers(children, odd_leaf):
+    """Lists and tuples of `children`, and blocks of ints or of strs, pure or
+    with an `odd_leaf` (a bool, a str, ...) among the ints."""
     return (
         st.lists(children, max_size=6)
         | st.lists(children, max_size=6).map(tuple)
         | st.lists(ints, max_size=6)
         | st.lists(keys, max_size=6)
+        | blocks(ints)
+        | blocks(keys)
+        | blocks(st.one_of(ints, ints, ints, odd_leaf))
     )
 
 
-text_trees = st.recursive(scalars, containers, max_leaves=30)
+text_trees = st.recursive(
+    scalars,
+    lambda children: containers(children, st.booleans() | keys),
+    max_leaves=30,
+)
 json_trees = st.recursive(
     scalars | st.none(),
-    lambda children: containers(children) | st.dictionaries(keys, children, max_size=5),
+    lambda children: (
+        containers(children, st.booleans() | st.none() | keys)
+        | st.dictionaries(keys, children, max_size=5)
+    ),
     max_leaves=30,
 )
 
@@ -72,6 +99,13 @@ class TestJsonWriter:
             [[], (), {}, [[]]],
             [[1, 2, 3], [4, 5, 6], [7, 8]],
             [["a", "b"], ["c", "d"], [1, "e"]],
+            [[1, 2], [3, [4]]],
+            [[[1, 2]], [[3]]],
+            [[1, 2, 3], [4, 5, True]],
+            [["0.5", "1.25"], ["0.75", "é\\"]],
+            [["a", "b"], ["c", 1]],
+            [[[1, 2, 3], [4, 5, 6]], [[7, 8, 9], [10, 11, None]]],
+            [[], []],
             {"pairs": [[[7, 24, 25], [15, 20, 25]], [[14, 48, 50], [30, 40, 50]]]},
             {"é \"\\": [-(10**99), Fraction(-7, 3), Surd(Fraction(2, 3), 12)]},
             Surd(1, 2),
@@ -94,3 +128,5 @@ class TestTextWriter:
     def test_int_rows(self):
         rows = [[3, 4, 5], [6, 8, 10], (5, 12, 13), [], [True, 0]]
         assert cli._text(rows, 12) == "[[3, 4, 5], [6, 8, 10], [5, 12, 13], [], [True, 0]]"
+        pairs = [[[7, 24, 25], [15, 20, 25]], [[1, (2,)], [[]]]]
+        assert cli._text(pairs, 12) == "[[[7, 24, 25], [15, 20, 25]], [[1, [2]], [[]]]]"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import isqrt
 
 import pytest
@@ -39,6 +41,68 @@ class TestValidate:
             validate_triple(0, 4, 4)
 
 
+def pickled(protocol):
+    return lambda t: pickle.loads(pickle.dumps(t, protocol))
+
+
+class TestPythTripleContract:
+    def test_fields_and_repr(self):
+        t = PythTriple(3, 4, 5)
+        assert (t.l, t.m, t.n) == (3, 4, 5)
+        assert repr(t) == str(t) == "PythTriple(l=3, m=4, n=5)"
+
+    def test_equal_triples_hash_alike(self):
+        a, b = PythTriple(5, 12, 13), validate_triple(12, 5, 13)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != PythTriple(3, 4, 5)
+
+    def test_sorts_by_l_then_m(self):
+        triples = [PythTriple(15, 20, 25), PythTriple(9, 40, 41), PythTriple(7, 24, 25),
+                   PythTriple(9, 12, 15), PythTriple(3, 4, 5)]
+        got = [(t.l, t.m) for t in sorted(triples)]
+        assert got == [(3, 4), (7, 24), (9, 12), (9, 40), (15, 20)]
+        assert PythTriple(3, 4, 5) < PythTriple(5, 12, 13) <= PythTriple(5, 12, 13)
+
+    def test_scaled(self):
+        t = PythTriple(8, 15, 17).scaled(3)
+        assert t == PythTriple(24, 45, 51) and type(t) is PythTriple
+
+    def test_equals_its_plain_tuple(self):
+        t = PythTriple(3, 4, 5)
+        assert t == (3, 4, 5) and hash(t) == hash((3, 4, 5)) and list(t) == [3, 4, 5]
+
+    def test_replace_checks_the_result(self):
+        assert PythTriple(3, 4, 5)._replace(l=3) == PythTriple(3, 4, 5)
+        with pytest.raises(NotPythagorean):
+            PythTriple(3, 4, 5)._replace(n=6)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            PythTriple(3, 4, 5).l = 6
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy] + [pickled(p) for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copies_and_pickles(self, clone):
+        t = PythTriple(20, 21, 29)
+        got = clone(t)
+        assert got == t and type(got) is PythTriple
+        assert hash(got) == hash(t) and repr(got) == repr(t)
+
+    @pytest.mark.parametrize(
+        "sides, message",
+        [
+            ((0, 5, 5), r"sides must be positive: PythTriple\(l=0, m=5, n=5\)"),
+            ((4, 3, 5), r"legs out of canonical order l <= m: PythTriple\(l=4, m=3, n=5\)"),
+            ((3, 4, 6), r"3\*\*2 \+ 4\*\*2 != 6\*\*2"),
+        ],
+    )
+    def test_rejects(self, sides, message):
+        with pytest.raises(NotPythagorean, match=message):
+            PythTriple(*sides)
+
+
 class TestGenerate:
     def test_smallest(self):
         assert generate_triples(5) == [PythTriple(3, 4, 5)]
@@ -52,8 +116,12 @@ class TestGenerate:
         assert got == sorted(got, key=lambda t: (t[2], t[0]))
 
     def test_matches_brute_force(self):
-        got = [(t.l, t.m, t.n) for t in generate_triples(200)]
-        assert got == brute_force_triples(200)
+        # 1105 = 5 * 13 * 17 is the smallest hypotenuse of 13 triples
+        oracle = brute_force_triples(1105)
+        for bound in [*range(5, 401), 1105]:
+            got = [(t.l, t.m, t.n) for t in generate_triples(bound)]
+            assert len(set(got)) == len(got), bound
+            assert got == [t for t in oracle if t[2] <= bound], bound
 
     def test_all_valid_and_unique_up_to_1000(self):
         triples = generate_triples(1000)
