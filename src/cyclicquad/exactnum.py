@@ -12,11 +12,14 @@ otherwise a Surd.  The constructor does the same: ``Surd(c, r)`` returns
 the Fraction c*isqrt(r) when c == 0 or r is a perfect square, found by
 ``isqrt`` without factoring, so no Surd has a rational value.  Products are
 reduced with g = gcd(r, s) as sqrt(r)*sqrt(s) = g*sqrt((r/g)*(s/g)), a
-squarefree radicand again, so arithmetic never factors; only an irrational
-``Surd(c, r)`` or ``Surd.sqrt`` calls ``square_free_split``.  Inputs are
-exact: a coefficient or a square root's argument that is not an int,
-Fraction or Surd raises TypeError, and ``to_exact`` is only the boundary
-coercion of an int length to a Fraction.
+squarefree radicand again, so arithmetic never factors.  Two calls run
+``square_free_split``, and neither on a perfect square: ``Surd(c, r)``
+splits an irrational r once, and ``Surd.sqrt(*factors)`` of a rational
+product that is not a square splits each factor's numerator and
+denominator on its own and merges the splits by the same gcd rule, so it
+never factors the product.  Inputs are exact: a coefficient or a square
+root's factor that is not an int, Fraction or Surd raises TypeError, and
+``to_exact`` is only the boundary coercion of an int length to a Fraction.
 
 Equality is equality of normal forms.  Order is decided by the sign of the
 difference, which is exact: square roots of distinct squarefree integers
@@ -48,8 +51,9 @@ building a Fraction, for callers that hold a numerator and denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Union
 
 Exact = Union[Fraction, "Surd"]
@@ -94,7 +98,10 @@ def square_free_split(n: int) -> tuple[int, int]:
 
     Rho costs about p**(1/2) steps for the least prime factor p of a
     composite cofactor, so a product of two primes near 10**20 can still run
-    for a long time.
+    for a long time.  ``Surd.sqrt`` calls this on each factor of a radicand
+    and never on their product, so that cost is set by a single factor, for
+    the area and diagonal rules about the size of a side, and not by the
+    product, which is about its fourth power.
     """
     if n < 1:
         raise ValueError("square_free_split requires n >= 1")
@@ -144,8 +151,14 @@ def _split_rough(n: int) -> tuple[int, int]:
     if _passes_miller_rabin(n):
         return (1, n) if n < _MILLER_RABIN_PROVEN else _trial_split(n)
     d = _rho_factor(n)
-    outer1, core1 = _split_rough(d)
-    outer2, core2 = _split_rough(n // d)
+    return _merge(_split_rough(d), _split_rough(n // d))
+
+
+def _merge(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+    """The split (outer, core) of the product of two splits:
+    o1**2*c1 * o2**2*c2 = (o1*o2*g)**2 * (c1/g)*(c2/g) with g = gcd(c1, c2),
+    and (c1/g)*(c2/g) is squarefree again."""
+    (outer1, core1), (outer2, core2) = left, right
     g = gcd(core1, core2)
     return outer1 * outer2 * g, (core1 // g) * (core2 // g)
 
@@ -288,28 +301,40 @@ class Surd:
         return self._single()[1]
 
     @staticmethod
-    def sqrt(value: Union[int, Exact]) -> Exact:
-        """Exact square root of a nonnegative value, in normal form.  An
-        irrational value is denested (module docstring) or refused."""
-        if isinstance(value, Surd):
-            if value < 0:
-                raise NegativeRadicand(f"sqrt of negative value {value}")
-            if len(value.terms) == 2 and value.terms[0][1] == 1:
-                (a, _), (b, r) = value.terms
-                norm = a * a - b * b * r
-                # in lowest terms n/m is a square iff n*m is
-                root = isqrt(max(norm.numerator, 0) * norm.denominator)
-                if root * root == norm.numerator * norm.denominator:
-                    d = Fraction(root, norm.denominator)
-                    low = Surd.sqrt((a - d) / 2)
-                    return Surd.sqrt((a + d) / 2) + (low if b > 0 else -low)
-            raise IncompatibleRadicands(f"sqrt of the irrational {value} is not a surd")
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"not an exact scalar: {value!r}")
-        if value < 0:
-            raise NegativeRadicand(f"sqrt of negative value {value}")
-        # sqrt(p/q) = sqrt(p*q)/q
-        return Surd(Fraction(1, value.denominator), value.numerator * value.denominator)
+    def sqrt(*factors: Union[int, Exact]) -> Exact:
+        """Exact square root of the product of the factors, in normal form;
+        ``Surd.sqrt(x)`` is the one-factor case.  A rational product that is
+        a perfect square is found by ``isqrt`` without factoring.  Otherwise
+        each factor's numerator and denominator is split on its own and the
+        splits are merged, so no factoring sees the product.  When a factor
+        is a Surd the product is multiplied out instead, and an irrational
+        product is denested (module docstring) or refused."""
+        for factor in factors:
+            if not isinstance(factor, (int, Fraction, Surd)):
+                raise TypeError(f"not an exact scalar: {factor!r}")
+        if any(isinstance(factor, Surd) for factor in factors):
+            value = prod(factors)
+            if isinstance(value, Surd):
+                return _surd_root(value)
+            factors = (value,)
+        num = den = 1
+        for factor in factors:
+            num *= factor.numerator
+            den *= factor.denominator
+        if num < 0:
+            raise NegativeRadicand(f"sqrt of negative value {Fraction(num, den)}")
+        # sqrt(num/den) = sqrt(num*den)/den, rational iff num*den is a square
+        root = isqrt(num * den)
+        if root * root == num * den:
+            return Fraction(root, den)
+        splits = (
+            square_free_split(abs(n))
+            for factor in factors
+            for n in (factor.numerator, factor.denominator)
+            if n not in (1, -1)
+        )
+        outer, core = reduce(_merge, splits, (1, 1))
+        return _normal(((Fraction(outer, den), core),))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -421,6 +446,23 @@ class Surd:
             if abs(total) >= bound * (target + 1):
                 return Fraction(total, den * 10**places)
             places *= 2
+
+
+def _surd_root(value: Surd) -> Exact:
+    """Square root of an irrational value: denested when it is a + b*sqrt(r)
+    with a square norm (module docstring), otherwise refused."""
+    if value < 0:
+        raise NegativeRadicand(f"sqrt of negative value {value}")
+    if len(value.terms) == 2 and value.terms[0][1] == 1:
+        (a, _), (b, r) = value.terms
+        norm = a * a - b * b * r
+        # in lowest terms n/m is a square iff n*m is
+        root = isqrt(max(norm.numerator, 0) * norm.denominator)
+        if root * root == norm.numerator * norm.denominator:
+            d = Fraction(root, norm.denominator)
+            low = Surd.sqrt((a - d) / 2)
+            return Surd.sqrt((a + d) / 2) + (low if b > 0 else -low)
+    raise IncompatibleRadicands(f"sqrt of the irrational {value} is not a surd")
 
 
 def _term_text(c: Fraction, r: int) -> str:

@@ -174,20 +174,22 @@ def gross_area(q: QuadSides) -> Exact:
 def sutra_area(q: QuadSides) -> Exact:
     """The square-root rule sqrt((s-a)(s-b)(s-c)(s-d)).  Evaluated
     unconditionally, as the classical texts state it; it equals the true
-    area only when the quadrilateral is cyclic."""
+    area only when the quadrilateral is cyclic.  The four factors go to
+    ``Surd.sqrt`` as they are, so for rational sides each is factored on
+    its own, at the size of a side, and never their product."""
     a, b, c, d = q.sides
     s = semiperimeter(q.sides)
-    product = (s - a) * (s - b) * (s - c) * (s - d)
-    return Surd.sqrt(product)
+    return Surd.sqrt(s - a, s - b, s - c, s - d)
 
 
 def heron_area(t: Triangle) -> Exact:
-    """Triangle area sqrt(s(s-a)(s-b)(s-c)).  Computed from the equivalent
-    polynomial in the squared sides, which stays exact even when a side is
-    itself a surd (its square is rational)."""
-    a2, b2, c2 = (s * s for s in t.sides)
-    sixteen_t2 = 2 * (a2 * b2 + b2 * c2 + c2 * a2) - a2 * a2 - b2 * b2 - c2 * c2
-    return Surd.sqrt(sixteen_t2) / 4
+    """Triangle area sqrt(s(s-a)(s-b)(s-c)) = sqrt(16T**2)/4 with
+    16T**2 = (a+b+c)(b+c-a)(a-b+c)(a+b-c).  For rational sides
+    ``Surd.sqrt`` factors each of the four factors on its own, at the size
+    of a side, rather than their product; a surd side makes it multiply the
+    factors out, which is exact whatever the sides are."""
+    a, b, c = t.sides
+    return Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c) / 4
 
 
 def trapezium_area(t: Trapezium) -> Exact:
@@ -196,8 +198,8 @@ def trapezium_area(t: Trapezium) -> Exact:
 
 
 def rhombus_second_diagonal(r: Rhombus) -> Exact:
-    """d2 = sqrt(4 a**2 - d1**2)."""
-    return Surd.sqrt(4 * r.side * r.side - r.d1 * r.d1)
+    """d2 = sqrt(4 a**2 - d1**2) = sqrt((2a - d1)(2a + d1))."""
+    return Surd.sqrt(2 * r.side - r.d1, 2 * r.side + r.d1)
 
 
 def rhombus_area(r: Rhombus) -> Exact:
@@ -207,9 +209,10 @@ def rhombus_area(r: Rhombus) -> Exact:
 
 def abadha_split(t: Triangle) -> tuple[Exact, Exact, Exact]:
     """Foot-of-perpendicular split of side c: returns the two segments of c
-    (the first adjacent to side a) and the height onto c."""
+    (the first adjacent to side a) and the height onto c,
+    sqrt((a - segment)(a + segment))."""
     segment_a = (t.c * t.c + t.a * t.a - t.b * t.b) / (2 * t.c)
-    height = Surd.sqrt(t.a * t.a - segment_a * segment_a)
+    height = Surd.sqrt(t.a - segment_a, t.a + segment_a)
     return segment_a, t.c - segment_a, height
 
 
@@ -241,7 +244,7 @@ def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:
     ad_bc = a * d + b * c
     ab_cd = a * b + c * d
     return DiagonalPair(
-        p=Surd.sqrt(ac_bd * ad_bc / ab_cd), q=Surd.sqrt(ac_bd * ab_cd / ad_bc)
+        p=Surd.sqrt(ac_bd, ad_bc, 1 / ab_cd), q=Surd.sqrt(ac_bd, ab_cd, 1 / ad_bc)
     )
 
 

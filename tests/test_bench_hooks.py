@@ -38,6 +38,7 @@ def test_traced_run_observes_surds(capsys):
         assert main(["area", "14", "12", "9", "13"]) == 0
         assert main(["area", "2", "3", "4", "5", "--diagonal", "3"]) == 2
     capsys.readouterr()
-    assert t.calls["exactnum.surd_new"] > 0
+    # Surd.sqrt takes every root and builds its result without Surd.__init__
+    assert t.calls["exactnum.surd_sqrt"] > 0
     assert t.calls["exactnum.square_free_split"] > 0
     assert t.maxes["exactnum.max_operand_bits"] > 0

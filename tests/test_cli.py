@@ -300,9 +300,9 @@ class TestFactoring:
             # rational roots are found by isqrt and never factored
             (["area", "75", "68", "51", "40", "--diagonal", "77"], 0),
             (["construct", "3", "4", "5", "8", "15", "17"], 0),
-            # sqrt(19800) only
-            (["area", "14", "12", "9", "13"], 1),
-            (["reproduce"], 4),
+            # sqrt(19800) only, one split per factor: 10, 12, 15 and 11
+            (["area", "14", "12", "9", "13"], 4),
+            (["reproduce"], 7),
         ],
     )
     def test_each_root_factored_once(self, capsys, monkeypatch, argv, calls):

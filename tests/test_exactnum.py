@@ -2,10 +2,10 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclicquad import exactnum
 from cyclicquad.exactnum import (
@@ -22,6 +22,20 @@ from cyclicquad.exactnum import (
     sqrt_fraction,
     to_exact,
 )
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The argument of each ``square_free_split`` call, in order."""
+    calls = []
+    original = exactnum.square_free_split
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(exactnum, "square_free_split", counted)
+    return calls
 
 
 def is_normal_form(value) -> bool:
@@ -83,21 +97,13 @@ class TestNormalize:
             results.append(value / other)
         assert all(is_normal_form(v) for v in results)
 
-    def test_rational_values_are_not_factored(self, monkeypatch):
-        calls = []
-        original = exactnum.square_free_split
-
-        def counted(n):
-            calls.append(n)
-            return original(n)
-
-        monkeypatch.setattr(exactnum, "square_free_split", counted)
+    def test_rational_values_are_not_factored(self, split_calls):
         assert Surd(3, 10**40) == 3 * 10**20
         assert Surd(Fraction(2, 7), 0) == 0
         assert Surd.sqrt(Fraction(49, 36)) == Fraction(7, 6)
         assert Surd.sqrt(0) == 0
-        assert calls == []
-        assert Surd(1, 8).terms == ((Fraction(2), 2),) and calls == [8]
+        assert split_calls == []
+        assert Surd(1, 8).terms == ((Fraction(2), 2),) and split_calls == [8]
 
     @given(st.integers(min_value=1, max_value=10**12))
     def test_square_free_split_reconstructs(self, n):
@@ -275,22 +281,15 @@ class TestArithmetic:
         # sqrt(6) * sqrt(10) = 2*sqrt(15), merged by gcd without factoring
         assert (Surd(1, 6) * Surd(1, 10)).terms == ((Fraction(2), 15),)
 
-    def test_arithmetic_never_factors(self, monkeypatch):
+    def test_arithmetic_never_factors(self, split_calls):
         a = Surd(3, 2) + Surd(Fraction(1, 7), 15) - 4
         b = Surd(Fraction(-5, 3), 6) + Surd(2, 35)
         single = Surd(Fraction(2, 9), 30)
-        calls = []
-        original = exactnum.square_free_split
-
-        def counted(n):
-            calls.append(n)
-            return original(n)
-
-        monkeypatch.setattr(exactnum, "square_free_split", counted)
+        split_calls.clear()
         results = [a + b, a - b, a * b, b * a, a * single, a / single,
                    single / b.terms[0][0], 7 / single, a * a * a, -a, abs(b)]
         assert all(isinstance(r, (Fraction, Surd)) for r in results)
-        assert calls == []
+        assert split_calls == []
 
     def test_unsupported_forms_raise(self):
         total = Surd(1, 2) + Surd(1, 3)
@@ -340,6 +339,77 @@ class TestDenesting:
         x = p + Surd(q, r)
         root = Surd.sqrt(x * x)
         assert root == abs(x) and is_normal_form(root)
+
+
+# Primes near 10**8: a product of a few of them is slow to factor whole
+# by trial division, and their splits must merge across factors.
+PRIMES_NEAR_10_8 = (99999959, 99999971, 99999989, 100000007, 100000037)
+
+magnitudes = (
+    st.integers(1, 60)  # small factors that share primes
+    | st.integers(1, 300).map(lambda n: n * n)
+    | st.just(1)
+    | st.sampled_from(PRIMES_NEAR_10_8)
+    | st.tuples(st.sampled_from(PRIMES_NEAR_10_8), st.integers(1, 12)).map(lambda t: t[0] * t[1])
+)
+rational_factors = st.tuples(
+    st.booleans(),
+    magnitudes | st.just(0),
+    st.just(1) | st.integers(1, 40) | st.sampled_from(PRIMES_NEAR_10_8),
+).map(lambda t: (-1 if t[0] else 1) * Fraction(t[1], t[2]))
+factor_lists = st.lists(rational_factors | magnitudes, max_size=5)
+
+
+class TestSqrtOfFactors:
+    # the whole-product reference runs rho on up to ten primes near 10**8
+    @settings(deadline=None)
+    @given(factor_lists)
+    def test_matches_the_whole_product(self, factors):
+        product = Fraction(prod(factors))
+        n, d = product.numerator, product.denominator
+        if n < 0:
+            with pytest.raises(NegativeRadicand):
+                Surd.sqrt(*factors)
+            return
+        root = Surd.sqrt(*factors)
+        # the constructor factors the whole product n*d at once
+        expected = Surd(Fraction(1, d), n * d)
+        assert root == expected and type(root) is type(expected)
+        assert is_normal_form(root)
+
+    def test_each_factor_is_split_on_its_own(self, split_calls):
+        p, q = PRIMES_NEAR_10_8[:2]
+        # sqrt(pq * q/6 * 3) = q*sqrt(p/2) = (q/2)*sqrt(2p)
+        root = Surd.sqrt(p * q, Fraction(q, 6), 3)
+        assert split_calls == [p * q, q, 6, 3]
+        assert root.terms == ((Fraction(q, 2), 2 * p),)
+        # a rational root is found without factoring
+        split_calls.clear()
+        assert Surd.sqrt(p, Fraction(p, 4), 9) == Fraction(3 * p, 2)
+        assert Surd.sqrt() == 1 and Surd.sqrt(p, 0) == 0
+        assert split_calls == []
+
+    def test_a_surd_factor_multiplies_the_product_out(self, split_calls):
+        # the second diagonal of a square with side a: (2a - d1)(2a + d1)
+        # with d1 = a*sqrt(2) multiplies out to the rational 2*a**2
+        a, root2 = Fraction(25), Surd(1, 2)
+        split_calls.clear()
+        root = Surd.sqrt(2 * a - a * root2, 2 * a + a * root2)
+        assert root == 25 * root2 and split_calls == [1250]
+        # an irrational product is denested: 6 + 4*sqrt(2) = (2 + sqrt(2))**2
+        assert Surd.sqrt(root2, 3 * root2 + 4) == 2 + root2
+
+    def test_refusals(self):
+        with pytest.raises(NegativeRadicand):
+            Surd.sqrt(-2, 3)
+        with pytest.raises(NegativeRadicand):
+            Surd.sqrt(Fraction(-1, 2), 2, 5)
+        with pytest.raises(NegativeRadicand):
+            Surd.sqrt(Surd(1, 2), -1)
+        with pytest.raises(TypeError):
+            Surd.sqrt(2, 0.5)
+        with pytest.raises(TypeError):
+            Surd.sqrt(Surd(1, 2), 2.0)
 
 
 class TestCopyAndPickle:

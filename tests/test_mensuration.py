@@ -127,6 +127,23 @@ class TestHeron:
         # half of the side-25 square, cut along its diagonal
         assert heron_area(Triangle(25, 25, Surd(25, 2))) == Fraction(625, 2)
 
+    def test_surd_sides_match_squared_sides_polynomial(self):
+        # the four factors multiply out to 16T**2 in the squared sides
+        for sides in [
+            (Surd(1, 2), Surd(1, 3), 3),
+            (Surd(3, 5), Surd(2, 7), 10),
+            (Surd(Fraction(7, 3), 11), Surd(Fraction(5, 2), 13), 12),
+        ]:
+            a2, b2, c2 = (side * side for side in sides)
+            sixteen_t2 = 2 * (a2 * b2 + b2 * c2 + c2 * a2) - a2 * a2 - b2 * b2 - c2 * c2
+            assert heron_area(Triangle(*sides)) == Surd.sqrt(sixteen_t2) / 4
+        assert heron_area(Triangle(Surd(1, 2), Surd(1, 3), 3)) == Surd(Fraction(1, 2), 2)
+
+    def test_surd_side_with_irrational_square_is_refused(self):
+        # (1 + sqrt2)**2 = 3 + 2*sqrt2, so 16T**2 = 31 + 20*sqrt2 has no surd root
+        with pytest.raises(IncompatibleRadicands):
+            heron_area(Triangle(1 + Surd(1, 2), 2, 2))
+
     def test_invalid_triangle(self):
         with pytest.raises(InvalidTriangle):
             Triangle(1, 2, 5)
