@@ -260,7 +260,7 @@ def cmd_reproduce(args) -> int:
     entries = run_manifest(args.digits)
     failures = [e for e in entries if e.status != "pass"]
     if args.format == "json":
-        _write_json(args, "reproduce", entries=[vars(e) for e in entries])
+        _write_json(args, "reproduce", entries=[e._asdict() for e in entries])
     else:
         lines = []
         for e in entries:

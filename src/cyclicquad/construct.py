@@ -4,12 +4,10 @@ and the diagonal-reflection sibling operation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Literal
 
 from .mensuration import (
-    DiagonalPair,
     DiagQuad,
     GeometryError,
     QuadSides,
@@ -26,18 +24,15 @@ class PtolemyViolation(GeometryError):
     the cyclic figure the construction promises."""
 
 
-@dataclass(frozen=True)
-class CyclicQuadConstruction:
+class CyclicQuadConstruction(
+    namedtuple("CyclicQuadConstruction", "source sides glue_diagonal circumdiameter diagonals")
+):
     """Result of gluing two scaled right triangles along a common
     hypotenuse.  The glue diagonal is a circumdiameter: both triangles are
     right triangles standing on it.  `diagonals` is the cyclic diagonal
     pair of `sides`, the one checked against Ptolemy's equality."""
 
-    source: tuple[PythTriple, PythTriple]
-    sides: QuadSides
-    glue_diagonal: Fraction
-    circumdiameter: Fraction
-    diagonals: DiagonalPair
+    __slots__ = ()
 
     def as_diag_quad(self) -> DiagQuad:
         """The construction as a DiagQuad split along the glue diagonal
@@ -70,14 +65,11 @@ def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
     )
 
 
-SwapChoice = Literal["first_triangle", "second_triangle"]
-
-
-def reflect_swap(dq: DiagQuad, which: SwapChoice) -> DiagQuad:
-    """Reflect one of the two triangles in the perpendicular bisector of
-    the diagonal: its two non-diagonal sides exchange places.  The diagonal
-    and the side multiset are unchanged; applying it twice is the
-    identity."""
+def reflect_swap(dq: DiagQuad, which: str) -> DiagQuad:
+    """Reflect one of the two triangles, `which` is "first_triangle" or
+    "second_triangle", in the perpendicular bisector of the diagonal: its
+    two non-diagonal sides exchange places.  The diagonal and the side
+    multiset are unchanged; applying it twice is the identity."""
     a, b, c, d = dq.sides.sides
     if which == "first_triangle":
         new_sides = (b, a, c, d)

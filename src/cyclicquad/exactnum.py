@@ -54,9 +54,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import count
 from math import gcd, isqrt, lcm, prod
-from typing import Union
-
-Exact = Union[Fraction, "Surd"]
 
 # A normal form: ((coefficient, radicand), ...), radicands squarefree,
 # distinct and ascending, coefficients nonzero.  () is zero.
@@ -259,7 +256,7 @@ class Surd:
 
     terms: Terms
 
-    def __new__(cls, coefficient: Union[int, Fraction] = 1, radicand: int = 1):
+    def __new__(cls, coefficient: int | Fraction = 1, radicand: int = 1):
         if not isinstance(coefficient, (int, Fraction)):
             raise TypeError(f"not an exact coefficient: {coefficient!r}")
         if not isinstance(radicand, int):
@@ -271,7 +268,7 @@ class Surd:
             return Fraction(coefficient) * root
         return object.__new__(cls)
 
-    def __init__(self, coefficient: Union[int, Fraction] = 1, radicand: int = 1):
+    def __init__(self, coefficient: int | Fraction = 1, radicand: int = 1):
         outer, core = square_free_split(radicand)
         object.__setattr__(self, "terms", ((Fraction(coefficient) * outer, core),))
 
@@ -301,7 +298,7 @@ class Surd:
         return self._single()[1]
 
     @staticmethod
-    def sqrt(*factors: Union[int, Exact]) -> Exact:
+    def sqrt(*factors: int | Exact) -> Exact:
         """Exact square root of the product of the factors, in normal form;
         ``Surd.sqrt(x)`` is the one-factor case.  A rational product that is
         a perfect square is found by ``isqrt`` without factoring.  Otherwise
@@ -448,6 +445,10 @@ class Surd:
             places *= 2
 
 
+# An exact value: a rational Fraction or an irrational Surd.
+Exact = Fraction | Surd
+
+
 def _surd_root(value: Surd) -> Exact:
     """Square root of an irrational value: denested when it is a + b*sqrt(r)
     with a square norm (module docstring), otherwise refused."""
@@ -555,7 +556,7 @@ def _sign(terms: Terms) -> int:
         places *= 2
 
 
-def to_exact(value: Union[int, Exact]) -> Exact:
+def to_exact(value: int | Exact) -> Exact:
     """The boundary coercion of an input length: an int becomes a Fraction,
     a Fraction or Surd passes through, anything else raises TypeError."""
     if isinstance(value, (Surd, Fraction)):
@@ -584,7 +585,7 @@ def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
     return Fraction(isqrt(n * d * scale * scale), d * scale)
 
 
-def approx(value: Union[int, Exact], digits: int = DEFAULT_DIGITS) -> Fraction:
+def approx(value: int | Exact, digits: int = DEFAULT_DIGITS) -> Fraction:
     """Rational approximation of any exact scalar, correct to `digits`
     significant digits: a rational value comes back as itself."""
     if isinstance(value, Surd):

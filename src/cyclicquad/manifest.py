@@ -5,9 +5,8 @@ manifest is the acceptance contract and is versioned with the formulas."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Any
 
 from .construct import brahmagupta_quad, rhombus_from_triple
 from .exactnum import DEFAULT_DIGITS, Surd
@@ -31,14 +30,13 @@ from .oracle import concyclic, concyclic_exact, embed
 from .triples import validate_triple
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    id: str
-    description: str
-    provenance: str
-    expected: Any
-    computed: Any
-    status: str  # "pass" | "fail"
+class ManifestEntry(
+    namedtuple("ManifestEntry", "id description provenance expected computed status")
+):
+    """One worked example: its expected and computed values, and `status`
+    "pass" when they are equal, else "fail"."""
+
+    __slots__ = ()
 
 
 def _entry(id: str, description: str, provenance: str, expected, computed) -> ManifestEntry:

@@ -10,7 +10,7 @@ cyclic diagonal formulas tied to Ptolemy's theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import Exact, Surd, to_exact
@@ -36,17 +36,34 @@ class DegenerateRhombus(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class Triangle:
-    a: Exact
-    b: Exact
-    c: Exact
+def _remake(cls, iterable):
+    """`_make` for a checked tuple, and so `_replace` too: build through the
+    constructor, which coerces and checks, and not as a bare tuple."""
+    return cls(*iterable)
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Triangle(namedtuple("Triangle", "a b c")):
+    """A triangle with sides a, b, c: a tuple, checked when it is made, so
+    it equals and hashes as the tuple (a, b, c)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int | Exact, b: int | Exact, c: int | Exact) -> Triangle:
+        self = tuple.__new__(cls, (to_exact(a), to_exact(b), to_exact(c)))
+        # the checks are looked up on the class at each construction, here
+        # and in every figure below, so a wrapper set on the class (a
+        # tracer, a test's counter) sees each one
+        self.__post_init__()
+        return self
+
+    _make = classmethod(_remake)
 
     def __post_init__(self):
-        sides = [to_exact(self.a), to_exact(self.b), to_exact(self.c)]
-        object.__setattr__(self, "a", sides[0])
-        object.__setattr__(self, "b", sides[1])
-        object.__setattr__(self, "c", sides[2])
+        sides = list(self)
         if not all(s > 0 for s in sides):
             raise InvalidTriangle(f"sides must be positive: {sides}")
         for i in range(3):
@@ -57,20 +74,26 @@ class Triangle:
 
     @property
     def sides(self) -> tuple[Exact, Exact, Exact]:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class QuadSides:
-    """Four side lengths in cyclic order (a, b, c, d)."""
+class QuadSides(namedtuple("QuadSides", "sides")):
+    """Four side lengths in cyclic order (a, b, c, d), as the one field
+    `sides`."""
 
-    sides: tuple[Exact, Exact, Exact, Exact]
+    __slots__ = ()
+
+    def __new__(cls, sides) -> QuadSides:
+        self = tuple.__new__(cls, (tuple(to_exact(s) for s in sides),))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(_remake)
 
     def __post_init__(self):
-        if len(self.sides) != 4:
+        sides = self.sides
+        if len(sides) != 4:
             raise InvalidQuad("exactly four sides required")
-        sides = tuple(to_exact(s) for s in self.sides)
-        object.__setattr__(self, "sides", sides)
         if not all(s > 0 for s in sides):
             raise InvalidQuad(f"sides must be positive: {sides}")
         total = sum(sides)
@@ -85,41 +108,49 @@ def quad(a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> Quad
     return QuadSides((a, b, c, d))
 
 
-@dataclass(frozen=True)
-class DiagQuad:
+class DiagQuad(namedtuple("DiagQuad", "sides diagonal")):
     """A quadrilateral with one diagonal fixed.  The diagonal always joins
     the vertex between sides d and a to the vertex between sides b and c,
     splitting the figure into `triangles`, Triangle(a, b, diagonal) and
     Triangle(c, d, diagonal), each validated once here; rotate the side
-    order for any other split."""
+    order for any other split.  `triangles` lives in the instance dict, out
+    of the tuple, so equality, hash and repr see only (sides, diagonal)."""
 
-    sides: QuadSides
-    diagonal: Exact
-    triangles: tuple[Triangle, Triangle] = field(init=False, repr=False, compare=False)
+    def __new__(cls, sides: QuadSides, diagonal: int | Exact) -> DiagQuad:
+        self = tuple.__new__(cls, (sides, to_exact(diagonal)))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(_remake)
+    __setattr__ = __delattr__ = _frozen
 
     def __post_init__(self):
-        diagonal = to_exact(self.diagonal)
         a, b, c, d = self.sides.sides
+        diagonal = self.diagonal
         # Triangle raises InvalidTriangle for a nonpositive diagonal too
-        triangles = (Triangle(a, b, diagonal), Triangle(c, d, diagonal))
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "triangles", triangles)
+        vars(self)["triangles"] = (Triangle(a, b, diagonal), Triangle(c, d, diagonal))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which rebuilds
+        # the triangles, rather than carry them as instance state
+        return type(self), tuple(self)
 
 
-@dataclass(frozen=True)
-class Trapezium:
+class Trapezium(namedtuple("Trapezium", "base face legs height")):
     """Trapezium with parallel base and face, base the longer one."""
 
-    base: Exact
-    face: Exact
-    legs: tuple[Exact, Exact]
-    height: Exact
+    __slots__ = ()
+
+    def __new__(cls, base, face, legs, height) -> Trapezium:
+        self = tuple.__new__(cls, (
+            to_exact(base), to_exact(face), tuple(to_exact(v) for v in legs), to_exact(height)
+        ))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(_remake)
 
     def __post_init__(self):
-        object.__setattr__(self, "base", to_exact(self.base))
-        object.__setattr__(self, "face", to_exact(self.face))
-        object.__setattr__(self, "legs", tuple(to_exact(v) for v in self.legs))
-        object.__setattr__(self, "height", to_exact(self.height))
         values = (self.base, self.face, *self.legs, self.height)
         if not all(v > 0 for v in values):
             raise InvalidTrapezium(f"all lengths must be positive: {values}")
@@ -130,14 +161,19 @@ class Trapezium:
             raise InvalidTrapezium("height exceeds a leg")
 
 
-@dataclass(frozen=True)
-class Rhombus:
-    side: Exact
-    d1: Exact
+class Rhombus(namedtuple("Rhombus", "side d1")):
+    """Rhombus with side `side` and one diagonal `d1`."""
+
+    __slots__ = ()
+
+    def __new__(cls, side: int | Exact, d1: int | Exact) -> Rhombus:
+        self = tuple.__new__(cls, (to_exact(side), to_exact(d1)))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(_remake)
 
     def __post_init__(self):
-        object.__setattr__(self, "side", to_exact(self.side))
-        object.__setattr__(self, "d1", to_exact(self.d1))
         if not (self.side > 0 and self.d1 > 0):
             raise DegenerateRhombus("side and diagonal must be positive")
         if not self.d1 < 2 * self.side:
@@ -146,19 +182,18 @@ class Rhombus:
             )
 
 
-@dataclass(frozen=True)
-class MensurationReport:
-    split_area: Exact
-    perpendiculars: tuple[Exact, Exact]
+class MensurationReport(namedtuple("MensurationReport", "split_area perpendiculars")):
+    """The split area of a DiagQuad and the perpendiculars onto its
+    diagonal."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiagonalPair:
+class DiagonalPair(namedtuple("DiagonalPair", "p q")):
     """The two diagonals of the cyclic configuration: p joins the vertex
     between d,a to the vertex between b,c; q joins the other two."""
 
-    p: Exact
-    q: Exact
+    __slots__ = ()
 
 
 def semiperimeter(sides) -> Exact:

@@ -15,7 +15,7 @@ tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
@@ -33,6 +33,7 @@ from .mensuration import (
     InvalidTriangle,
     QuadSides,
     Triangle,
+    _frozen,
     abadha_split,
 )
 
@@ -43,13 +44,11 @@ class DegenerateCollinear(GeometryError):
     """The three points meant to define a circle are (nearly) collinear."""
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(namedtuple("Embedding", "points precision")):
     """Planar realization of a figure as rational points, each coordinate
     the `precision`-digit approximation of an exact one."""
 
-    points: tuple[Point, ...]
-    precision: int
+    __slots__ = ()
 
 
 def embed(dq: DiagQuad, digits: int = DEFAULT_DIGITS) -> Embedding:
@@ -136,19 +135,18 @@ def diagonal_range(q: QuadSides):
     return max(abs(a - b), abs(c - d)), min(a + b, c + d)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(namedtuple("ScanResult", "den x0 dx roots area_den argmax")):
     """A diagonal scan on integers: sample i, for 0 <= i < len(roots), has
     diagonal (x0 + i*dx)/den and area roots[i]/area_den, and `argmax` is the
     index of the first maximum.  `samples`, `argmax_diagonal` and `max_area`
-    give the same values as Fractions; `samples` is built on first read."""
+    give the same values as Fractions; `samples` is built on first read and
+    kept in the instance dict, out of the tuple."""
 
-    den: int
-    x0: int
-    dx: int
-    roots: tuple[int, ...]
-    area_den: int
-    argmax: int
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        # copy and pickle carry the integers only, not the cached samples
+        return type(self), tuple(self)
 
     @cached_property
     def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, combinations
 from math import gcd
 from operator import itemgetter
-from typing import NamedTuple
 
 
 class NotPythagorean(ValueError):
     """The given legs and hypotenuse do not satisfy l**2 + m**2 == n**2."""
 
 
-class _Sides(NamedTuple):
-    l: int
-    m: int
-    n: int
+_Sides = namedtuple("_Sides", "l m n")
 
 
 class PythTriple(_Sides):

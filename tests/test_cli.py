@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from cyclicquad.cli import main
 from cyclicquad.manifest import ManifestEntry
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -365,6 +368,32 @@ class TestGolden:
         )
         with open(os.path.join(DATA, "scan_lilavati.svg")) as handle:
             assert out == handle.read()
+
+
+class TestProcess:
+    """Fresh interpreters, as a one-shot call from the shell runs them."""
+
+    def test_python_m_runs_the_command_line(self):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclicquad", "area", "14", "12", "9", "13"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        with open(os.path.join(DATA, "cli", "area_trapezium.txt")) as handle:
+            assert (done.returncode, done.stdout, done.stderr) == (0, handle.read(), "")
+
+    def test_cold_start_skips_dataclasses_inspect_and_typing(self):
+        # -I -S: no site, so no .pth file imports typing before the program
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r})\n"
+            "import cyclicquad.cli\n"
+            "cyclicquad.cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def run_catching_exit(capsys, argv):

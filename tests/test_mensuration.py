@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -236,6 +235,12 @@ class TestDiagQuad:
             f"DiagQuad(sides={dq.sides!r}, diagonal={dq.diagonal!r})"
         )
 
+    def test_equals_its_plain_tuple_without_the_triangles(self):
+        q = quad(75, 68, 51, 40)
+        dq = DiagQuad(q, 77)
+        assert len(dq) == 2 and dq == (q, 77) and hash(dq) == hash((q, 77))
+        assert dq != DiagQuad(q, 85) and "triangles" in vars(dq)
+
     @pytest.mark.parametrize(
         "dq",
         [DiagQuad(quad(75, 68, 51, 40), 77), DiagQuad(quad(25, 25, 25, 25), Surd(25, 2))],
@@ -252,7 +257,7 @@ class TestDiagQuad:
         assert got.triangles == dq.triangles
 
     def test_replace_rebuilds_the_triangles(self):
-        dq = dataclasses.replace(DiagQuad(quad(75, 68, 51, 40), 77), diagonal=85)
+        dq = DiagQuad(quad(75, 68, 51, 40), 77)._replace(diagonal=85)
         assert dq == DiagQuad(quad(75, 68, 51, 40), 85)
         assert dq.triangles == (Triangle(75, 68, 85), Triangle(51, 40, 85))
 
