@@ -55,7 +55,6 @@ from .construct import (
 )
 from .oracle import (
     DegenerateCollinear,
-    Embedding,
     ScanResult,
     area_scan,
     concyclic,

@@ -255,9 +255,7 @@ def _write_report(args, command: str, report: dict) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.digits < 10:
-        raise UsageError("reproduce requires at least 10 precision digits")
-    entries = run_manifest(args.digits)
+    entries = run_manifest()
     failures = [e for e in entries if e.status != "pass"]
     if args.format == "json":
         _write_json(args, "reproduce", entries=[e._asdict() for e in entries])

@@ -574,7 +574,9 @@ DEFAULT_DIGITS = 50
 
 def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
     """Rational approximation of sqrt(x) with relative error below
-    10**(-digits), via integer square root of a scaled integer."""
+    10**(-digits), via integer square root of a scaled integer.  The program
+    itself takes every root exactly; the tests keep this as an independent
+    reference for square roots."""
     if x < 0:
         raise NegativeRadicand(f"sqrt of negative value {x}")
     if x == 0:

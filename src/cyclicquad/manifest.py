@@ -9,7 +9,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .construct import brahmagupta_quad, rhombus_from_triple
-from .exactnum import DEFAULT_DIGITS, Surd
+from .exactnum import Surd
 from .mensuration import (
     DiagQuad,
     DiagonalPair,
@@ -44,9 +44,7 @@ def _entry(id: str, description: str, provenance: str, expected, computed) -> Ma
     return ManifestEntry(id, description, provenance, expected, computed, status)
 
 
-def run_manifest(digits: int = DEFAULT_DIGITS) -> list[ManifestEntry]:
-    if digits < 10:
-        raise ValueError("manifest comparisons require at least 10 digits")
+def run_manifest() -> list[ManifestEntry]:
     trapezium = quad(14, 12, 9, 13)
     root, gross = sutra_area(trapezium), gross_area(trapezium)
     quad77 = DiagQuad(quad(75, 68, 51, 40), 77)
@@ -184,9 +182,6 @@ def run_manifest(digits: int = DEFAULT_DIGITS) -> list[ManifestEntry]:
             "the constructed quadrilateral is concyclic (exact and embedded)",
             "Brahmasphutasiddhanta XII.38 (construction is cyclic)",
             [True, True],
-            [
-                concyclic_exact(glued),
-                concyclic(embed(glued, digits), Fraction(1, 10**30)),
-            ],
+            [concyclic_exact(glued), concyclic(embed(glued))],
         ),
     ]

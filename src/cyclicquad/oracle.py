@@ -1,10 +1,10 @@
 """Independent verification by coordinate embedding: lay the diagonal on
-the x-axis, place the two off-diagonal vertices via the perpendicular-foot
-split, then measure with the shoelace rule and a circumcenter equidistance
-test.  An `Embedding` holds its points as plain Fraction coordinates, each
-the `precision`-digit approximation of an exact one, and the shoelace
-area is a plain Fraction; a report renders it as a decimal only where it
-prints it.  Also hosts the diagonal scan that demonstrates the
+the x-axis and place the two off-diagonal vertices by the
+perpendicular-foot split (`abadha_split`), every coordinate exact, a
+Fraction or a Surd.  The shoelace rule then gives the area exactly, and
+the in-circle determinant decides concyclicity exactly, with no division
+and no square root.  A renderer approximates a coordinate only where it
+draws it.  Also hosts the diagonal scan that demonstrates the
 indeterminacy of a quadrilateral's area when only the four sides are
 fixed.  The scan does not embed: it evaluates each sample's closed-form
 area on integers scaled to a shared denominator, with relative error below
@@ -20,13 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .exactnum import (
-    DEFAULT_DIGITS,
-    GUARD_DIGITS,
-    IncompatibleRadicands,
-    approx,
-    sqrt_fraction,
-)
+from .exactnum import DEFAULT_DIGITS, GUARD_DIGITS, Exact, IncompatibleRadicands, approx
 from .mensuration import (
     DiagQuad,
     GeometryError,
@@ -37,84 +31,56 @@ from .mensuration import (
     abadha_split,
 )
 
-Point = tuple[Fraction, Fraction]
-
 
 class DegenerateCollinear(GeometryError):
-    """The three points meant to define a circle are (nearly) collinear."""
+    """The three points meant to define a circle are collinear."""
 
 
-class Embedding(namedtuple("Embedding", "points precision")):
-    """Planar realization of a figure as rational points, each coordinate
-    the `precision`-digit approximation of an exact one."""
-
-    __slots__ = ()
-
-
-def embed(dq: DiagQuad, digits: int = DEFAULT_DIGITS) -> Embedding:
-    """Vertex 0 at the origin, vertex 2 on the positive x-axis at the
-    diagonal's length, the apex of the (a, b) triangle strictly above the
-    axis and the apex of the (c, d) triangle strictly below (convex
-    position)."""
+def embed(dq: DiagQuad) -> tuple:
+    """The four vertices as exact (x, y) points: vertex 0 at the origin,
+    vertex 2 on the positive x-axis at the diagonal's length, the apex of
+    the (a, b) triangle strictly above the axis and the apex of the (c, d)
+    triangle strictly below (convex position)."""
     t1, t2 = dq.triangles
-    seg1, _, h1 = abadha_split(t1)
-    _, seg2, h2 = abadha_split(t2)
-    diag, x1, y1, x2, y2 = (approx(v, digits) for v in (dq.diagonal, seg1, h1, seg2, h2))
+    x1, _, y1 = abadha_split(t1)
+    _, x2, y2 = abadha_split(t2)
     zero = Fraction(0)
-    return Embedding(((zero, zero), (x1, y1), (diag, zero), (x2, -y2)), digits)
+    return (zero, zero), (x1, y1), (dq.diagonal, zero), (x2, -y2)
 
 
-def embed_triangle(t: Triangle, digits: int = DEFAULT_DIGITS) -> Embedding:
-    """Planar realization of a triangle with side c on the x-axis."""
-    seg, _, h = abadha_split(t)
-    c, x, y = (approx(v, digits) for v in (t.c, seg, h))
+def embed_triangle(t: Triangle) -> tuple:
+    """The three vertices of a triangle as exact points, side c on the
+    x-axis."""
+    x, _, y = abadha_split(t)
     zero = Fraction(0)
-    return Embedding(((zero, zero), (c, zero), (x, y)), digits)
+    return (zero, zero), (t.c, zero), (x, y)
 
 
-def shoelace_area(e: Embedding) -> Fraction:
-    """Polygon area by the shoelace rule, at the embedding's precision."""
-    points = e.points
+def shoelace_area(points) -> Exact:
+    """Polygon area by the shoelace rule, exact."""
     total = Fraction(0)
     for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
         total += x1 * y2 - x2 * y1
     return abs(total) / 2
 
 
-def _circumcenter(p0: Point, p1: Point, p2: Point) -> tuple[Fraction, Fraction]:
-    (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
-    ax, ay = 2 * (x1 - x0), 2 * (y1 - y0)
-    bx, by = 2 * (x2 - x0), 2 * (y2 - y0)
-    ra = x1 * x1 + y1 * y1 - x0 * x0 - y0 * y0
-    rb = x2 * x2 + y2 * y2 - x0 * x0 - y0 * y0
-    det = ax * by - ay * bx
-    if det == 0:
-        raise DegenerateCollinear("circumcenter undefined for collinear points")
-    cx = (ra * by - rb * ay) / det
-    cy = (ax * rb - bx * ra) / det
-    return cx, cy
-
-
-def concyclic(e: Embedding, tolerance=None) -> bool:
-    """True iff all four embedded points are equidistant, within tolerance,
-    from the circumcenter of the first three.  The default tolerance is
-    scale-relative, span * 10**-precision: the embedding carries `precision`
-    significant digits plus guard digits, so a cyclic figure passes and a
-    visibly non-cyclic one fails at every scale."""
-    digits = e.precision
-    (x0, y0), (x1, y1), (x2, y2), _ = e.points
-    span = max(abs(x) + abs(y) for x, y in e.points)
-    tolerance = span / 10**digits if tolerance is None else Fraction(tolerance)
-    # collinearity guard on the first three points, scale-relative
-    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    if span > 0 and abs(cross) <= tolerance * span * span:
-        raise DegenerateCollinear("first three points are collinear within tolerance")
-    cx, cy = _circumcenter(*e.points[:3])
-    radii = [
-        sqrt_fraction((x - cx) ** 2 + (y - cy) ** 2, digits + GUARD_DIGITS)
-        for x, y in e.points
-    ]
-    return max(radii) - min(radii) < tolerance
+def concyclic(points) -> bool:
+    """True iff the four points lie on one circle, by the in-circle
+    determinant (Guibas and Stolfi, ACM Trans. Graph. 4, 1985): with the
+    first point moved to the origin and the others at (xi, yi), they are
+    concyclic iff det[xi, yi, xi^2 + yi^2] == 0.  Exact, with no division
+    and no square root.  Raises DegenerateCollinear when the first three
+    points are collinear, so that no circle passes through them."""
+    (x0, y0), *rest = points
+    rows = []
+    for x, y in rest:
+        dx, dy = x - x0, y - y0
+        rows.append((dx, dy, dx * dx + dy * dy))
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = rows
+    if x1 * y2 - y1 * x2 == 0:
+        raise DegenerateCollinear("the first three points are collinear")
+    det = x1 * (y2 * w3 - w2 * y3) - y1 * (x2 * w3 - w2 * x3) + w1 * (x2 * y3 - y2 * x3)
+    return det == 0
 
 
 def concyclic_exact(dq: DiagQuad) -> bool:

@@ -1,7 +1,9 @@
 """Static SVG figures for the diagonal scan: area-versus-diagonal curve
 plus embedded snapshots of the hinged quadrilateral at the smallest,
-area-maximizing and largest sampled diagonals.  All coordinates are
-rendered from exact rationals, so output is byte-identical across runs."""
+area-maximizing and largest sampled diagonals.  A snapshot approximates
+each exact vertex coordinate to `digits` places only to draw it, and all
+coordinates are rendered from rationals, so output is byte-identical
+across runs."""
 
 from __future__ import annotations
 
@@ -34,9 +36,9 @@ def _label(value: Fraction) -> str:
 
 
 def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
-    e = embed(dq, digits)
-    xs = [x for x, _ in e.points]
-    ys = [y for _, y in e.points]
+    points = embed(dq)
+    xs = [approx(x, digits) for x, _ in points]
+    ys = [approx(y, digits) for _, y in points]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y)

@@ -51,15 +51,17 @@ class TestReproduce:
             computed=2,
             status="fail",
         )
-        monkeypatch.setattr(cli, "run_manifest", lambda digits: [broken])
+        monkeypatch.setattr(cli, "run_manifest", lambda: [broken])
         code, out, _ = run_cli(capsys, "reproduce")
         assert code == 1
         assert "0/1 entries passed" in out
 
-    def test_digits_floor(self, capsys):
-        code, _, err = run_cli(capsys, "--digits", "5", "reproduce")
-        assert code == 2
-        assert "error:" in err
+    def test_any_digits_passes(self, capsys):
+        # every manifest comparison is exact, so the printed decimals do not
+        # decide a verdict
+        code, out, _ = run_cli(capsys, "--digits", "5", "reproduce")
+        assert code == 0
+        assert "18/18 entries passed" in out
 
 
 class TestArea:

@@ -89,7 +89,7 @@ class TestBrahmaguptaQuad:
                 assert sutra_area(built.sides) == split
                 # cyclic: exact criterion and embedded oracle
                 assert concyclic_exact(dq)
-                assert concyclic(embed(dq, 50), Fraction(1, 10**30))
+                assert concyclic(embed(dq))
 
 
 class TestReflectSwap:

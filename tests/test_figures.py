@@ -26,7 +26,7 @@ from cyclicquad.mensuration import (
     cyclic_diagonal_pair,
     quad,
 )
-from cyclicquad.oracle import area_scan, embed
+from cyclicquad.oracle import area_scan
 from cyclicquad.triples import PythTriple
 
 _DQ = DiagQuad(quad(75, 68, 51, 40), 77)
@@ -39,7 +39,7 @@ FIGURES = {
     "Rhombus": Rhombus(side=25, d1=Surd(25, 2)),
     "MensurationReport": area_by_diagonal(_DQ),
     "DiagonalPair": cyclic_diagonal_pair(quad(75, 68, 51, 40)),
-    "Embedding": embed(_DQ, 12),
+    "PythTriple": PythTriple(3, 4, 5),
     "ScanResult": area_scan(quad(75, 40, 51, 68), 9, 12),
     "CyclicQuadConstruction": brahmagupta_quad(PythTriple(3, 4, 5), PythTriple(8, 15, 17)),
     "ManifestEntry": run_manifest()[0],

@@ -296,8 +296,7 @@ class TestAreaByDiagonal:
         split_area = area_by_diagonal(dq).split_area
         assert isinstance(split_area, Surd) and len(split_area.terms) == 2
         assert split_area == t1 + t2
-        oracle = shoelace_area(embed(dq, 50))
-        assert abs(split_area.approx(50) - oracle) < Fraction(1, 10**40)
+        assert shoelace_area(embed(dq)) == split_area
 
 
 class TestCyclicDiagonals:

@@ -17,6 +17,7 @@ from cyclicquad.mensuration import (
     InvalidQuad,
     InvalidTriangle,
     Triangle,
+    area_by_diagonal,
     cyclic_diagonal_pair,
     heron_area,
     quad,
@@ -36,8 +37,6 @@ from cyclicquad.oracle import (
 
 from conftest import random_diag_quad, random_quad
 
-TIGHT = Fraction(1, 10**30)
-
 
 def random_rational_quad(rng: random.Random):
     while True:
@@ -50,50 +49,40 @@ def random_rational_quad(rng: random.Random):
 
 class TestEmbed:
     def test_lilavati_quad_apexes(self):
-        e = embed(DiagQuad(quad(75, 68, 51, 40), 77), 50)
-        assert e.points[0] == (0, 0)
-        assert e.points[2] == (77, 0)
-        assert e.points[1] == (45, 60)
-        assert e.points[3] == (32, -24)
+        points = embed(DiagQuad(quad(75, 68, 51, 40), 77))
+        assert points == ((0, 0), (45, 60), (77, 0), (32, -24))
 
     def test_unit_square(self):
-        e = embed(DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)), 50)
+        points = embed(DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)))
         half_diag = Surd(Fraction(1, 2), 2)
-        for apex, sign in ((e.points[1], 1), (e.points[3], -1)):
-            assert abs(apex[0] - half_diag.approx(50)) < Fraction(1, 10**45)
-            assert abs(apex[1] - sign * half_diag.approx(50)) < Fraction(
-                1, 10**45
-            )
+        assert points[1] == (half_diag, half_diag)
+        assert points[3] == (half_diag, -half_diag)
 
     def test_right_kite(self):
-        e = embed(DiagQuad(quad(3, 4, 4, 3), 5), 50)
-        assert e.points[1] == (Fraction(9, 5), Fraction(12, 5))
-        assert e.points[3] == (Fraction(9, 5), Fraction(-12, 5))
+        points = embed(DiagQuad(quad(3, 4, 4, 3), 5))
+        assert points[1] == (Fraction(9, 5), Fraction(12, 5))
+        assert points[3] == (Fraction(9, 5), Fraction(-12, 5))
 
     def test_side_lengths_recovered(self):
         rng = random.Random(59)
         for _ in range(50):
             dq = random_diag_quad(rng)
-            e = embed(dq, 50)
-            for i in range(4):
-                x1, y1 = e.points[i]
-                x2, y2 = e.points[(i + 1) % 4]
-                dist = sqrt_fraction((x2 - x1) ** 2 + (y2 - y1) ** 2, 50 + GUARD_DIGITS)
-                assert abs(dist - approx(dq.sides.sides[i], 50)) < TIGHT
+            points = embed(dq)
+            for i, side in enumerate(dq.sides.sides):
+                (x1, y1), (x2, y2) = points[i], points[(i + 1) % 4]
+                dx, dy = x2 - x1, y2 - y1
+                assert dx * dx + dy * dy == side * side
 
 
 class TestShoelace:
     def test_lilavati_quad(self):
-        area = shoelace_area(embed(DiagQuad(quad(75, 68, 51, 40), 77), 50))
-        assert abs(area - 3234) < TIGHT
+        assert shoelace_area(embed(DiagQuad(quad(75, 68, 51, 40), 77))) == 3234
 
     def test_unit_square(self):
-        area = shoelace_area(embed(DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)), 50))
-        assert abs(area - 1) < TIGHT
+        assert shoelace_area(embed(DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)))) == 1
 
     def test_lilavati_trapezium_via_diagonal(self):
-        area = shoelace_area(embed(DiagQuad(quad(14, 13, 9, 12), 15), 50))
-        assert abs(area - 138) < TIGHT
+        assert shoelace_area(embed(DiagQuad(quad(14, 13, 9, 12), 15))) == 138
 
     def test_triangle_embedding_matches_heron(self):
         rng = random.Random(61)
@@ -102,33 +91,30 @@ class TestShoelace:
             if sides[2] >= sides[0] + sides[1]:
                 continue
             t = Triangle(*sides)
-            area = shoelace_area(embed_triangle(t, 50))
-            assert abs(area - approx(heron_area(t), 50)) < TIGHT
+            assert shoelace_area(embed_triangle(t)) == heron_area(t)
 
     def test_agrees_with_heron_split(self):
         rng = random.Random(67)
         for _ in range(500):
             dq = random_diag_quad(rng)
-            oracle_area = shoelace_area(embed(dq, 50))
             t1, t2 = split_triangle_areas(dq)
-            expected = approx(t1 + t2, 50)
-            assert abs(oracle_area - expected) < TIGHT
+            assert shoelace_area(embed(dq)) == t1 + t2
 
 
 class TestConcyclic:
     def test_lilavati_quad_cyclic(self):
         dq = DiagQuad(quad(75, 68, 51, 40), 77)
-        assert concyclic(embed(dq, 50), TIGHT)
+        assert concyclic(embed(dq))
         assert concyclic_exact(dq)
 
     def test_other_diagonal_not_cyclic(self):
         dq = DiagQuad(quad(75, 68, 51, 40), 70)
-        assert not concyclic(embed(dq, 50), TIGHT)
+        assert not concyclic(embed(dq))
         assert not concyclic_exact(dq)
 
     def test_rectangle(self):
         dq = DiagQuad(quad(3, 4, 3, 4), 5)
-        assert concyclic(embed(dq, 50), TIGHT)
+        assert concyclic(embed(dq))
         assert concyclic_exact(dq)
 
     def test_exact_agrees_with_the_cyclic_diagonal(self):
@@ -149,6 +135,31 @@ class TestConcyclic:
                 cyclic += x * x == p * p
         assert cyclic >= 300
 
+    def test_embedding_agrees_with_the_exact_rules(self):
+        # two independent exact answers per figure: the embedding's shoelace
+        # area and in-circle test against the Heron split and the law of
+        # cosines, on random rational diagonals, the surd cyclic diagonal of
+        # every fifth quad, and two figures with surd sides or diagonal
+        rng = random.Random(83)
+        figures = [
+            DiagQuad(quad(1, 1, 1, 1), Surd(1, 2)),
+            DiagQuad(quad(Surd(3, 2), 5, 6, 7), 8),
+        ]
+        for i in range(500):
+            q = random_rational_quad(rng)
+            lo, hi = diagonal_range(q)
+            figures.append(DiagQuad(q, lo + (hi - lo) * Fraction(rng.randint(1, 69), 70)))
+            if i % 5 == 0:
+                figures.append(DiagQuad(q, cyclic_diagonal_pair(q).p))
+        cyclic = 0
+        for dq in figures:
+            points = embed(dq)
+            assert shoelace_area(points) == area_by_diagonal(dq).split_area
+            exact = concyclic_exact(dq)
+            assert concyclic(points) == exact
+            cyclic += exact
+        assert cyclic >= 100
+
     def test_exact_takes_no_square_root(self, monkeypatch):
         figures = [
             DiagQuad(quad(75, 68, 51, 40), 77),
@@ -167,26 +178,47 @@ class TestConcyclic:
         assert [concyclic_exact(dq) for dq in figures] == [True, False, True, False]
         assert seen == []
 
-    def test_default_tolerance_scales_down(self):
-        # a rhombus at scale 1e-40 is far from cyclic unless it is a square
+    def test_in_circle_takes_no_square_root(self, monkeypatch):
+        # the embedding takes the heights' square roots before counting starts
+        embeddings = [
+            embed(DiagQuad(quad(75, 68, 51, 40), 77)),
+            embed(DiagQuad(quad(14, 12, 9, 13), 15)),
+            embed(DiagQuad(quad(2, 3, 4, 5), Surd.sqrt(Fraction(253, 13)))),
+            embed(DiagQuad(quad(Surd(3, 2), 5, 6, 7), 8)),
+        ]
+        seen = []
+        original = exactnum.square_free_split
+
+        def counting(n):
+            seen.append(n)
+            return original(n)
+
+        monkeypatch.setattr(exactnum, "square_free_split", counting)
+        assert [concyclic(points) for points in embeddings] == [True, False, True, False]
+        assert seen == []
+
+    def test_rhombus_at_any_scale(self):
+        # a rhombus at scale 1e-40 is cyclic only if it is a square
         unit = Fraction(1, 10**40)
         sides = quad(25 * unit, 25 * unit, 25 * unit, 25 * unit)
-        assert not concyclic(embed(DiagQuad(sides, Fraction(303, 10) * unit), 50))
-        assert concyclic(embed(DiagQuad(sides, Surd(25, 2) * unit), 50))
+        assert not concyclic(embed(DiagQuad(sides, Fraction(303, 10) * unit)))
+        assert concyclic(embed(DiagQuad(sides, Surd(25, 2) * unit)))
 
-    def test_default_tolerance_follows_precision(self):
-        # the cyclic diagonal of (2, 3, 4, 5) is irrational, so a 12-digit
-        # embedding carries rounding far above 1e-30
+    def test_surd_cyclic_diagonal(self):
+        # the cyclic diagonal of (2, 3, 4, 5) is irrational
         dq = DiagQuad(quad(2, 3, 4, 5), Surd.sqrt(Fraction(253, 13)))
         assert concyclic_exact(dq)
-        assert concyclic(embed(dq, 12))
-        assert not concyclic(embed(DiagQuad(quad(2, 3, 4, 5), Fraction(22, 5)), 12))
+        assert concyclic(embed(dq))
+        assert not concyclic(embed(DiagQuad(quad(2, 3, 4, 5), Fraction(22, 5))))
 
     def test_degenerate_collinear(self):
-        # fold the quadrilateral almost flat: apex near the axis
+        # a rhombus folded almost flat, its apexes near the axis, is decided
         dq = DiagQuad(quad(5, 5, 5, 5), Fraction(9999999999999, 10**12))
+        assert not concyclic(embed(dq))
+        # only exactly collinear points, built by hand, leave no circle
+        root = Surd(1, 2)
         with pytest.raises(DegenerateCollinear):
-            concyclic(embed(dq, 50), Fraction(1, 10**6))
+            concyclic([(0, 0), (root, 2 * root), (3 * root, 6 * root), (1, 0)])
 
 
 class TestDiagonalRange:
@@ -267,12 +299,12 @@ class TestAreaScan:
         oracle_areas = []
         for i, (diag, area) in enumerate(result.samples, start=1):
             assert diag == lo + i * step
-            dq = DiagQuad(q, diag)
-            expected = shoelace_area(embed(dq, digits))
-            assert render_decimal(area, digits) == render_decimal(expected, digits)
-            reference = shoelace_area(embed(dq, digits + 30))
+            exact = shoelace_area(embed(DiagQuad(q, diag)))
+            expected = render_decimal(approx(exact, digits), digits)
+            assert render_decimal(area, digits) == expected
+            reference = approx(exact, digits + 30)
             assert abs(area - reference) <= bound * reference
-            oracle_areas.append(expected)
+            oracle_areas.append(exact)
         first_max = oracle_areas.index(max(oracle_areas))
         assert result.argmax_diagonal == result.samples[first_max][0]
         assert result.max_area == result.samples[first_max][1]
