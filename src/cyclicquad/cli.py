@@ -309,7 +309,7 @@ def cmd_construct(args) -> int:
     built = brahmagupta_quad(t1, t2)
     report = {
         "source": [[t1.l, t1.m, t1.n], [t2.l, t2.m, t2.n]],
-        "sides": built.sides.sides,
+        "sides": list(built.sides),
         "glue_diagonal": built.glue_diagonal,
         "circumdiameter": built.circumdiameter,
         "cyclic_diagonals": [built.diagonals.p, built.diagonals.q],

@@ -10,7 +10,6 @@ from fractions import Fraction
 from .mensuration import (
     DiagQuad,
     GeometryError,
-    QuadSides,
     Rhombus,
     cyclic_diagonal_pair,
     ptolemy_check,
@@ -37,7 +36,7 @@ class CyclicQuadConstruction(
     def as_diag_quad(self) -> DiagQuad:
         """The construction as a DiagQuad split along the glue diagonal
         (side order rotated so the split convention matches)."""
-        a, b, c, d = self.sides.sides
+        a, b, c, d = self.sides
         return DiagQuad(quad(b, c, d, a), self.glue_diagonal)
 
 
@@ -57,7 +56,7 @@ def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
     glue = Fraction(t1.n * t2.n)
     diagonals = cyclic_diagonal_pair(sides)
     if not ptolemy_check(sides, diagonals):
-        text = ", ".join(str(s) for s in sides.sides)
+        text = ", ".join(str(s) for s in sides)
         raise PtolemyViolation(f"glued sides {text} fail Ptolemy's equality")
     return CyclicQuadConstruction(
         source=(t1, t2), sides=sides, glue_diagonal=glue, circumdiameter=glue,
@@ -70,11 +69,11 @@ def reflect_swap(dq: DiagQuad, which: str) -> DiagQuad:
     "second_triangle", in the perpendicular bisector of the diagonal: its
     two non-diagonal sides exchange places.  The diagonal and the side
     multiset are unchanged; applying it twice is the identity."""
-    a, b, c, d = dq.sides.sides
+    a, b, c, d = dq.sides
     if which == "first_triangle":
-        new_sides = (b, a, c, d)
+        new_sides = quad(b, a, c, d)
     elif which == "second_triangle":
-        new_sides = (a, b, d, c)
+        new_sides = quad(a, b, d, c)
     else:
         raise ValueError(f"unknown triangle selector: {which!r}")
-    return DiagQuad(QuadSides(new_sides), dq.diagonal)
+    return DiagQuad(new_sides, dq.diagonal)

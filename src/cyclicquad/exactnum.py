@@ -244,6 +244,12 @@ def _trial_split(n: int) -> tuple[int, int]:
     return outer, core * rest
 
 
+# One extra block of digits absorbs rounding in intermediate square roots.
+GUARD_DIGITS = 10
+
+DEFAULT_DIGITS = 50
+
+
 class Surd:
     """An exact irrational sum of terms c*sqrt(r) in normal form (see the
     module docstring).  ``Surd(c, r)`` returns the normal form of c*sqrt(r):
@@ -428,7 +434,7 @@ class Surd:
 
     # -- approximation -----------------------------------------------------
 
-    def approx(self, digits: int = 50) -> Fraction:
+    def approx(self, digits: int = DEFAULT_DIGITS) -> Fraction:
         """Rational approximation with relative error below
         10**-(digits + guard digits), refined like the sign (module
         docstring) until the error bound meets the relative target.  A
@@ -564,12 +570,6 @@ def to_exact(value: int | Exact) -> Exact:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
-
-
-# One extra block of digits absorbs rounding in intermediate square roots.
-GUARD_DIGITS = 10
-
-DEFAULT_DIGITS = 50
 
 
 def sqrt_fraction(x: Fraction, digits: int) -> Fraction:

@@ -161,7 +161,7 @@ def run_manifest() -> list[ManifestEntry]:
             "gluing triples (3,4,5) and (8,15,17): side multiset {40,51,68,75}",
             "Brahmasphutasiddhanta XII.38; Ganesa's commentary on Lilavati 178",
             [Fraction(40), Fraction(51), Fraction(68), Fraction(75)],
-            sorted(construction.sides.sides),
+            sorted(construction.sides),
         ),
         _entry(
             "construction-glue-diagonal",

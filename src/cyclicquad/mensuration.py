@@ -42,10 +42,6 @@ def _remake(cls, iterable):
     return cls(*iterable)
 
 
-def _frozen(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 class Triangle(namedtuple("Triangle", "a b c")):
     """A triangle with sides a, b, c: a tuple, checked when it is made, so
     it equals and hashes as the tuple (a, b, c)."""
@@ -72,40 +68,32 @@ class Triangle(namedtuple("Triangle", "a b c")):
                     f"triangle inequality fails: {sides[i]} >= sum of the others"
                 )
 
-    @property
-    def sides(self) -> tuple[Exact, Exact, Exact]:
-        return tuple(self)
 
-
-class QuadSides(namedtuple("QuadSides", "sides")):
-    """Four side lengths in cyclic order (a, b, c, d), as the one field
-    `sides`."""
+class QuadSides(namedtuple("QuadSides", "a b c d")):
+    """Four side lengths in cyclic order: a tuple (a, b, c, d), checked when
+    it is made, so it equals and hashes as that plain tuple."""
 
     __slots__ = ()
 
-    def __new__(cls, sides) -> QuadSides:
-        self = tuple.__new__(cls, (tuple(to_exact(s) for s in sides),))
+    def __new__(cls, a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> QuadSides:
+        self = tuple.__new__(cls, (to_exact(a), to_exact(b), to_exact(c), to_exact(d)))
         self.__post_init__()
         return self
 
     _make = classmethod(_remake)
 
     def __post_init__(self):
-        sides = self.sides
-        if len(sides) != 4:
-            raise InvalidQuad("exactly four sides required")
-        if not all(s > 0 for s in sides):
-            raise InvalidQuad(f"sides must be positive: {sides}")
-        total = sum(sides)
-        for side in sides:
+        if not all(s > 0 for s in self):
+            raise InvalidQuad(f"sides must be positive: {tuple(self)}")
+        total = sum(self)
+        for side in self:
             if not 2 * side < total:
                 raise InvalidQuad(
                     f"closure fails: side {side} >= sum of the other three"
                 )
 
 
-def quad(a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> QuadSides:
-    return QuadSides((a, b, c, d))
+quad = QuadSides
 
 
 class DiagQuad(namedtuple("DiagQuad", "sides diagonal")):
@@ -113,27 +101,32 @@ class DiagQuad(namedtuple("DiagQuad", "sides diagonal")):
     the vertex between sides d and a to the vertex between sides b and c,
     splitting the figure into `triangles`, Triangle(a, b, diagonal) and
     Triangle(c, d, diagonal), each validated once here; rotate the side
-    order for any other split.  `triangles` lives in the instance dict, out
-    of the tuple, so equality, hash and repr see only (sides, diagonal)."""
+    order for any other split."""
+
+    __slots__ = ()
 
     def __new__(cls, sides: QuadSides, diagonal: int | Exact) -> DiagQuad:
+        if not isinstance(sides, QuadSides):
+            raise TypeError(f"sides must be a QuadSides, not {type(sides).__name__}")
         self = tuple.__new__(cls, (sides, to_exact(diagonal)))
         self.__post_init__()
         return self
 
     _make = classmethod(_remake)
-    __setattr__ = __delattr__ = _frozen
 
     def __post_init__(self):
-        a, b, c, d = self.sides.sides
-        diagonal = self.diagonal
+        a, b, c, d = self.sides
         # Triangle raises InvalidTriangle for a nonpositive diagonal too
-        vars(self)["triangles"] = (Triangle(a, b, diagonal), Triangle(c, d, diagonal))
+        Triangle(a, b, self.diagonal)
+        Triangle(c, d, self.diagonal)
 
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which rebuilds
-        # the triangles, rather than carry them as instance state
-        return type(self), tuple(self)
+    @property
+    def triangles(self) -> tuple[Triangle, Triangle]:
+        # both were checked when the DiagQuad was made, so they are built
+        # as tuples without checking them again
+        a, b, c, d = self.sides
+        new, x = tuple.__new__, self.diagonal
+        return new(Triangle, (a, b, x)), new(Triangle, (c, d, x))
 
 
 class Trapezium(namedtuple("Trapezium", "base face legs height")):
@@ -202,7 +195,7 @@ def semiperimeter(sides) -> Exact:
 
 def gross_area(q: QuadSides) -> Exact:
     """The gross rule: product of the half-sums of opposite sides."""
-    a, b, c, d = q.sides
+    a, b, c, d = q
     return (a + c) / 2 * ((b + d) / 2)
 
 
@@ -212,8 +205,8 @@ def sutra_area(q: QuadSides) -> Exact:
     area only when the quadrilateral is cyclic.  The four factors go to
     ``Surd.sqrt`` as they are, so for rational sides each is factored on
     its own, at the size of a side, and never their product."""
-    a, b, c, d = q.sides
-    s = semiperimeter(q.sides)
+    a, b, c, d = q
+    s = semiperimeter(q)
     return Surd.sqrt(s - a, s - b, s - c, s - d)
 
 
@@ -223,7 +216,7 @@ def heron_area(t: Triangle) -> Exact:
     ``Surd.sqrt`` factors each of the four factors on its own, at the size
     of a side, rather than their product; a surd side makes it multiply the
     factors out, which is exact whatever the sides are."""
-    a, b, c = t.sides
+    a, b, c = t
     return Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c) / 4
 
 
@@ -274,7 +267,7 @@ def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:
     p = sqrt((ac+bd)(ad+bc)/(ab+cd)), q = sqrt((ac+bd)(ab+cd)/(ad+bc)).
     Stated unconditionally in the classical sources; valid only for the
     cyclic configuration."""
-    a, b, c, d = q.sides
+    a, b, c, d = q
     ac_bd = a * c + b * d
     ad_bc = a * d + b * c
     ab_cd = a * b + c * d
@@ -285,11 +278,12 @@ def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:
 
 def ptolemy_check(q: QuadSides, d: DiagonalPair) -> bool:
     """Exact Ptolemy equality: p*q == ac + bd."""
-    a, b, c, d_side = q.sides
+    a, b, c, d_side = q
     return d.p * d.q == a * c + b * d_side
 
 
 def triangle_circumradius(t: Triangle) -> Exact:
-    """Circumradius abc / (4 * area); standard plumbing for the
-    concyclicity oracle."""
+    """Circumradius abc / (4 * area).  The manifest's quad77-circumradii
+    entry reads it, to show both diagonal triangles of the 77-split on one
+    circle."""
     return t.a * t.b * t.c / (4 * heron_area(t))

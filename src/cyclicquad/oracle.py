@@ -16,7 +16,6 @@ tests."""
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -27,7 +26,6 @@ from .mensuration import (
     InvalidTriangle,
     QuadSides,
     Triangle,
-    _frozen,
     abadha_split,
 )
 
@@ -89,7 +87,7 @@ def concyclic_exact(dq: DiagQuad) -> bool:
     so cos B == -cos D.  By the law of cosines that is
     (a^2 + b^2 - x^2) * c * d == -(c^2 + d^2 - x^2) * a * b, one exact
     comparison with no square root."""
-    a, b, c, d = dq.sides.sides
+    a, b, c, d = dq.sides
     diag_sq = dq.diagonal * dq.diagonal
     return (a * a + b * b - diag_sq) * c * d == -((c * c + d * d - diag_sq) * a * b)
 
@@ -97,7 +95,7 @@ def concyclic_exact(dq: DiagQuad) -> bool:
 def diagonal_range(q: QuadSides):
     """Open interval of diagonals that hinge the (a,b)/(c,d) split into a
     genuine quadrilateral: (max(|a-b|, |c-d|), min(a+b, c+d))."""
-    a, b, c, d = q.sides
+    a, b, c, d = q
     return max(abs(a - b), abs(c - d)), min(a + b, c + d)
 
 
@@ -105,16 +103,12 @@ class ScanResult(namedtuple("ScanResult", "den x0 dx roots area_den argmax")):
     """A diagonal scan on integers: sample i, for 0 <= i < len(roots), has
     diagonal (x0 + i*dx)/den and area roots[i]/area_den, and `argmax` is the
     index of the first maximum.  `samples`, `argmax_diagonal` and `max_area`
-    give the same values as Fractions; `samples` is built on first read and
-    kept in the instance dict, out of the tuple."""
+    give the same values as Fractions, built on each read; no renderer
+    reads `samples`."""
 
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = ()
 
-    def __reduce__(self):
-        # copy and pickle carry the integers only, not the cached samples
-        return type(self), tuple(self)
-
-    @cached_property
+    @property
     def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:
         x0, dx, den, area_den = self.x0, self.dx, self.den, self.area_den
         return tuple(
@@ -160,7 +154,7 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     lo = approx(lower, digits)
     hi = approx(upper, digits)
     step = (hi - lo) / (steps + 1)
-    squares = [s * s for s in q.sides]
+    squares = [s * s for s in q]
     if not all(isinstance(v, Fraction) for v in squares):
         raise IncompatibleRadicands("the scan needs sides with rational squares")
     den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
@@ -181,7 +175,7 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
         if p1 <= 0 or p2 <= 0:
             raise InvalidTriangle(
                 f"grid diagonal {Fraction(x0 + i * dx, den)} leaves no triangle "
-                f"with sides {', '.join(str(s) for s in q.sides)}"
+                f"with sides {', '.join(str(s) for s in q)}"
             )
         roots.append(isqrt(p1 * scale_sq) + isqrt(p2 * scale_sq))
     return ScanResult(

@@ -53,7 +53,7 @@ def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
     parts = [
         f'<polygon points="{point_text}" fill="none" stroke="black" stroke-width="2"/>'
     ]
-    sides = dq.sides.sides
+    sides = dq.sides
     for i in range(4):
         ax, ay = pts[i]
         bx, by = pts[(i + 1) % 4]

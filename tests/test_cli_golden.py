@@ -26,6 +26,8 @@ _REPORTS = [
     # seven triples on hypotenuse 325, so 21 pairs on one hypotenuse
     ("triples_325_pairs", ["triples", "325", "--pairs"]),
     ("scan_steps9", ["--steps", "9", "scan", "75", "40", "51", "68"]),
+    # the one report that prints a QuadSides
+    ("construct_3_4_5_8_15_17", ["construct", "3", "4", "5", "8", "15", "17"]),
 ]
 
 CASES = (

@@ -49,7 +49,7 @@ class TestRhombusFromTriple:
 class TestBrahmaguptaQuad:
     def test_ganesa_example(self):
         built = brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(8, 15, 17))
-        assert sorted(built.sides.sides) == [40, 51, 68, 75]
+        assert sorted(built.sides) == [40, 51, 68, 75]
         assert built.glue_diagonal == 85
         assert built.circumdiameter == 85
         dq = built.as_diag_quad()
@@ -58,7 +58,7 @@ class TestBrahmaguptaQuad:
 
     def test_equal_triples_rectangle_class(self):
         built = brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(3, 4, 5))
-        assert sorted(built.sides.sides) == [15, 15, 20, 20]
+        assert sorted(built.sides) == [15, 15, 20, 20]
         assert built.glue_diagonal == 25
         t1, t2 = split_triangle_areas(built.as_diag_quad())
         assert t1 + t2 == 300
@@ -71,7 +71,7 @@ class TestBrahmaguptaQuad:
 
     def test_mixed_triples(self):
         built = brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(5, 12, 13))
-        assert sorted(built.sides.sides) == [25, 39, 52, 60]
+        assert sorted(built.sides) == [25, 39, 52, 60]
         assert built.glue_diagonal == 65
 
     def test_all_pairs_up_to_25(self):
@@ -81,7 +81,7 @@ class TestBrahmaguptaQuad:
                 built = brahmagupta_quad(t1, t2)
                 dq = built.as_diag_quad()
                 # integer sides
-                assert all(s.denominator == 1 for s in built.sides.sides)
+                assert all(s.denominator == 1 for s in built.sides)
                 # integer area, equal to the unconditional root rule
                 a1, a2 = split_triangle_areas(dq)
                 split = a1 + a2
@@ -96,7 +96,7 @@ class TestReflectSwap:
     def test_swap_changes_cyclic_class(self):
         dq = DiagQuad(quad(51, 40, 75, 68), 85)
         swapped = reflect_swap(dq, "first_triangle")
-        assert swapped.sides.sides == (40, 51, 75, 68)
+        assert swapped.sides == (40, 51, 75, 68)
         assert swapped.diagonal == 85
         pair = cyclic_diagonal_pair(swapped.sides)
         assert {pair.p, pair.q} == {Fraction(77), Fraction(84)}
@@ -121,7 +121,7 @@ class TestReflectSwap:
             dq = random_diag_quad(rng)
             which = rng.choice(("first_triangle", "second_triangle"))
             swapped = reflect_swap(dq, which)
-            assert sorted(swapped.sides.sides) == sorted(dq.sides.sides)
+            assert sorted(swapped.sides) == sorted(dq.sides)
             assert swapped.diagonal == dq.diagonal
             # each triangle's Heron area survives the swap of its own sides
             before = split_triangle_areas(dq)

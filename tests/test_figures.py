@@ -6,6 +6,7 @@ and pickles as the tuple of its fields."""
 import copy
 import pickle
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -26,7 +27,7 @@ from cyclicquad.mensuration import (
     cyclic_diagonal_pair,
     quad,
 )
-from cyclicquad.oracle import area_scan
+from cyclicquad.oracle import ScanResult, area_scan, embed
 from cyclicquad.triples import PythTriple
 
 _DQ = DiagQuad(quad(75, 68, 51, 40), 77)
@@ -79,38 +80,64 @@ def test_fields_cannot_be_set(name):
         setattr(value, value._fields[0], None)
 
 
+@pytest.mark.parametrize("name", FIGURES)
+def test_has_no_instance_dict(name):
+    value = FIGURES[name]
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
 @pytest.mark.parametrize("name, attr", [("DiagQuad", "triangles"), ("ScanResult", "samples")])
-def test_instance_dict_cannot_be_set_or_deleted(name, attr):
+def test_derived_values_cannot_be_set_or_deleted(name, attr):
     value = FIGURES[name]
     getattr(value, attr)
     with pytest.raises(AttributeError):
         setattr(value, attr, ())
     with pytest.raises(AttributeError):
         delattr(value, attr)
-    with pytest.raises(AttributeError):
-        value.extra = 1
 
 
 @pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
 def test_scan_clones_leave_the_samples_unbuilt(clone):
+    # a copy or a pickle carries the integers only and never reads `samples`
     result = area_scan(quad(75, 40, 51, 68), 9, 12)
-    assert len(result.samples) == 9
-    got = clone(result)
-    assert "samples" not in vars(got)
+
+    def unread(self):
+        raise AssertionError("cloning read ScanResult.samples")
+
+    with patch.object(ScanResult, "samples", property(unread)):
+        got = clone(result)
     assert got.samples == result.samples
+
+
+def test_quad_is_its_four_sides():
+    q = quad(1, 2, 3, 4)
+    a, b, c, d = q
+    assert (a, b, c, d) == (1, 2, 3, 4) and quad is QuadSides
+    assert len(q) == 4 and q == (1, 2, 3, 4) and hash(q) == hash((1, 2, 3, 4))
+
+
+def test_quad_takes_exactly_four_sides():
+    assert QuadSides._make([1, 2, 3, 4]) == (1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        QuadSides(1, 2, 3)
+    with pytest.raises(TypeError):
+        QuadSides._make([1, 1, 1])
+    with pytest.raises(TypeError):
+        quad(1, 2, 3, 4, 5)
 
 
 @pytest.mark.parametrize(
     "figure, field, bad, error",
     [
         (Triangle(3, 4, 5), "c", 7, InvalidTriangle),
-        (quad(14, 12, 9, 13), "sides", (1, 1, 1, 5), InvalidQuad),
-        (quad(14, 12, 9, 13), "sides", (1, 1, 1), InvalidQuad),
+        (quad(14, 12, 9, 13), "d", 100, InvalidQuad),
         (Rhombus(5, 6), "d1", 10, DegenerateRhombus),
         (Trapezium(14, 9, (13, 12), 12), "height", 13, InvalidTrapezium),
         (Trapezium(14, 9, (13, 12), 12), "face", 15, InvalidTrapezium),
     ],
-    ids=["triangle", "quad-closure", "quad-three-sides", "rhombus", "trapezium-height",
+    ids=["triangle", "quad-closure", "rhombus", "trapezium-height",
          "trapezium-face"],
 )
 def test_replace_and_make_check_the_result(figure, field, bad, error):
@@ -144,3 +171,31 @@ def test_post_init_runs_once_per_construction_through_the_class(cls, monkeypatch
     assert cls(*value) == value
     assert value._replace() == value
     assert seen == [value, value]
+
+
+def test_diag_quad_takes_a_quad_sides():
+    # a plain tuple would skip the coercion of the sides
+    with pytest.raises(TypeError):
+        DiagQuad((75, 68, 51, 40), 77)
+
+
+def test_diag_quad_checks_its_triangles_once(monkeypatch):
+    # the two triangles are checked when the DiagQuad is made and kept
+    # nowhere; reading them back, as the split area and the embedding do,
+    # rebuilds them without checking them again
+    calls = []
+    original = Triangle.__post_init__
+
+    def counting(self):
+        calls.append(tuple(self))
+        original(self)
+
+    monkeypatch.setattr(Triangle, "__post_init__", counting)
+    dq = DiagQuad(quad(75, 68, 51, 40), 77)
+    assert calls == [(75, 68, 77), (51, 40, 77)] and not hasattr(dq, "__dict__")
+    for _ in range(2):
+        assert dq.triangles == ((75, 68, 77), (51, 40, 77))
+        assert all(type(t) is Triangle for t in dq.triangles)
+    area_by_diagonal(dq)
+    embed(dq)
+    assert len(calls) == 2

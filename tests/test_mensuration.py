@@ -68,9 +68,9 @@ class TestSutraArea:
         rng = random.Random(23)
         for _ in range(200):
             q = random_quad(rng)
-            perm = list(q.sides)
+            perm = list(q)
             rng.shuffle(perm)
-            assert sutra_area(QuadSides(tuple(perm))) == sutra_area(q)
+            assert sutra_area(QuadSides(*perm)) == sutra_area(q)
 
     def test_gross_dominates_sutra(self):
         rng = random.Random(29)
@@ -78,7 +78,7 @@ class TestSutraArea:
             q = random_quad(rng)
             g, s = gross_area(q), sutra_area(q)
             assert not g < s
-            a, b, c, d = q.sides
+            a, b, c, d = q
             if a == c and b == d:
                 assert g == s
             else:
@@ -96,7 +96,7 @@ class TestClosure:
         scale = 10**90
         floors = sum(isqrt(r * scale * scale) for r in (2, 3, 5))
         surds = (Surd(1, 2), Surd(1, 3), Surd(1, 5))
-        assert quad(*surds, Fraction(floors, scale)).sides[3] == Fraction(floors, scale)
+        assert quad(*surds, Fraction(floors, scale)).d == Fraction(floors, scale)
         with pytest.raises(InvalidQuad):
             quad(*surds, Fraction(floors + 3, scale))
 
@@ -118,7 +118,7 @@ class TestHeron:
         rng = random.Random(31)
         for _ in range(500):
             t = random_triangle(rng)
-            s = semiperimeter(t.sides)
+            s = semiperimeter(t)
             area = heron_area(t)
             assert area * area == s * (s - t.a) * (s - t.b) * (s - t.c)
 
@@ -228,8 +228,6 @@ class TestDiagQuad:
     def test_equality_hash_and_repr_ignore_triangles(self):
         dq = DiagQuad(quad(75, 68, 51, 40), 77)
         twin = DiagQuad(quad(75, 68, 51, 40), Fraction(77))
-        object.__setattr__(twin, "triangles", dq.triangles[::-1])
-        assert twin.triangles != dq.triangles
         assert dq == twin and hash(dq) == hash(twin)
         assert repr(dq) == repr(twin) == (
             f"DiagQuad(sides={dq.sides!r}, diagonal={dq.diagonal!r})"
@@ -239,7 +237,7 @@ class TestDiagQuad:
         q = quad(75, 68, 51, 40)
         dq = DiagQuad(q, 77)
         assert len(dq) == 2 and dq == (q, 77) and hash(dq) == hash((q, 77))
-        assert dq != DiagQuad(q, 85) and "triangles" in vars(dq)
+        assert dq != DiagQuad(q, 85)
 
     @pytest.mark.parametrize(
         "dq",
@@ -274,7 +272,7 @@ class TestAreaByDiagonal:
         assert report.split_area == 3234
         assert report.perpendiculars == (60, 24)
         assert gross_area(q) == Fraction(75 + 51, 2) * Fraction(68 + 40, 2)
-        assert semiperimeter(q.sides) == 117
+        assert semiperimeter(q) == 117
 
     def test_square(self):
         report = area_by_diagonal(DiagQuad(quad(25, 25, 25, 25), Surd(25, 2)))

@@ -68,7 +68,7 @@ class TestEmbed:
         for _ in range(50):
             dq = random_diag_quad(rng)
             points = embed(dq)
-            for i, side in enumerate(dq.sides.sides):
+            for i, side in enumerate(dq.sides):
                 (x1, y1), (x2, y2) = points[i], points[(i + 1) % 4]
                 dx, dy = x2 - x1, y2 - y1
                 assert dx * dx + dy * dy == side * side
@@ -281,8 +281,8 @@ class TestAreaScan:
     @pytest.mark.parametrize(
         "sides",
         [
-            pytest.param(random_quad(random.Random(73), max_side=100).sides, id="int-1"),
-            pytest.param(random_quad(random.Random(79), max_side=100).sides, id="int-2"),
+            pytest.param(tuple(random_quad(random.Random(73), max_side=100)), id="int-1"),
+            pytest.param(tuple(random_quad(random.Random(79), max_side=100)), id="int-2"),
             # small parts keep the oracle's per-sample factoring quick
             pytest.param((Fraction(15, 2), Fraction(13, 3), 9, Fraction(41, 4)), id="rational"),
             pytest.param((Surd(3, 2), Surd(2, 2), 2, 4), id="surd"),
@@ -321,7 +321,7 @@ class TestAreaScan:
         # embedding oracle would factor each sample's long-decimal diagonal)
         digits = 10
         q = quad(*sides)
-        a, b, c, d = q.sides
+        a, b, c, d = q
         lower, upper = diagonal_range(q)
         result = area_scan(q, 9, digits)
         assert len(result.samples) == 9
