@@ -304,14 +304,14 @@ def cmd_area(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    t1 = validate_triple(*args.triple1)
-    t2 = validate_triple(*args.triple2)
+    t1 = validate_triple(args.l1, args.m1, args.n1)
+    t2 = validate_triple(args.l2, args.m2, args.n2)
     built = brahmagupta_quad(t1, t2)
     report = {
         "source": [[t1.l, t1.m, t1.n], [t2.l, t2.m, t2.n]],
         "sides": list(built.sides),
         "glue_diagonal": built.glue_diagonal,
-        "circumdiameter": built.circumdiameter,
+        "circumdiameter": built.glue_diagonal,
         "cyclic_diagonals": [built.diagonals.p, built.diagonals.q],
         "area": area_by_diagonal(built.as_diag_quad()).split_area,
         "sutra_area": sutra_area(built.sides),
@@ -405,8 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_area.add_argument("--diagonal", default=None)
 
     p_con = sub.add_parser("construct", help="glue two Pythagorean triples")
-    p_con.add_argument("triple1", nargs=3, type=int, metavar=("L1", "M1", "N1"))
-    p_con.add_argument("triple2", nargs=3, type=int, metavar=("L2", "M2", "N2"))
+    # one positional per number: argparse cannot print a positional whose
+    # metavar is a tuple, in help or in a missing-argument error
+    for name in ("l1", "m1", "n1", "l2", "m2", "n2"):
+        p_con.add_argument(name, type=int, metavar=name.upper())
 
     p_scan = sub.add_parser("scan", help="area versus diagonal for fixed sides")
     p_scan.add_argument("sides", nargs=4)

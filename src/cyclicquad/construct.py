@@ -24,7 +24,7 @@ class PtolemyViolation(GeometryError):
 
 
 class CyclicQuadConstruction(
-    namedtuple("CyclicQuadConstruction", "source sides glue_diagonal circumdiameter diagonals")
+    namedtuple("CyclicQuadConstruction", "sides glue_diagonal diagonals")
 ):
     """Result of gluing two scaled right triangles along a common
     hypotenuse.  The glue diagonal is a circumdiameter: both triangles are
@@ -58,10 +58,7 @@ def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
     if not ptolemy_check(sides, diagonals):
         text = ", ".join(str(s) for s in sides)
         raise PtolemyViolation(f"glued sides {text} fail Ptolemy's equality")
-    return CyclicQuadConstruction(
-        source=(t1, t2), sides=sides, glue_diagonal=glue, circumdiameter=glue,
-        diagonals=diagonals,
-    )
+    return CyclicQuadConstruction(sides=sides, glue_diagonal=glue, diagonals=diagonals)
 
 
 def reflect_swap(dq: DiagQuad, which: str) -> DiagQuad:

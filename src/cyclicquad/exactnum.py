@@ -625,16 +625,12 @@ def render_ratio(num: int, den: int, digits: int) -> str:
     return fixed_ratio(num, den, max(places, 0))
 
 
-def fixed_point(value: Fraction, places: int) -> str:
-    """`value` rounded half away from zero to `places` fractional digits, as
-    sign, integer part, '.', fraction part (no '.' when places is 0), with
-    no exponent; byte-identical across platforms."""
-    return fixed_ratio(value.numerator, value.denominator, places)
-
-
 def fixed_ratio(num: int, den: int, places: int) -> str:
-    """`fixed_point` of num/den for integers num and den > 0, without
-    building the Fraction: the string is the same for an unreduced ratio."""
+    """num/den, for integers num and den > 0, rounded half away from zero to
+    `places` fractional digits, as sign, integer part, '.', fraction part
+    (no '.' when places is 0), with no exponent; byte-identical across
+    platforms.  No Fraction is built, so an unreduced ratio prints the same
+    string as its reduced form."""
     negative = num < 0
     if negative:
         num = -num

@@ -250,16 +250,11 @@ def area_by_diagonal(dq: DiagQuad) -> MensurationReport:
     off-diagonal vertices onto the diagonal.  When the two triangle areas
     are incommensurable surds the split area is their two-term sum.
     """
-    t1, t2 = split_triangle_areas(dq)
+    t1, t2 = map(heron_area, dq.triangles)
     return MensurationReport(
         split_area=t1 + t2,
         perpendiculars=(2 * t1 / dq.diagonal, 2 * t2 / dq.diagonal),
     )
-
-
-def split_triangle_areas(dq: DiagQuad) -> tuple[Exact, Exact]:
-    """The two Heron areas on either side of the diagonal, unsummed."""
-    return tuple(heron_area(t) for t in dq.triangles)
 
 
 def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:

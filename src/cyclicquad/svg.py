@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import approx, fixed_point, fixed_ratio, render_decimal
+from .exactnum import approx, fixed_ratio, render_decimal
 from .mensuration import DiagQuad, QuadSides
 from .oracle import ScanResult, embed
 
@@ -23,7 +23,7 @@ _SNAP_H = 160
 
 
 def _fmt(value: Fraction) -> str:
-    return fixed_point(value, 2)
+    return fixed_ratio(value.numerator, value.denominator, 2)
 
 
 def _label(value: Fraction) -> str:
@@ -32,7 +32,7 @@ def _label(value: Fraction) -> str:
     small figure's labels do not read 0.00."""
     if 10 * value < 1:
         return render_decimal(value, 4)
-    return fixed_point(value, 2)
+    return _fmt(value)
 
 
 def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:

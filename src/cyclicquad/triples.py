@@ -36,9 +36,6 @@ class PythTriple(_Sides):
         # `_replace` goes through `_make`: check its result too
         return cls(*iterable)
 
-    def scaled(self, k: int) -> "PythTriple":
-        return PythTriple(self.l * k, self.m * k, self.n * k)
-
 
 def validate_triple(l: int, m: int, n: int) -> PythTriple:
     """Canonicalize legs and validate the Pythagorean identity."""

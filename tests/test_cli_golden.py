@@ -38,6 +38,11 @@ CASES = (
         ("scan_steps999.json", 0, ["--format", "json", "scan", "75", "40", "51", "68"]),
         ("scan_steps999.svg", 0, ["--format", "svg", "scan", "75", "40", "51", "68"]),
         (
+            "scan_steps99.svg",
+            0,
+            ["--format", "svg", "--steps", "99", "scan", "75", "40", "51", "68"],
+        ),
+        (
             "area_incommensurable_split.err",
             2,
             ["--format", "json", "area", "2", "3", "4", "5", "--diagonal", "3"],

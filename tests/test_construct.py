@@ -14,10 +14,10 @@ from cyclicquad.exactnum import IncompatibleRadicands, Surd
 from cyclicquad.mensuration import (
     DiagQuad,
     cyclic_diagonal_pair,
+    heron_area,
     quad,
     rhombus_area,
     rhombus_second_diagonal,
-    split_triangle_areas,
     sutra_area,
     triangle_circumradius,
 )
@@ -51,17 +51,21 @@ class TestBrahmaguptaQuad:
         built = brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(8, 15, 17))
         assert sorted(built.sides) == [40, 51, 68, 75]
         assert built.glue_diagonal == 85
-        assert built.circumdiameter == 85
         dq = built.as_diag_quad()
-        t1, t2 = split_triangle_areas(dq)
+        # the glue diagonal is a circumdiameter: both triangles are right on it
+        assert all(t.a**2 + t.b**2 == t.c**2 for t in dq.triangles)
+        t1, t2 = [heron_area(t) for t in dq.triangles]
         assert t1 + t2 == Fraction(51 * 68 + 40 * 75, 2) == 3234
 
     def test_equal_triples_rectangle_class(self):
         built = brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(3, 4, 5))
         assert sorted(built.sides) == [15, 15, 20, 20]
         assert built.glue_diagonal == 25
-        t1, t2 = split_triangle_areas(built.as_diag_quad())
+        t1, t2 = [heron_area(t) for t in built.as_diag_quad().triangles]
         assert t1 + t2 == 300
+
+    def test_record_holds_sides_glue_diagonal_and_diagonals(self):
+        assert construct.CyclicQuadConstruction._fields == ("sides", "glue_diagonal", "diagonals")
 
     def test_failed_ptolemy_check_raises(self, monkeypatch):
         # a real check, not an assert that python -O would strip
@@ -83,7 +87,7 @@ class TestBrahmaguptaQuad:
                 # integer sides
                 assert all(s.denominator == 1 for s in built.sides)
                 # integer area, equal to the unconditional root rule
-                a1, a2 = split_triangle_areas(dq)
+                a1, a2 = [heron_area(t) for t in dq.triangles]
                 split = a1 + a2
                 assert split.denominator == 1
                 assert sutra_area(built.sides) == split
@@ -124,8 +128,8 @@ class TestReflectSwap:
             assert sorted(swapped.sides) == sorted(dq.sides)
             assert swapped.diagonal == dq.diagonal
             # each triangle's Heron area survives the swap of its own sides
-            before = split_triangle_areas(dq)
-            after = split_triangle_areas(swapped)
+            before = [heron_area(t) for t in dq.triangles]
+            after = [heron_area(t) for t in swapped.triangles]
             assert before == after
             try:
                 split_before = before[0] + before[1]

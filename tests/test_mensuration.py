@@ -29,7 +29,6 @@ from cyclicquad.mensuration import (
     rhombus_area,
     rhombus_second_diagonal,
     semiperimeter,
-    split_triangle_areas,
     sutra_area,
     trapezium_area,
     triangle_circumradius,
@@ -290,7 +289,7 @@ class TestAreaByDiagonal:
 
     def test_incommensurable_split_is_a_sum(self):
         dq = DiagQuad(quad(5, 6, 7, 8), 9)
-        t1, t2 = split_triangle_areas(dq)
+        t1, t2 = [heron_area(t) for t in dq.triangles]
         split_area = area_by_diagonal(dq).split_area
         assert isinstance(split_area, Surd) and len(split_area.terms) == 2
         assert split_area == t1 + t2

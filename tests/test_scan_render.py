@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cyclicquad.cli as cli
 import cyclicquad.svg as svg
-from cyclicquad.exactnum import Surd, fixed_point, render_decimal
+from cyclicquad.exactnum import Surd, fixed_ratio, render_decimal
 from cyclicquad.mensuration import InvalidQuad, InvalidTriangle, quad
 from cyclicquad.oracle import ScanResult, area_scan
 from cyclicquad.svg import _PLOT, scan_svg
@@ -32,9 +32,13 @@ def reference_curve(result: ScanResult) -> str:
     areas = [s[1] for s in result.samples]
     lo_d, hi_d = diags[0], diags[-1]
     lo_a, hi_a = min(areas), max(areas)
+
+    def fixed(value: Fraction) -> str:
+        return fixed_ratio(value.numerator, value.denominator, 2)
+
     return " ".join(
-        f"{fixed_point(reference_map(d, lo_d, hi_d, px, pw), 2)},"
-        f"{fixed_point(py + ph - reference_map(a, lo_a, hi_a, 0, ph), 2)}"
+        f"{fixed(reference_map(d, lo_d, hi_d, px, pw))},"
+        f"{fixed(py + ph - reference_map(a, lo_a, hi_a, 0, ph))}"
         for d, a in zip(diags, areas)
     )
 

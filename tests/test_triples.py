@@ -63,10 +63,6 @@ class TestPythTripleContract:
         assert got == [(3, 4), (7, 24), (9, 12), (9, 40), (15, 20)]
         assert PythTriple(3, 4, 5) < PythTriple(5, 12, 13) <= PythTriple(5, 12, 13)
 
-    def test_scaled(self):
-        t = PythTriple(8, 15, 17).scaled(3)
-        assert t == PythTriple(24, 45, 51) and type(t) is PythTriple
-
     def test_equals_its_plain_tuple(self):
         t = PythTriple(3, 4, 5)
         assert t == (3, 4, 5) and hash(t) == hash((3, 4, 5)) and list(t) == [3, 4, 5]
