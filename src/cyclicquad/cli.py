@@ -15,8 +15,9 @@ renderers print every report:
   `_json` writes it directly, byte-identical to `json.dumps(indent=2)` with
   `_json_value` as the hook for exact values.
 The decimal of an exact value is `render_decimal(approx(value, digits),
-digits)`.  `scan` prints approximations only: it renders each sample to a
-decimal string from the scan's integer numerator and denominator.
+digits)`.  `scan` prints approximations only: it renders its diagonals and
+its areas as two columns of decimal strings, each in one `render_ratios`
+pass over the scan's integer numerators and shared denominator.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -37,7 +38,7 @@ from .exactnum import (
     Surd,
     approx,
     render_decimal,
-    render_ratio,
+    render_ratios,
 )
 from .manifest import run_manifest
 from .mensuration import (
@@ -329,21 +330,23 @@ def cmd_scan(args) -> int:
         return EXIT_OK
 
     den, x0, dx, roots, area_den = result.den, result.x0, result.dx, result.roots, result.area_den
-
-    def sample(i):
-        return [render_ratio(x0 + i * dx, den, digits), render_ratio(roots[i], area_den, digits)]
-
-    argmax_diagonal, max_area = sample(result.argmax)
+    last = len(roots) - 1
+    # JSON prints every sample, text only the first, the peak and the last
+    shown = range(last + 1) if args.format == "json" else (0, result.argmax, last)
+    diagonals = render_ratios([x0 + i * dx for i in shown], den, digits)
+    areas = render_ratios(list(map(roots.__getitem__, shown)), area_den, digits)
+    samples = [[x, a] for x, a in zip(diagonals, areas)]
+    argmax_diagonal, max_area = samples[shown.index(result.argmax)]
     report = {
         "sides": sides,
         "steps": args.steps,
         "argmax_diagonal": argmax_diagonal,
         "max_area": max_area,
-        "first_sample": sample(0),
-        "last_sample": sample(len(roots) - 1),
+        "first_sample": samples[0],
+        "last_sample": samples[-1],
     }
     if args.format == "json":
-        report["samples"] = [sample(i) for i in range(len(roots))]
+        report["samples"] = samples
     return _write_report(args, "scan", report)
 
 

@@ -41,17 +41,20 @@ irrational value, and the single-term accessors ``coefficient``/``radicand``
 of a sum raise ``IncompatibleRadicands``.
 
 Exact and approximate values stay apart.  An approximation is a plain
-Fraction (``approx``, ``sqrt_fraction``), and a Surd never equals one
-because no Surd has a rational value.  It becomes a decimal string with
-``render_decimal`` only where a report prints it.  ``render_ratio`` and
-``fixed_ratio`` print an integer ratio num/den the same way without
-building a Fraction, for callers that hold a numerator and denominator.
+Fraction (``approx``), and a Surd never equals one because no Surd has a
+rational value.  It becomes a decimal string with ``render_decimal`` only
+where a report prints it.  ``render_ratio`` and ``fixed_ratio`` print an
+integer ratio num/den the same way without building a Fraction, for
+callers that hold a numerator and denominator.  ``render_ratios`` and
+``fixed_ratios`` print a column of numerators over one denominator, such as
+a scan's samples, in one pass with the same strings.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 
@@ -572,21 +575,6 @@ def to_exact(value: int | Exact) -> Exact:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
-    """Rational approximation of sqrt(x) with relative error below
-    10**(-digits), via integer square root of a scaled integer.  The program
-    itself takes every root exactly; the tests keep this as an independent
-    reference for square roots."""
-    if x < 0:
-        raise NegativeRadicand(f"sqrt of negative value {x}")
-    if x == 0:
-        return Fraction(0)
-    scale = 10**digits
-    # sqrt(n/d) = isqrt(n*d*scale^2) / (d*scale), floor rounding
-    n, d = x.numerator, x.denominator
-    return Fraction(isqrt(n * d * scale * scale), d * scale)
-
-
 def approx(value: int | Exact, digits: int = DEFAULT_DIGITS) -> Fraction:
     """Rational approximation of any exact scalar, correct to `digits`
     significant digits: a rational value comes back as itself."""
@@ -640,3 +628,55 @@ def fixed_ratio(num: int, den: int, places: int) -> str:
     if places:
         return f"{sign}{text[:-places]}.{text[-places:]}"
     return sign + text
+
+
+def render_ratios(nums, den: int, digits: int) -> list[str]:
+    """`render_ratio(num, den, digits)` for each num in `nums`, as a list.
+
+    A num/den >= 1 with k integer digits lies in [den*10**(k-1), den*10**k),
+    so bisecting num against the bounds den, 10*den, 100*den, ... gives k.
+    The items that share a k are printed as one `fixed_ratios` column to
+    digits - k places; a value below 1, zero or negative (k == 0) is
+    printed on its own."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    bounds = [den]
+    top = max(nums, default=0)
+    while bounds[-1] <= top:
+        bounds.append(10 * bounds[-1])
+    counts = list(map(partial(bisect_right, bounds), nums))
+    kinds = set(counts)
+    if len(kinds) == 1 and counts[0]:
+        return fixed_ratios(nums, den, max(digits - counts[0], 0))
+    texts = [""] * len(counts)
+    for k in kinds:
+        where = [i for i, c in enumerate(counts) if c == k]
+        items = list(map(nums.__getitem__, where))
+        if k:
+            column = fixed_ratios(items, den, max(digits - k, 0))
+        else:
+            column = [render_ratio(num, den, digits) for num in items]
+        for i, text in zip(where, column):
+            texts[i] = text
+    return texts
+
+
+def fixed_ratios(nums, den: int, places: int) -> list[str]:
+    """`fixed_ratio(num, den, places)` for each num in `nums`, as a list:
+    the scale and the divisor are computed once and the column is rounded in
+    one comprehension.  A column holding a negative num is printed one item
+    at a time."""
+    if min(nums, default=0) < 0:
+        return [fixed_ratio(num, den, places) for num in nums]
+    scale = 10**places
+    # dividing 10**places and den by g = gcd(10**places, den) rounds every
+    # num alike, with shorter operands
+    g = gcd(scale, den)
+    den //= g
+    twice = 2 * den
+    scaled = 2 * (scale // g)
+    width = places + 1
+    texts = ["%0*d" % (width, (num * scaled + den) // twice) for num in nums]
+    if places:
+        return [f"{text[:-places]}.{text[-places:]}" for text in texts]
+    return texts

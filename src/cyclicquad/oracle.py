@@ -161,23 +161,22 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
     dx = step.numerator * (den // step.denominator)
     x0 = lo.numerator * (den // lo.denominator) + dx
-    # per triangle: P = k * X^2 - X^4 - c for the scaled diagonal X
+    # per triangle: P = k * X^2 - X^4 - c = (k - X^2) * X^2 - c for the
+    # scaled diagonal X
     k1, c1 = 2 * (sa + sb) * den, (sa - sb) ** 2 * den * den
     k2, c2 = 2 * (sc + sd) * den, (sc - sd) ** 2 * den * den
+    grid_sq = [(x0 + i * dx) ** 2 for i in range(steps)]
+    p1 = [(k1 - xx) * xx - c1 for xx in grid_sq]
+    p2 = [(k2 - xx) * xx - c2 for xx in grid_sq]
+    if min(min(p1), min(p2)) <= 0:
+        i = next(i for i in range(steps) if p1[i] <= 0 or p2[i] <= 0)
+        raise InvalidTriangle(
+            f"grid diagonal {Fraction(x0 + i * dx, den)} leaves no triangle "
+            f"with sides {', '.join(str(s) for s in q)}"
+        )
     scale = 10 ** (digits + GUARD_DIGITS)
     scale_sq = scale * scale
-    roots = []
-    for i in range(steps):
-        xx = (x0 + i * dx) ** 2
-        x4 = xx * xx
-        p1 = k1 * xx - x4 - c1
-        p2 = k2 * xx - x4 - c2
-        if p1 <= 0 or p2 <= 0:
-            raise InvalidTriangle(
-                f"grid diagonal {Fraction(x0 + i * dx, den)} leaves no triangle "
-                f"with sides {', '.join(str(s) for s in q)}"
-            )
-        roots.append(isqrt(p1 * scale_sq) + isqrt(p2 * scale_sq))
+    roots = [isqrt(u * scale_sq) + isqrt(v * scale_sq) for u, v in zip(p1, p2)]
     return ScanResult(
         den=den,
         x0=x0,

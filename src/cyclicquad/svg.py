@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import approx, fixed_ratio, render_decimal
+from .exactnum import approx, fixed_ratio, fixed_ratios, render_decimal
 from .mensuration import DiagQuad, QuadSides
 from .oracle import ScanResult, embed
 
@@ -76,16 +76,16 @@ def scan_svg(q: QuadSides, result: ScanResult, digits: int) -> str:
     last = len(roots) - 1
     lo_r, hi_r = min(roots), max(roots)
     if dx:
-        xs = [fixed_ratio(px * last + i * pw, last, 2) for i in range(last + 1)]
+        xs = fixed_ratios(range(px * last, px * last + (last + 1) * pw, pw), last, 2)
     else:
         xs = [fixed_ratio(2 * px + pw, 2, 2)] * (last + 1)
     if hi_r > lo_r:
         span = hi_r - lo_r
         top = (py + ph) * span + lo_r * ph
-        ys = [fixed_ratio(top - r * ph, span, 2) for r in roots]
+        ys = fixed_ratios([top - r * ph for r in roots], span, 2)
     else:
         ys = [fixed_ratio(2 * py + ph, 2, 2)] * (last + 1)
-    curve = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
+    curve = " ".join(map(",".join, zip(xs, ys)))
     lo_d, hi_d = Fraction(x0, den), Fraction(x0 + last * dx, den)
     lo_a, hi_a = Fraction(lo_r, area_den), Fraction(hi_r, area_den)
     body: list[str] = [

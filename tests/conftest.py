@@ -1,9 +1,25 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
-from cyclicquad.exactnum import approx
+from cyclicquad.exactnum import NegativeRadicand, approx
 from cyclicquad.mensuration import DiagQuad, InvalidQuad, InvalidTriangle, QuadSides, Triangle, quad
 from cyclicquad.oracle import diagonal_range
+
+
+def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
+    """Reference square root: a rational approximation of sqrt(x) with
+    relative error below 10**(-digits), floor-rounded, from the integer
+    square root of a scaled integer.  The program takes every root exactly;
+    the tests use this as an independent reference."""
+    if x < 0:
+        raise NegativeRadicand(f"sqrt of negative value {x}")
+    if x == 0:
+        return Fraction(0)
+    scale = 10**digits
+    # sqrt(n/d) = isqrt(n*d*scale^2) / (d*scale), floor rounding
+    n, d = x.numerator, x.denominator
+    return Fraction(isqrt(n * d * scale * scale), d * scale)
 
 
 def random_triangle(rng: random.Random, max_side: int = 200) -> Triangle:

@@ -15,12 +15,15 @@ from cyclicquad.exactnum import (
     Surd,
     approx,
     fixed_ratio,
+    fixed_ratios,
     render_decimal,
     render_ratio,
+    render_ratios,
     square_free_split,
-    sqrt_fraction,
     to_exact,
 )
+
+from conftest import sqrt_fraction
 
 
 @pytest.fixture
@@ -601,6 +604,84 @@ class TestIntegerRenderer:
     @pytest.mark.parametrize("digits", [1, 2, 4, 60])
     def test_carries_zero_and_integers(self, value, digits):
         assert render_decimal(value, digits) == reference_render_decimal(value, digits)
+
+
+def reference_render_ratio(num, den, digits):
+    """`render_ratio` as it was before the column renderers, one item."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    size = -num if num < 0 else num
+    if size >= den:
+        places = digits - len(str(size // den))
+    elif size:
+        zeros = len(str((den - 1) // size)) - 1
+        places = max(digits - 1, 1) + zeros
+    else:
+        places = digits - 1
+    return reference_fixed_ratio(num, den, max(places, 0))
+
+
+def reference_fixed_ratio(num, den, places):
+    """`fixed_ratio` as it was before the column renderers, one item."""
+    negative = num < 0
+    if negative:
+        num = -num
+    units = (2 * num * 10**places + den) // (2 * den)
+    text = str(units).rjust(places + 1, "0")
+    sign = "-" if negative and units else ""
+    if places:
+        return f"{sign}{text[:-places]}.{text[-places:]}"
+    return sign + text
+
+
+@st.composite
+def columns(draw):
+    """(nums, den): a run of numerators over one denominator that crosses
+    the power of ten den*10**k upward or downward, with a few arbitrary
+    numerators (zeros, negatives, values below 1) put in at random places."""
+    den = draw(st.integers(1, 10**30))
+    k = draw(st.integers(0, 45))
+    step = draw(st.integers(1, 1000) | st.integers(1, den * 10**k))
+    n = draw(st.integers(1, 40))
+    start = den * 10**k - step * draw(st.integers(0, n))
+    nums = [start + i * step for i in range(n)]
+    if draw(st.booleans()):
+        nums.reverse()
+    extras = st.sampled_from([0, 1, -1, den - 1, -den]) | st.integers(-(10**40), 10**40)
+    for value in draw(st.lists(extras, max_size=4)):
+        nums.insert(draw(st.integers(0, len(nums))), value)
+    return nums, den
+
+
+class TestColumnRenderers:
+    @given(columns(), st.integers(1, 60))
+    def test_render_ratios_match_per_item_reference(self, column, digits):
+        nums, den = column
+        expected = [reference_render_ratio(num, den, digits) for num in nums]
+        assert render_ratios(nums, den, digits) == expected
+
+    @given(columns(), st.integers(0, 80))
+    def test_fixed_ratios_match_per_item_reference(self, column, places):
+        nums, den = column
+        expected = [reference_fixed_ratio(num, den, places) for num in nums]
+        assert fixed_ratios(nums, den, places) == expected
+
+    @pytest.mark.parametrize("num", [0, 7, -7, 99999, 10**40, -(10**40)])
+    @pytest.mark.parametrize("digits", [1, 2, 12, 60])
+    def test_one_item_columns(self, num, digits):
+        for den in (1, 7, 10**5):
+            assert render_ratios([num], den, digits) == [reference_render_ratio(num, den, digits)]
+            assert fixed_ratios([num], den, digits) == [reference_fixed_ratio(num, den, digits)]
+
+    def test_empty_column_and_ranges(self):
+        assert render_ratios([], 3, 5) == [] and fixed_ratios([], 3, 5) == []
+        nums = range(-50, 10**4, 37)
+        assert render_ratios(nums, 9, 6) == [reference_render_ratio(n, 9, 6) for n in nums]
+        assert fixed_ratios(nums, 9, 3) == [reference_fixed_ratio(n, 9, 3) for n in nums]
+
+    def test_digits_validated(self):
+        with pytest.raises(ValueError):
+            render_ratios([1, 2], 3, 0)
 
 
 def test_to_exact_is_the_boundary_coercion():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -10,7 +11,6 @@ from cyclicquad.exactnum import (
     Surd,
     approx,
     render_decimal,
-    sqrt_fraction,
 )
 from cyclicquad.mensuration import (
     DiagQuad,
@@ -34,7 +34,7 @@ from cyclicquad.oracle import (
     shoelace_area,
 )
 
-from conftest import random_diag_quad, random_quad
+from conftest import random_diag_quad, random_quad, sqrt_fraction
 
 
 def random_rational_quad(rng: random.Random):
@@ -44,6 +44,52 @@ def random_rational_quad(rng: random.Random):
             return quad(*sides)
         except InvalidQuad:
             continue
+
+
+def random_surd_quad(rng: random.Random):
+    """Four single-term surd or rational sides c*sqrt(r), each with a
+    rational square."""
+    while True:
+        sides = (
+            Surd(Fraction(rng.randint(1, 40), rng.randint(1, 4)), rng.choice((1, 2, 3, 5, 6)))
+            for _ in range(4)
+        )
+        try:
+            return quad(*sides)
+        except InvalidQuad:
+            continue
+
+
+def reference_scan(q, steps: int, digits: int):
+    """`area_scan`'s former per-sample loop, kept as the reference for its
+    list-built kernel: (den, x0, dx, roots, area_den, argmax)."""
+    lower, upper = diagonal_range(q)
+    lo = approx(lower, digits)
+    hi = approx(upper, digits)
+    step = (hi - lo) / (steps + 1)
+    squares = [s * s for s in q]
+    den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
+    sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
+    dx = step.numerator * (den // step.denominator)
+    x0 = lo.numerator * (den // lo.denominator) + dx
+    k1, c1 = 2 * (sa + sb) * den, (sa - sb) ** 2 * den * den
+    k2, c2 = 2 * (sc + sd) * den, (sc - sd) ** 2 * den * den
+    scale = 10 ** (digits + GUARD_DIGITS)
+    scale_sq = scale * scale
+    roots = []
+    for i in range(steps):
+        xx = (x0 + i * dx) ** 2
+        x4 = xx * xx
+        p1 = k1 * xx - x4 - c1
+        p2 = k2 * xx - x4 - c2
+        if p1 <= 0 or p2 <= 0:
+            raise InvalidTriangle(
+                f"grid diagonal {Fraction(x0 + i * dx, den)} leaves no triangle "
+                f"with sides {', '.join(str(s) for s in q)}"
+            )
+        roots.append(isqrt(p1 * scale_sq) + isqrt(p2 * scale_sq))
+    argmax = max(range(steps), key=roots.__getitem__)
+    return den, x0, dx, tuple(roots), 4 * den * den * scale, argmax
 
 
 class TestEmbed:
@@ -365,6 +411,34 @@ class TestAreaScan:
         with pytest.raises(InvalidTriangle):
             area_scan(q, 3, 1)
         assert len(area_scan(q, 3, 20).samples) == 3
+
+    @pytest.mark.parametrize("digits", [12, 50])
+    @pytest.mark.parametrize("make_quad", [random_rational_quad, random_surd_quad])
+    def test_kernel_matches_per_sample_loop(self, make_quad, digits):
+        rng = random.Random(digits * 7 + len(make_quad.__name__))
+        for _ in range(25):
+            q = make_quad(rng)
+            steps = rng.choice((3, 4, 17, 99, 250))
+            result = area_scan(q, steps, digits)
+            den, x0, dx, roots, area_den, argmax = reference_scan(q, steps, digits)
+            assert (result.den, result.x0, result.dx, result.area_den) == (den, x0, dx, area_den)
+            assert result.roots == roots
+            assert result.argmax == argmax
+
+    def test_invalid_grid_names_the_first_failing_diagonal(self):
+        # the scan of test_invalid_grid_diagonal_raises: every grid point
+        # lies below sqrt(2), the least feasible diagonal, and the error
+        # names the first
+        c = Fraction(1414213562374, 10**12) - Fraction(1, 2)
+        q = quad(Surd(2, 2), Surd(1, 2), c, Fraction(1, 2))
+        with pytest.raises(InvalidTriangle) as expected:
+            reference_scan(q, 3, 1)
+        with pytest.raises(InvalidTriangle) as raised:
+            area_scan(q, 3, 1)
+        assert str(raised.value) == str(expected.value)
+        lo, hi = (approx(v, 1) for v in diagonal_range(q))
+        assert all(lo + i * (hi - lo) / 4 < Surd(1, 2) for i in (1, 2, 3))
+        assert str(raised.value).startswith(f"grid diagonal {lo + (hi - lo) / 4} leaves")
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):
