@@ -17,7 +17,9 @@ renderers print every report:
 The decimal of an exact value is `render_decimal(approx(value, digits),
 digits)`.  `scan` prints approximations only: it renders its diagonals and
 its areas as two columns of decimal strings, each in one `render_ratios`
-pass over the scan's integer numerators and shared denominator.
+pass over the scan's integer numerators and shared denominator.  JSON and
+SVG take every sample from `area_scan`; text prints three and takes them
+from `scan_peak`, whose cost does not grow with `--steps`.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -56,7 +58,7 @@ from .mensuration import (
     semiperimeter,
     sutra_area,
 )
-from .oracle import area_scan, concyclic_exact
+from .oracle import area_scan, concyclic_exact, scan_peak
 from .svg import scan_svg
 from .triples import NotPythagorean, generate_triples, hypotenuse_pairs, validate_triple
 
@@ -100,15 +102,15 @@ def _json_value(value, digits: int):
 
 
 @lru_cache(maxsize=256)
-def _list_template(shape: tuple[int, ...], pad: str) -> str:
+def _list_template(shape: tuple[int, ...], pad: str, leaf: str) -> str:
     """`%` template of a JSON list of `shape[0]` items, each on its own line
     indented two spaces past `pad`, and each a list of shape `shape[1:]`
-    nested the same way; a rendered scalar for the empty shape.  No
-    dimension is 0."""
+    nested the same way; `leaf`, the template of one scalar, for the empty
+    shape.  No dimension is 0."""
     if not shape:
-        return "%s"
+        return leaf
     inner = pad + "  "
-    item = _list_template(shape[1:], inner)
+    item = _list_template(shape[1:], inner, leaf)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
 
 
@@ -116,7 +118,8 @@ def _block(value, pad: str) -> str | None:
     """`value`, a non-empty list, as one filled template when its items are
     scalars or lists nested to one shape, and the scalars, all at the same
     depth, are all ints or all strs: triple and pair rows, scan samples.
-    None for any other list."""
+    None for any other list.  Strs that hold only ASCII digits, '.' and '-',
+    such as decimals, need no escaping, so the template quotes them."""
     shape = []
     leaves = value
     kinds = set(map(type, leaves))
@@ -127,14 +130,22 @@ def _block(value, pad: str) -> str | None:
         shape.append(lengths.pop())
         leaves = list(chain.from_iterable(leaves))
         kinds = set(map(type, leaves))
+    leaf = "%s"
     if kinds == {str}:
-        leaves = map(encode_basestring_ascii, leaves)
+        # one check over the joined column, not one call per leaf; bytes
+        # translate, unlike str.isdigit, makes no Unicode lookup per char,
+        # and isascii keeps a lone surrogate away from encode
+        joined = "".join(leaves)
+        if joined.isascii() and not joined.encode().translate(None, b"0123456789.-"):
+            leaf = '"%s"'
+        else:
+            leaves = map(encode_basestring_ascii, leaves)
     elif kinds != {int}:
         return None
     # only the row template is cached: one keyed by the outer length would
     # keep output-sized strings alive
     inner = pad + "  "
-    row = _list_template(tuple(shape), inner)
+    row = _list_template(tuple(shape), inner, leaf)
     return ("[" + inner + ("," + inner).join([row] * len(value)) + pad + "]") % tuple(leaves)
 
 
@@ -324,19 +335,22 @@ def cmd_scan(args) -> int:
     sides = [_parse_length(s) for s in args.sides]
     q = quad(*sides)
     digits = _report_digits(args)
-    result = area_scan(q, args.steps, digits)
-    if args.format == "svg":
-        _write(scan_svg(q, result, digits), args.out)
-        return EXIT_OK
+    if args.format == "text":
+        # text prints only the first, the peak and the last sample
+        scan = scan_peak(q, args.steps, digits)
+        shown = (0, scan.argmax, args.steps - 1)
+    else:
+        scan = area_scan(q, args.steps, digits)
+        if args.format == "svg":
+            _write(scan_svg(q, scan, digits), args.out)
+            return EXIT_OK
+        shown = range(args.steps)
 
-    den, x0, dx, roots, area_den = result.den, result.x0, result.dx, result.roots, result.area_den
-    last = len(roots) - 1
-    # JSON prints every sample, text only the first, the peak and the last
-    shown = range(last + 1) if args.format == "json" else (0, result.argmax, last)
-    diagonals = render_ratios([x0 + i * dx for i in shown], den, digits)
-    areas = render_ratios(list(map(roots.__getitem__, shown)), area_den, digits)
+    x0, dx = scan.x0, scan.dx
+    diagonals = render_ratios([x0 + i * dx for i in shown], scan.den, digits)
+    areas = render_ratios(scan.roots, scan.area_den, digits)
     samples = [[x, a] for x, a in zip(diagonals, areas)]
-    argmax_diagonal, max_area = samples[shown.index(result.argmax)]
+    argmax_diagonal, max_area = samples[shown.index(scan.argmax)]
     report = {
         "sides": sides,
         "steps": args.steps,

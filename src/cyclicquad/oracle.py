@@ -10,11 +10,15 @@ fixed.  The scan does not embed: it evaluates each sample's closed-form
 area on integers scaled to a shared denominator, with relative error below
 2/F for F = 10**(digits + guard digits), and returns those integers
 (`ScanResult`), so a renderer prints a sample from its numerator and
-denominator.  The embedding serves as its independent oracle in the
+denominator.  `scan_peak` gives the same grid's first, largest and last
+samples without the rest: the area is unimodal along the grid, so it
+bisects for the exact peak and certifies the largest root in a window
+around it.  The embedding serves as the scan's independent oracle in the
 tests."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, lcm
@@ -25,7 +29,6 @@ from .mensuration import (
     GeometryError,
     InvalidTriangle,
     QuadSides,
-    Triangle,
     abadha_split,
 )
 
@@ -44,14 +47,6 @@ def embed(dq: DiagQuad) -> tuple:
     _, x2, y2 = abadha_split(t2)
     zero = Fraction(0)
     return (zero, zero), (x1, y1), (dq.diagonal, zero), (x2, -y2)
-
-
-def embed_triangle(t: Triangle) -> tuple:
-    """The three vertices of a triangle as exact points, side c on the
-    x-axis."""
-    x, _, y = abadha_split(t)
-    zero = Fraction(0)
-    return (zero, zero), (t.c, zero), (x, y)
 
 
 def shoelace_area(points) -> Exact:
@@ -125,6 +120,65 @@ class ScanResult(namedtuple("ScanResult", "den x0 dx roots area_den argmax")):
         return Fraction(self.roots[self.argmax], self.area_den)
 
 
+class _Grid(namedtuple("_Grid", "den x0 dx k1 c1 k2 c2 scale")):
+    """The integer grid that `area_scan` and `scan_peak` share (see
+    `area_scan`): sample i has scaled diagonal x0 + i*dx over `den`, and
+    each triangle's P = (k - X) * X - c for the scaled squared diagonal X."""
+
+    __slots__ = ()
+
+    def squares(self, indices) -> list:
+        x0, dx = self.x0, self.dx
+        return [(x0 + i * dx) ** 2 for i in indices]
+
+    def triangles(self, squares) -> tuple[list, list]:
+        k1, c1, k2, c2 = self.k1, self.c1, self.k2, self.c2
+        return [(k1 - xx) * xx - c1 for xx in squares], [(k2 - xx) * xx - c2 for xx in squares]
+
+    def roots(self, p1, p2) -> list:
+        scale_sq = self.scale * self.scale
+        return [isqrt(u * scale_sq) + isqrt(v * scale_sq) for u, v in zip(p1, p2)]
+
+    def root(self, i: int) -> int:
+        return self.roots(*self.triangles(self.squares((i,))))[0]
+
+    @property
+    def area_den(self) -> int:
+        return 4 * self.den * self.den * self.scale
+
+    def no_triangle(self, q: QuadSides, i: int) -> InvalidTriangle:
+        return InvalidTriangle(
+            f"grid diagonal {Fraction(self.x0 + i * self.dx, self.den)} leaves no triangle "
+            f"with sides {', '.join(str(s) for s in q)}"
+        )
+
+
+def _scan_grid(q: QuadSides, steps: int, digits: int) -> _Grid:
+    if steps < 3:
+        raise ValueError("steps must be >= 3")
+    lower, upper = diagonal_range(q)
+    lo = approx(lower, digits)
+    hi = approx(upper, digits)
+    step = (hi - lo) / (steps + 1)
+    squares = [s * s for s in q]
+    if not all(isinstance(v, Fraction) for v in squares):
+        raise IncompatibleRadicands("the scan needs sides with rational squares")
+    den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
+    sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
+    dx = step.numerator * (den // step.denominator)
+    x0 = lo.numerator * (den // lo.denominator) + dx
+    return _Grid(
+        den=den,
+        x0=x0,
+        dx=dx,
+        k1=2 * (sa + sb) * den,
+        c1=(sa - sb) ** 2 * den * den,
+        k2=2 * (sc + sd) * den,
+        c2=(sc - sd) ** 2 * den * den,
+        scale=10 ** (digits + GUARD_DIGITS),
+    )
+
+
 def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanResult:
     """Sample the feasible diagonal interval at `steps` interior grid
     points and measure each hinged configuration.  The family realizes the
@@ -148,40 +202,102 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     unit in sqrt(P)*F >= F: the relative error of every sample is below
     2/F at any scale.  The argmax is taken on the integers, first maximum
     winning.  `embed`/`shoelace_area` stay the independent oracle."""
-    if steps < 3:
-        raise ValueError("steps must be >= 3")
-    lower, upper = diagonal_range(q)
-    lo = approx(lower, digits)
-    hi = approx(upper, digits)
-    step = (hi - lo) / (steps + 1)
-    squares = [s * s for s in q]
-    if not all(isinstance(v, Fraction) for v in squares):
-        raise IncompatibleRadicands("the scan needs sides with rational squares")
-    den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
-    sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
-    dx = step.numerator * (den // step.denominator)
-    x0 = lo.numerator * (den // lo.denominator) + dx
-    # per triangle: P = k * X^2 - X^4 - c = (k - X^2) * X^2 - c for the
-    # scaled diagonal X
-    k1, c1 = 2 * (sa + sb) * den, (sa - sb) ** 2 * den * den
-    k2, c2 = 2 * (sc + sd) * den, (sc - sd) ** 2 * den * den
-    grid_sq = [(x0 + i * dx) ** 2 for i in range(steps)]
-    p1 = [(k1 - xx) * xx - c1 for xx in grid_sq]
-    p2 = [(k2 - xx) * xx - c2 for xx in grid_sq]
+    grid = _scan_grid(q, steps, digits)
+    p1, p2 = grid.triangles(grid.squares(range(steps)))
     if min(min(p1), min(p2)) <= 0:
-        i = next(i for i in range(steps) if p1[i] <= 0 or p2[i] <= 0)
-        raise InvalidTriangle(
-            f"grid diagonal {Fraction(x0 + i * dx, den)} leaves no triangle "
-            f"with sides {', '.join(str(s) for s in q)}"
-        )
-    scale = 10 ** (digits + GUARD_DIGITS)
-    scale_sq = scale * scale
-    roots = [isqrt(u * scale_sq) + isqrt(v * scale_sq) for u, v in zip(p1, p2)]
+        raise grid.no_triangle(q, next(i for i in range(steps) if p1[i] <= 0 or p2[i] <= 0))
+    roots = grid.roots(p1, p2)
     return ScanResult(
-        den=den,
-        x0=x0,
-        dx=dx,
+        den=grid.den,
+        x0=grid.x0,
+        dx=grid.dx,
         roots=tuple(roots),
-        area_den=4 * den * den * scale,
+        area_den=grid.area_den,
         argmax=max(range(steps), key=roots.__getitem__),
+    )
+
+
+class ScanPeak(namedtuple("ScanPeak", "den x0 dx area_den argmax roots")):
+    """The first, largest and last samples of an `area_scan` grid: `den`,
+    `x0`, `dx`, `area_den` and `argmax` as in `ScanResult`, and `roots` the
+    integer roots of samples 0, `argmax` and steps - 1."""
+
+    __slots__ = ()
+
+
+def scan_peak(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanPeak:
+    """`area_scan`'s first, peak and last samples, the same integers, at a
+    cost that does not depend on `steps`: it evaluates the two grid ends and
+    a window around the exact peak, never the whole grid.
+
+    With X the squared diagonal, each triangle's P(X) = (k - X)X - c is a
+    concave quadratic, so sqrt(P) is concave in X and the area
+    sqrt(P1) + sqrt(P2) is strictly concave in X.  X moves monotonically
+    along the grid, so the area is strictly unimodal in the sample index,
+    and so is each P.
+
+    Validity: P > 0 on the whole grid iff it is at both ends.  Otherwise the
+    failing samples are a prefix from 0 or a suffix, and bisection finds the
+    first, which raises `area_scan`'s InvalidTriangle.
+
+    Peak: d(area)/dX has the sign of D1*sqrt(P2) + D2*sqrt(P1) with
+    D = k - 2X, decided on integers by the signs of D1 and D2 or, where they
+    differ, by D1^2 * P2 against D2^2 * P1.  Bisection finds the first
+    sample j past the peak, and m is the first maximum of the roots on the
+    window [j-2, j+1].
+
+    Certificate: each root is below the exact value S it floors by less
+    than 2 units.  Take a window end w that is not a grid end, with
+    roots[m] >= roots[w] + 2.  Then S[m] > S[w], so by unimodality every
+    sample i beyond w has S[i] <= S[w] < roots[m], and its root is below
+    roots[m].  When this holds at both ends, m is `area_scan`'s argmax.  It
+    rests on unimodality and the 2-unit bound alone, not on the bisection;
+    when it fails, the window doubles and is checked again.  The window's
+    roots are taken one at a time, so memory stays constant; only a grid
+    flatter than 2 units around its peak, such as one whose samples are all
+    the same (dx == 0), widens the window."""
+    grid = _scan_grid(q, steps, digits)
+    last = steps - 1
+    (head1, tail1), (head2, tail2) = grid.triangles(grid.squares((0, last)))
+    if min(head1, tail1, head2, tail2) <= 0:
+        if min(head1, head2) <= 0:
+            raise grid.no_triangle(q, 0)
+
+        def failing(i: int) -> bool:
+            (u,), (v,) = grid.triangles(grid.squares((i,)))
+            return u <= 0 or v <= 0
+
+        # the first index in [1, last) that fails, else last
+        raise grid.no_triangle(q, bisect_left(range(steps), True, 1, last, key=failing))
+
+    k1, k2, dx, root = grid.k1, grid.k2, grid.dx, grid.root
+
+    def falling(i: int) -> bool:
+        # whether the area falls from sample i on: the sign of
+        # d1*sqrt(v) + d2*sqrt(u), times the direction dx of the grid
+        (xx,) = grid.squares((i,))
+        (u,), (v,) = grid.triangles((xx,))
+        d1, d2 = k1 - 2 * xx, k2 - 2 * xx
+        if d1 * d2 >= 0:
+            slope = d1 + d2
+        else:
+            slope = d1 * (d1 * d1 * v - d2 * d2 * u)
+        return slope * dx < 0
+
+    j = bisect_left(range(steps), True, key=falling)
+    lo, hi = max(j - 2, 0), min(j + 1, last)
+    while True:
+        m = max(range(lo, hi + 1), key=root)
+        bound = root(m) - 2
+        if (lo == 0 or root(lo) <= bound) and (hi == last or root(hi) <= bound):
+            break
+        width = hi - lo + 1
+        lo, hi = max(lo - width, 0), min(hi + width, last)
+    return ScanPeak(
+        den=grid.den,
+        x0=grid.x0,
+        dx=dx,
+        area_den=grid.area_den,
+        argmax=m,
+        roots=(root(0), root(m), root(last)),
     )

@@ -1,10 +1,36 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
 from cyclicquad.exactnum import NegativeRadicand, approx
-from cyclicquad.mensuration import DiagQuad, InvalidQuad, InvalidTriangle, QuadSides, Triangle, quad
+from cyclicquad.mensuration import (
+    DiagQuad,
+    InvalidQuad,
+    InvalidTriangle,
+    QuadSides,
+    Triangle,
+    abadha_split,
+    quad,
+)
 from cyclicquad.oracle import diagonal_range
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
@@ -20,6 +46,15 @@ def sqrt_fraction(x: Fraction, digits: int) -> Fraction:
     # sqrt(n/d) = isqrt(n*d*scale^2) / (d*scale), floor rounding
     n, d = x.numerator, x.denominator
     return Fraction(isqrt(n * d * scale * scale), d * scale)
+
+
+def embed_triangle(t: Triangle) -> tuple:
+    """The three vertices of a triangle as exact points, side c on the
+    x-axis: the tests' Heron oracle, whose shoelace area must equal
+    `heron_area`."""
+    x, _, y = abadha_split(t)
+    zero = Fraction(0)
+    return (zero, zero), (t.c, zero), (x, y)
 
 
 def random_triangle(rng: random.Random, max_side: int = 200) -> Triangle:

@@ -37,12 +37,11 @@ from cyclicquad.oracle import (
     concyclic,
     diagonal_range,
     embed,
-    embed_triangle,
     shoelace_area,
 )
 from cyclicquad.triples import generate_triples, validate_triple
 
-from conftest import random_diag_quad, random_quad
+from conftest import embed_triangle, random_diag_quad, random_quad
 
 
 

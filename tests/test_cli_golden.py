@@ -4,14 +4,14 @@ Each case is (golden file under tests/data/cli/, exit code, argv).  A run
 that exits 0 must print the file on stdout and nothing on stderr; a refusal
 must print the file on stderr and nothing on stdout."""
 
-import signal
-from contextlib import contextmanager
 from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
 from cyclicquad.cli import main
+
+from conftest import time_limit
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 
@@ -35,6 +35,7 @@ CASES = (
     + [(f"{name}.json", 0, ["--format", "json", *argv]) for name, argv in _REPORTS]
     + [
         ("reproduce.json", 0, ["--format", "json", "reproduce"]),
+        ("scan_steps999.txt", 0, ["scan", "75", "40", "51", "68"]),
         ("scan_steps999.json", 0, ["--format", "json", "scan", "75", "40", "51", "68"]),
         ("scan_steps999.svg", 0, ["--format", "svg", "scan", "75", "40", "51", "68"]),
         (
@@ -80,22 +81,6 @@ def test_output_matches_golden(capsys, name, code, argv):
     assert silent == ""
 
 
-@contextmanager
-def time_limit(seconds: int):
-    """Raise TimeoutError in the block once `seconds` have passed."""
-
-    def timed_out(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def assert_area_golden_within(capsys, seconds: int, sides: list[str], name: str):
     with time_limit(seconds):
         code = main(["area", *sides])
@@ -121,3 +106,15 @@ def test_area_with_20_digit_sides_finishes(capsys):
         capsys, 10, ["64319778597937997879", "55114109362843527589", "16401117268241863454"],
         "area_20digit_sides.txt",
     )
+
+
+def test_text_scan_at_a_million_steps_finishes(capsys):
+    # a text scan evaluates its ends and a window around the peak, so its
+    # cost does not grow with the grid; the full kernel took about 2 s
+    # and 221 MB on a 2-vCPU x86 VM
+    with time_limit(5):
+        code = main(["--steps", "999999", "scan", "75", "40", "51", "68"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert_matches_golden(captured.out, "scan_steps999999.txt")
+    assert captured.err == ""

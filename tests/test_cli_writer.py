@@ -114,6 +114,30 @@ class TestJsonWriter:
     def test_examples(self, value):
         assert cli._json(value, "\n", 20) == reference_json(value, 20)
 
+    @settings(deadline=None)
+    @given(blocks(st.text(st.sampled_from("0123456789.-"), max_size=12)) | blocks(keys))
+    def test_string_blocks(self, value):
+        # decimal-only blocks are quoted by the template, others escaped
+        assert cli._json(value, "\n", 20) == reference_json(value, 20)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [["35.08", "937.158825036"], ["-0.5", "1e5"]],
+            [["0.1", "-2"], ["3.", ""]],
+            [["", ""], ["", ""]],
+            [["1.5", '2"5'], ["3", "4"]],
+            [["1.5", "2\\5"], ["3", "4"]],
+            [["1.5", "2\n"], ["3", "\x00"]],
+            [["1.5", "٣"], ["3", "4"]],
+            [["1.5", "²"], ["é", "4"]],
+            [["1.5", "\ud800"], ["3", "4"]],
+            ["0.25", "-7", "\x7f"],
+        ],
+    )
+    def test_string_block_examples(self, value):
+        assert cli._json(value, "\n", 20) == reference_json(value, 20)
+
     def test_unknown_type_raises_from_the_hook(self):
         with pytest.raises(TypeError, match="set is not JSON serializable"):
             cli._json({"a": [1, {2}]}, "\n", 20)

@@ -3,8 +3,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclicquad import exactnum, oracle
+from cyclicquad import cli, exactnum, oracle
 from cyclicquad.exactnum import (
     GUARD_DIGITS,
     IncompatibleRadicands,
@@ -30,11 +31,11 @@ from cyclicquad.oracle import (
     concyclic_exact,
     diagonal_range,
     embed,
-    embed_triangle,
+    scan_peak,
     shoelace_area,
 )
 
-from conftest import random_diag_quad, random_quad, sqrt_fraction
+from conftest import embed_triangle, random_diag_quad, random_quad, sqrt_fraction, time_limit
 
 
 def random_rational_quad(rng: random.Random):
@@ -443,3 +444,161 @@ class TestAreaScan:
     def test_steps_validated(self):
         with pytest.raises(ValueError):
             area_scan(quad(25, 25, 25, 25), 2, 20)
+
+
+def quads_of(sides):
+    """Valid quadrilaterals with four sides drawn from `sides`."""
+
+    def build(drawn):
+        try:
+            return quad(*drawn)
+        except InvalidQuad:
+            return None
+
+    return st.tuples(sides, sides, sides, sides).map(build).filter(lambda q: q is not None)
+
+
+rational_sides = st.builds(Fraction, st.integers(1, 90), st.sampled_from((1, 2, 3, 7)))
+surd_sides = st.builds(
+    Surd,
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 4)),
+    st.sampled_from((1, 2, 3, 5, 6)),
+)
+# near-symmetric figures: kites and near-kites (a, a + e, b, b + f)
+near_kites = st.builds(
+    lambda a, e, b, f: quad(a, a + e, b, b + f),
+    st.integers(1, 60),
+    st.integers(0, 1),
+    st.integers(1, 60),
+    st.integers(0, 1),
+)
+# the peak of (75, 40, 51, 68), at diagonal 85, falls exactly halfway between
+# two grid points when steps + 1 is 4 times an odd number
+midway_scans = st.tuples(
+    st.builds(
+        lambda n, d: quad(*(Fraction(75 * n, d), Fraction(40 * n, d), Fraction(51 * n, d),
+                            Fraction(68 * n, d))),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+    ),
+    st.integers(0, 1249).map(lambda m: 4 * (2 * m + 1) - 1),
+)
+scans = st.one_of(
+    st.tuples(quads_of(rational_sides) | quads_of(surd_sides) | near_kites, st.integers(3, 10**4)),
+    midway_scans,
+)
+
+
+def assert_peak_matches_scan(q, steps: int, digits: int):
+    """scan_peak(q) gives area_scan(q)'s grid, argmax and roots at the first
+    sample, the argmax and the last sample, or raises its error."""
+    try:
+        full = area_scan(q, steps, digits)
+    except InvalidTriangle as expected:
+        with pytest.raises(InvalidTriangle) as raised:
+            scan_peak(q, steps, digits)
+        assert str(raised.value) == str(expected)
+        return
+    peak = scan_peak(q, steps, digits)
+    assert (peak.den, peak.x0, peak.dx, peak.area_den, peak.argmax) == (
+        full.den, full.x0, full.dx, full.area_den, full.argmax
+    )
+    assert peak.roots == (full.roots[0], full.roots[full.argmax], full.roots[-1])
+
+
+# quadrilateral (sqrt(2), 1, s*sqrt(3), sqrt(2)): its feasible diagonals run
+# from s*sqrt(3) - sqrt(2) to 1 + sqrt(2), about 9.5e-14 wide, and at 3 digits
+# the upper end rounds down by about as much while the lower end rounds up by
+# 9e-28.  So the rounded upper end falls below the rounded lower one, and the
+# grid runs downwards (dx < 0); where it also falls below the true lower end,
+# the grid's last samples lie below the least feasible diagonal.
+DESCENDING = Fraction(22103434310450229535227636939, 10**28)
+FAILS_AT_LAST = Fraction(22103434310450229535227636941, 10**28)
+FAILS_INSIDE = Fraction(22103434310450229535227636945, 10**28)
+
+
+def thin_quad(s: Fraction):
+    return quad(Surd(1, 2), 1, Surd(s, 3), Surd(1, 2))
+
+
+def failing_index(error: InvalidTriangle, q, steps: int, digits: int) -> int:
+    """The index of the grid diagonal an InvalidTriangle names."""
+    lo, hi = (approx(v, digits) for v in diagonal_range(q))
+    text = str(error)
+    return next(
+        i for i in range(steps)
+        if text.startswith(f"grid diagonal {lo + (i + 1) * (hi - lo) / (steps + 1)} leaves")
+    )
+
+
+class TestScanPeak:
+    @settings(deadline=None, max_examples=150)
+    @given(scans, st.sampled_from((12, 50)))
+    def test_matches_area_scan(self, scan, digits):
+        q, steps = scan
+        assert_peak_matches_scan(q, steps, digits)
+
+    @pytest.mark.parametrize(
+        "s, steps",
+        [(DESCENDING, 3), (DESCENDING, 10), (DESCENDING, 99), (FAILS_AT_LAST, 3), (FAILS_AT_LAST, 4)],
+    )
+    def test_descending_grid(self, s, steps):
+        q = thin_quad(s)
+        assert area_scan(q, steps, 3).dx < 0
+        assert_peak_matches_scan(q, steps, 3)
+
+    @pytest.mark.parametrize(
+        "q, steps, digits, index",
+        [
+            # the rounded-down lower end puts every grid point below sqrt(2)
+            (quad(Surd(2, 2), Surd(1, 2), Fraction(1414213562374, 10**12) - Fraction(1, 2),
+                  Fraction(1, 2)), 3, 1, 0),
+            (thin_quad(FAILS_AT_LAST), 10, 3, 9),
+            (thin_quad(FAILS_INSIDE), 10, 3, 5),
+            (thin_quad(FAILS_INSIDE), 100, 3, 52),
+        ],
+        ids=["first", "last", "inside", "inside-100"],
+    )
+    def test_invalid_grid_raises_like_area_scan(self, q, steps, digits, index):
+        with pytest.raises(InvalidTriangle) as expected:
+            area_scan(q, steps, digits)
+        with pytest.raises(InvalidTriangle) as raised:
+            scan_peak(q, steps, digits)
+        assert str(raised.value) == str(expected.value)
+        assert failing_index(raised.value, q, steps, digits) == index
+
+    @pytest.mark.parametrize(
+        "fake",
+        [
+            # a plateau far from the true peak, at index 624
+            lambda i: 10**6 - 3 * max(0, abs(i - 100) - 20),
+            # a top flatter than 2 units for 30 samples on each side
+            lambda i: 10**6 - (i - 624) ** 2 // 1000,
+        ],
+        ids=["far-plateau", "flat-top"],
+    )
+    def test_window_widens_until_certified(self, monkeypatch, fake):
+        # the answer rests on the certificate, not on where bisection put
+        # the window: any unimodal roots give their first maximum
+        monkeypatch.setattr(oracle._Grid, "root", lambda self, i: fake(i))
+        peak = scan_peak(quad(75, 40, 51, 68), 999, 12)
+        first_max = max(range(999), key=fake)
+        assert peak.argmax == first_max
+        assert peak.roots == (fake(0), fake(first_max), fake(998))
+
+    def test_text_scan_at_a_trillion_steps(self, monkeypatch, capsys):
+        def no_full_grid(*args):
+            raise AssertionError("a text scan must not evaluate the whole grid")
+
+        monkeypatch.setattr(cli, "area_scan", no_full_grid)
+        with time_limit(5):
+            code = cli.main(["--steps", "1000000000000", "scan", "75", "40", "51", "68"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "  steps: 1000000000000\n" in captured.out
+        assert "  argmax_diagonal: 85.0000000000\n  max_area: 3234.00000000\n" in captured.out
+        assert captured.err == ""
+
+    def test_steps_validated(self):
+        with pytest.raises(ValueError):
+            scan_peak(quad(25, 25, 25, 25), 2, 20)
