@@ -261,14 +261,14 @@ def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:
     """Diagonals of the cyclic configuration with the given side order:
     p = sqrt((ac+bd)(ad+bc)/(ab+cd)), q = sqrt((ac+bd)(ab+cd)/(ad+bc)).
     Stated unconditionally in the classical sources; valid only for the
-    cyclic configuration."""
+    cyclic configuration.  One root is taken, and q = p(ab+cd)/(ad+bc), the
+    same normal form, so each factor is split once."""
     a, b, c, d = q
     ac_bd = a * c + b * d
     ad_bc = a * d + b * c
     ab_cd = a * b + c * d
-    return DiagonalPair(
-        p=Surd.sqrt(ac_bd, ad_bc, 1 / ab_cd), q=Surd.sqrt(ac_bd, ab_cd, 1 / ad_bc)
-    )
+    p = Surd.sqrt(ac_bd, ad_bc, 1 / ab_cd)
+    return DiagonalPair(p=p, q=p * ab_cd / ad_bc)
 
 
 def ptolemy_check(q: QuadSides, d: DiagonalPair) -> bool:

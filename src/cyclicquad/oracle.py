@@ -13,8 +13,9 @@ area on integers scaled to a shared denominator, with relative error below
 denominator.  `scan_peak` gives the same grid's first, largest and last
 samples without the rest: the area is unimodal along the grid, so it
 bisects for the exact peak and certifies the largest root in a window
-around it.  The embedding serves as the scan's independent oracle in the
-tests."""
+around it.  `scan_vertices` gives a sample's four vertices on the same
+integers, so that a drawing of the scan never embeds and never factors.
+The embedding serves as the scan's independent oracle in the tests."""
 
 from __future__ import annotations
 
@@ -24,13 +25,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .exactnum import DEFAULT_DIGITS, GUARD_DIGITS, Exact, IncompatibleRadicands, approx
-from .mensuration import (
-    DiagQuad,
-    GeometryError,
-    InvalidTriangle,
-    QuadSides,
-    abadha_split,
-)
+from .mensuration import DiagQuad, GeometryError, QuadSides, abadha_split
 
 
 class DegenerateCollinear(GeometryError):
@@ -97,9 +92,8 @@ def diagonal_range(q: QuadSides):
 class ScanResult(namedtuple("ScanResult", "den x0 dx roots area_den argmax")):
     """A diagonal scan on integers: sample i, for 0 <= i < len(roots), has
     diagonal (x0 + i*dx)/den and area roots[i]/area_den, and `argmax` is the
-    index of the first maximum.  `samples`, `argmax_diagonal` and `max_area`
-    give the same values as Fractions, built on each read; no renderer
-    reads `samples`."""
+    index of the first maximum.  `samples` gives the same values as
+    Fractions, built on each read; no renderer reads it."""
 
     __slots__ = ()
 
@@ -111,19 +105,11 @@ class ScanResult(namedtuple("ScanResult", "den x0 dx roots area_den argmax")):
             for i, r in enumerate(self.roots)
         )
 
-    @property
-    def argmax_diagonal(self) -> Fraction:
-        return Fraction(self.x0 + self.argmax * self.dx, self.den)
 
-    @property
-    def max_area(self) -> Fraction:
-        return Fraction(self.roots[self.argmax], self.area_den)
-
-
-class _Grid(namedtuple("_Grid", "den x0 dx k1 c1 k2 c2 scale")):
-    """The integer grid that `area_scan` and `scan_peak` share (see
-    `area_scan`): sample i has scaled diagonal x0 + i*dx over `den`, and
-    each triangle's P = (k - X) * X - c for the scaled squared diagonal X."""
+class _Grid(namedtuple("_Grid", "den x0 dx k1 m1 k2 m2 scale")):
+    """The integer grid that `area_scan`, `scan_peak` and `scan_vertices`
+    share (see `area_scan`): sample i has scaled diagonal X = x0 + i*dx over
+    `den`, and each triangle's P = (k - X^2) * X^2 - m^2."""
 
     __slots__ = ()
 
@@ -132,7 +118,7 @@ class _Grid(namedtuple("_Grid", "den x0 dx k1 c1 k2 c2 scale")):
         return [(x0 + i * dx) ** 2 for i in indices]
 
     def triangles(self, squares) -> tuple[list, list]:
-        k1, c1, k2, c2 = self.k1, self.c1, self.k2, self.c2
+        k1, c1, k2, c2 = self.k1, self.m1 * self.m1, self.k2, self.m2 * self.m2
         return [(k1 - xx) * xx - c1 for xx in squares], [(k2 - xx) * xx - c2 for xx in squares]
 
     def roots(self, p1, p2) -> list:
@@ -146,37 +132,59 @@ class _Grid(namedtuple("_Grid", "den x0 dx k1 c1 k2 c2 scale")):
     def area_den(self) -> int:
         return 4 * self.den * self.den * self.scale
 
-    def no_triangle(self, q: QuadSides, i: int) -> InvalidTriangle:
-        return InvalidTriangle(
-            f"grid diagonal {Fraction(self.x0 + i * self.dx, self.den)} leaves no triangle "
-            f"with sides {', '.join(str(s) for s in q)}"
+    def vertices(self, i: int) -> tuple[int, tuple]:
+        """Sample i's four `embed` vertices as integer points over one
+        denominator, 2*den*X*F for F = `scale`: a segment (X^2 + m)/(2*den*X)
+        exactly, a height sqrt(P)/(2*den*X) as the floor isqrt(P*F^2)."""
+        x = self.x0 + i * self.dx
+        xx = x * x
+        (p1,), (p2,) = self.triangles((xx,))
+        scale = self.scale
+        scale_sq = scale * scale
+        return 2 * self.den * x * scale, (
+            (0, 0),
+            (scale * (xx + self.m1), isqrt(p1 * scale_sq)),
+            (2 * scale * xx, 0),
+            (scale * (xx - self.m2), -isqrt(p2 * scale_sq)),
         )
 
 
-def _scan_grid(q: QuadSides, steps: int, digits: int) -> _Grid:
-    if steps < 3:
-        raise ValueError("steps must be >= 3")
-    lower, upper = diagonal_range(q)
-    lo = approx(lower, digits)
-    hi = approx(upper, digits)
-    step = (hi - lo) / (steps + 1)
-    squares = [s * s for s in q]
-    if not all(isinstance(v, Fraction) for v in squares):
-        raise IncompatibleRadicands("the scan needs sides with rational squares")
-    den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
+def _grid(squares, den: int, x0: int, dx: int, digits: int) -> _Grid:
     sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
-    dx = step.numerator * (den // step.denominator)
-    x0 = lo.numerator * (den // lo.denominator) + dx
     return _Grid(
         den=den,
         x0=x0,
         dx=dx,
         k1=2 * (sa + sb) * den,
-        c1=(sa - sb) ** 2 * den * den,
+        m1=(sa - sb) * den,
         k2=2 * (sc + sd) * den,
-        c2=(sc - sd) ** 2 * den * den,
+        m2=(sc - sd) * den,
         scale=10 ** (digits + GUARD_DIGITS),
     )
+
+
+def _scan_grid(q: QuadSides, steps: int, digits: int) -> _Grid:
+    """`steps` equally spaced samples strictly inside `diagonal_range(q)`.
+    The ends are approximated to `digits` places, and to twice as many
+    until lower < first sample < last sample < upper holds by exact
+    comparison.  Rational ends are exact and pass at once; irrational ones
+    pass once the approximations are close enough, so the loop ends."""
+    if steps < 3:
+        raise ValueError("steps must be >= 3")
+    squares = [s * s for s in q]
+    if not all(isinstance(v, Fraction) for v in squares):
+        raise IncompatibleRadicands("the scan needs sides with rational squares")
+    lower, upper = diagonal_range(q)
+    places = digits
+    while True:
+        lo, hi = approx(lower, places), approx(upper, places)
+        step = (hi - lo) / (steps + 1)
+        if lower < lo + step < hi - step < upper:
+            break
+        places *= 2
+    den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
+    dx = step.numerator * (den // step.denominator)
+    return _grid(squares, den, lo.numerator * (den // lo.denominator) + dx, dx, digits)
 
 
 def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanResult:
@@ -196,17 +204,14 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     Q (`den` below), so P = Q^4 * 16T^2 is an exact integer per triangle
     and the area is (r1 + r2) / (4 Q^2 F) with r = isqrt(P F^2),
     F = 10**(digits + guard).
-    P <= 0 means the strict triangle inequality fails, raised as
-    InvalidTriangle like DiagQuad does.  Every valid P is a positive
-    integer, so sqrt(P) >= 1 and each floor root is off by less than one
+    Every sample lies strictly inside the feasible interval (`_scan_grid`),
+    where both strict triangle inequalities hold, so every P is a positive
+    integer, sqrt(P) >= 1 and each floor root is off by less than one
     unit in sqrt(P)*F >= F: the relative error of every sample is below
     2/F at any scale.  The argmax is taken on the integers, first maximum
     winning.  `embed`/`shoelace_area` stay the independent oracle."""
     grid = _scan_grid(q, steps, digits)
-    p1, p2 = grid.triangles(grid.squares(range(steps)))
-    if min(min(p1), min(p2)) <= 0:
-        raise grid.no_triangle(q, next(i for i in range(steps) if p1[i] <= 0 or p2[i] <= 0))
-    roots = grid.roots(p1, p2)
+    roots = grid.roots(*grid.triangles(grid.squares(range(steps))))
     return ScanResult(
         den=grid.den,
         x0=grid.x0,
@@ -215,6 +220,15 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
         area_den=grid.area_den,
         argmax=max(range(steps), key=roots.__getitem__),
     )
+
+
+def scan_vertices(q: QuadSides, scan: ScanResult, digits: int, indices) -> list:
+    """For each index i of `scan`, `area_scan(q, steps, digits)`, the pair
+    (denominator, four vertices) of `_Grid.vertices`: the figure `embed`
+    gives at sample i, read off the scan's own integers, so that drawing a
+    sample neither embeds nor factors."""
+    grid = _grid([s * s for s in q], scan.den, scan.x0, scan.dx, digits)
+    return [grid.vertices(i) for i in indices]
 
 
 class ScanPeak(namedtuple("ScanPeak", "den x0 dx area_den argmax roots")):
@@ -232,13 +246,8 @@ def scan_peak(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanPea
 
     With X the squared diagonal, each triangle's P(X) = (k - X)X - c is a
     concave quadratic, so sqrt(P) is concave in X and the area
-    sqrt(P1) + sqrt(P2) is strictly concave in X.  X moves monotonically
-    along the grid, so the area is strictly unimodal in the sample index,
-    and so is each P.
-
-    Validity: P > 0 on the whole grid iff it is at both ends.  Otherwise the
-    failing samples are a prefix from 0 or a suffix, and bisection finds the
-    first, which raises `area_scan`'s InvalidTriangle.
+    sqrt(P1) + sqrt(P2) is strictly concave in X.  X grows along the grid,
+    so the area is strictly unimodal in the sample index.
 
     Peak: d(area)/dX has the sign of D1*sqrt(P2) + D2*sqrt(P1) with
     D = k - 2X, decided on integers by the signs of D1 and D2 or, where they
@@ -254,35 +263,20 @@ def scan_peak(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanPea
     rests on unimodality and the 2-unit bound alone, not on the bisection;
     when it fails, the window doubles and is checked again.  The window's
     roots are taken one at a time, so memory stays constant; only a grid
-    flatter than 2 units around its peak, such as one whose samples are all
-    the same (dx == 0), widens the window."""
+    flatter than 2 units around its peak widens the window."""
     grid = _scan_grid(q, steps, digits)
     last = steps - 1
-    (head1, tail1), (head2, tail2) = grid.triangles(grid.squares((0, last)))
-    if min(head1, tail1, head2, tail2) <= 0:
-        if min(head1, head2) <= 0:
-            raise grid.no_triangle(q, 0)
-
-        def failing(i: int) -> bool:
-            (u,), (v,) = grid.triangles(grid.squares((i,)))
-            return u <= 0 or v <= 0
-
-        # the first index in [1, last) that fails, else last
-        raise grid.no_triangle(q, bisect_left(range(steps), True, 1, last, key=failing))
-
-    k1, k2, dx, root = grid.k1, grid.k2, grid.dx, grid.root
+    k1, k2, root = grid.k1, grid.k2, grid.root
 
     def falling(i: int) -> bool:
         # whether the area falls from sample i on: the sign of
-        # d1*sqrt(v) + d2*sqrt(u), times the direction dx of the grid
+        # d1*sqrt(v) + d2*sqrt(u)
         (xx,) = grid.squares((i,))
         (u,), (v,) = grid.triangles((xx,))
         d1, d2 = k1 - 2 * xx, k2 - 2 * xx
         if d1 * d2 >= 0:
-            slope = d1 + d2
-        else:
-            slope = d1 * (d1 * d1 * v - d2 * d2 * u)
-        return slope * dx < 0
+            return d1 + d2 < 0
+        return d1 * (d1 * d1 * v - d2 * d2 * u) < 0
 
     j = bisect_left(range(steps), True, key=falling)
     lo, hi = max(j - 2, 0), min(j + 1, last)
@@ -296,7 +290,7 @@ def scan_peak(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanPea
     return ScanPeak(
         den=grid.den,
         x0=grid.x0,
-        dx=dx,
+        dx=grid.dx,
         area_den=grid.area_den,
         argmax=m,
         roots=(root(0), root(m), root(last)),

@@ -1,17 +1,16 @@
 """Static SVG figures for the diagonal scan: area-versus-diagonal curve
-plus embedded snapshots of the hinged quadrilateral at the smallest,
-area-maximizing and largest sampled diagonals.  A snapshot approximates
-each exact vertex coordinate to `digits` places only to draw it, and all
-coordinates are rendered from rationals, so output is byte-identical
+plus snapshots of the hinged quadrilateral at the smallest,
+area-maximizing and largest sampled diagonals.  All three are drawn from
+the scan's integer grid: the curve from its roots, and each snapshot from
+`scan_vertices`, the sample's exact segments and floored heights over one
+denominator, so drawing never embeds and never factors.  Every coordinate
+and label is printed from an integer ratio, so output is byte-identical
 across runs."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactnum import approx, fixed_ratio, fixed_ratios, render_decimal
-from .mensuration import DiagQuad, QuadSides
-from .oracle import ScanResult, embed
+from .exactnum import approx, fixed_ratio, fixed_ratios, render_ratio
+from .oracle import ScanResult, scan_vertices
 
 VIEW_W = 1000
 VIEW_H = 700
@@ -22,57 +21,51 @@ _SNAP_W = 300
 _SNAP_H = 160
 
 
-def _fmt(value: Fraction) -> str:
-    return fixed_ratio(value.numerator, value.denominator, 2)
+def _label(num: int, den: int) -> str:
+    """A length or area num/den as text: two places from 0.1 up, three
+    significant digits below it (render_ratio counts the leading "0." as
+    one), so a small figure's labels do not read 0.00."""
+    if 10 * num < den:
+        return render_ratio(num, den, 4)
+    return fixed_ratio(num, den, 2)
 
 
-def _label(value: Fraction) -> str:
-    """A length or area as text: two places from 0.1 up, three significant
-    digits below it (render_decimal counts the leading "0." as one), so a
-    small figure's labels do not read 0.00."""
-    if 10 * value < 1:
-        return render_decimal(value, 4)
-    return _fmt(value)
-
-
-def _snapshot(dq: DiagQuad, digits: int, x0: int, label: str) -> list[str]:
-    points = embed(dq)
-    xs = [approx(x, digits) for x, _ in points]
-    ys = [approx(y, digits) for _, y in points]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y)
+def _snapshot(vertices, sides: list[str], x0: int, label: str) -> list[str]:
+    """The figure with integer `vertices`, over any one denominator (it
+    cancels), scaled to fill a box whose left edge is x0: pixel coordinates
+    are integer ratios over the figure's larger extent `span`."""
+    xs = [x for x, _ in vertices]
+    ys = [y for _, y in vertices]
+    lo_x, lo_y = min(xs), min(ys)
+    span = max(max(xs) - lo_x, max(ys) - lo_y)
     pad = 16
-    scale = Fraction(min(_SNAP_W, _SNAP_H) - 2 * pad) / span
-    pts = []
-    for px, py in zip(xs, ys):
-        sx = x0 + pad + (px - lo_x) * scale
-        sy = _SNAP_Y + _SNAP_H - pad - (py - lo_y) * scale
-        pts.append((sx, sy))
-    point_text = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+    fit = min(_SNAP_W, _SNAP_H) - 2 * pad
+    left, bottom = x0 + pad, _SNAP_Y + _SNAP_H - pad
+    sx = [left * span + (x - lo_x) * fit for x in xs]
+    sy = [bottom * span - (y - lo_y) * fit for y in ys]
+    point_text = " ".join(map(",".join, zip(fixed_ratios(sx, span, 2), fixed_ratios(sy, span, 2))))
     parts = [
         f'<polygon points="{point_text}" fill="none" stroke="black" stroke-width="2"/>'
     ]
-    sides = dq.sides
-    for i in range(4):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % 4]
-        mx, my = (ax + bx) / 2, (ay + by) / 2
-        parts.append(
-            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12">{_label(approx(sides[i], 12))}</text>'
-        )
+    # side i runs from vertex i to vertex i + 1; its label sits at the middle
+    mx = fixed_ratios([u + v for u, v in zip(sx, sx[1:] + sx[:1])], 2 * span, 2)
+    my = fixed_ratios([u + v for u, v in zip(sy, sy[1:] + sy[:1])], 2 * span, 2)
+    for x, y, side in zip(mx, my, sides):
+        parts.append(f'<text x="{x}" y="{y}" font-size="12">{side}</text>')
     parts.append(
         f'<text x="{x0 + 4}" y="{_SNAP_Y + _SNAP_H + 18}" font-size="13">{label}</text>'
     )
     return parts
 
 
-def scan_svg(q: QuadSides, result: ScanResult, digits: int) -> str:
+def scan_svg(q: tuple, result: ScanResult, digits: int) -> str:
     """The curve places sample i of n at x = px + i*pw/(n - 1) and its area
     r/area_den at y = py + ph - (r - r_min)*ph/(r_max - r_min), exact
-    integer ratios; a zero range places every sample at the middle."""
+    integer ratios; a zero range places every sample at the middle.  The
+    snapshots are samples 0, argmax and n - 1 of the same grid, read off
+    `scan_vertices`."""
     px, py, pw, ph = _PLOT
-    den, x0, dx, roots, area_den = result.den, result.x0, result.dx, result.roots, result.area_den
+    den, x0, dx, roots, area_den, argmax = result
     last = len(roots) - 1
     lo_r, hi_r = min(roots), max(roots)
     if dx:
@@ -86,23 +79,19 @@ def scan_svg(q: QuadSides, result: ScanResult, digits: int) -> str:
     else:
         ys = [fixed_ratio(2 * py + ph, 2, 2)] * (last + 1)
     curve = " ".join(map(",".join, zip(xs, ys)))
-    lo_d, hi_d = Fraction(x0, den), Fraction(x0 + last * dx, den)
-    lo_a, hi_a = Fraction(lo_r, area_den), Fraction(hi_r, area_den)
     body: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}">',
         f'<rect x="{px}" y="{py}" width="{pw}" height="{ph}" fill="none" stroke="black" stroke-width="2"/>',
         f'<polyline points="{curve}" fill="none" stroke="black" stroke-width="2"/>',
-        f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_label(lo_d)} to {_label(hi_d)}</text>',
-        f'<text x="{px}" y="{py - 12}" font-size="13">area {_label(lo_a)} to {_label(hi_a)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_label(result.max_area)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_label(result.argmax_diagonal)}</text>',
+        f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_label(x0, den)} to {_label(x0 + last * dx, den)}</text>',
+        f'<text x="{px}" y="{py - 12}" font-size="13">area {_label(lo_r, area_den)} to {_label(hi_r, area_den)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_label(roots[argmax], area_den)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_label(x0 + argmax * dx, den)}</text>',
     ]
-    snapshots = [
-        (lo_d, 20, "smallest sampled diagonal"),
-        (result.argmax_diagonal, 20 + _SNAP_W + 30, "area-maximizing diagonal"),
-        (hi_d, 20 + 2 * (_SNAP_W + 30), "largest sampled diagonal"),
-    ]
-    for diag, left, label in snapshots:
-        body.extend(_snapshot(DiagQuad(q, diag), digits, left, label))
+    sides = [_label(v.numerator, v.denominator) for v in (approx(s, 12) for s in q)]
+    labels = ("smallest sampled diagonal", "area-maximizing diagonal", "largest sampled diagonal")
+    figures = scan_vertices(q, result, digits, (0, argmax, last))
+    for k, ((_, vertices), label) in enumerate(zip(figures, labels)):
+        body.extend(_snapshot(vertices, sides, 20 + k * (_SNAP_W + 30), label))
     body.append("</svg>")
     return "\n".join(body) + "\n"

@@ -146,10 +146,11 @@ def test_09_scan_maximality():
             lower, upper = diagonal_range(q)
             step = (Fraction(upper) - Fraction(lower)) / 1000
             result = area_scan(q, 999, 30)
+            argmax_diagonal, max_area = result.samples[result.argmax]
             target = approx(cyclic_diagonal_pair(q).p, 30)
-            assert abs(result.argmax_diagonal - target) <= step
+            assert abs(argmax_diagonal - target) <= step
             ceiling = approx(sutra_area(q), 30)
-            assert result.max_area <= ceiling + Fraction(1, 10**6)
+            assert max_area <= ceiling + Fraction(1, 10**6)
             areas = [a for _, a in result.samples]
             assert min(areas) < max(areas)
 

@@ -44,6 +44,12 @@ CASES = (
             ["--format", "svg", "--steps", "99", "scan", "75", "40", "51", "68"],
         ),
         (
+            # snapshot heights irrational, drawn from the scan's integers
+            "scan_9digit_sides.svg",
+            0,
+            ["--format", "svg", "scan", "655703491", "247009029", "923783236", "809765390"],
+        ),
+        (
             "area_incommensurable_split.err",
             2,
             ["--format", "json", "area", "2", "3", "4", "5", "--diagonal", "3"],

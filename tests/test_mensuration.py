@@ -7,6 +7,7 @@ from math import isqrt
 
 import pytest
 
+from cyclicquad import exactnum
 from cyclicquad.exactnum import IncompatibleRadicands, Surd
 from cyclicquad.mensuration import (
     DegenerateRhombus,
@@ -334,6 +335,23 @@ class TestCyclicDiagonals:
     def test_irrational_diagonal_square_refused_by_sqrt(self):
         with pytest.raises(IncompatibleRadicands, match="sqrt of the irrational"):
             cyclic_diagonal_pair(quad(Surd(3, 2), 5, 6, 7))
+
+    def test_each_factor_split_once(self, monkeypatch):
+        # ac + bd = 23, ad + bc = 22 and ab + cd = 26: p is the one root
+        # taken, and q = p * 26/22 needs no second split of any factor
+        q = quad(2, 3, 4, 5)
+        calls = []
+        original = exactnum.square_free_split
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(exactnum, "square_free_split", counted)
+        pair = cyclic_diagonal_pair(q)
+        assert sorted(calls) == [22, 23, 26]
+        assert pair.q == Surd.sqrt(23, 26, Fraction(1, 22))
+        assert ptolemy_check(q, pair)
 
 
 class TestPtolemyCheck:

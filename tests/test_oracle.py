@@ -63,11 +63,18 @@ def random_surd_quad(rng: random.Random):
 
 def reference_scan(q, steps: int, digits: int):
     """`area_scan`'s former per-sample loop, kept as the reference for its
-    list-built kernel: (den, x0, dx, roots, area_den, argmax)."""
+    list-built kernel: (den, x0, dx, roots, area_den, argmax).  The ends are
+    approximated to `digits` places, doubled until the first and last
+    samples lie strictly inside the feasible interval."""
     lower, upper = diagonal_range(q)
-    lo = approx(lower, digits)
-    hi = approx(upper, digits)
-    step = (hi - lo) / (steps + 1)
+    places = digits
+    while True:
+        lo = approx(lower, places)
+        hi = approx(upper, places)
+        step = (hi - lo) / (steps + 1)
+        if lower < lo + step < hi - step < upper:
+            break
+        places *= 2
     squares = [s * s for s in q]
     den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
     sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
@@ -83,14 +90,29 @@ def reference_scan(q, steps: int, digits: int):
         x4 = xx * xx
         p1 = k1 * xx - x4 - c1
         p2 = k2 * xx - x4 - c2
-        if p1 <= 0 or p2 <= 0:
-            raise InvalidTriangle(
-                f"grid diagonal {Fraction(x0 + i * dx, den)} leaves no triangle "
-                f"with sides {', '.join(str(s) for s in q)}"
-            )
+        assert p1 > 0 and p2 > 0
         roots.append(isqrt(p1 * scale_sq) + isqrt(p2 * scale_sq))
     argmax = max(range(steps), key=roots.__getitem__)
     return den, x0, dx, tuple(roots), 4 * den * den * scale, argmax
+
+
+# feasible diagonals from sqrt(2) to sqrt(2) + 1e-12
+THIN_SQRT2 = quad(Surd(2, 2), Surd(1, 2), Fraction(1414213562374, 10**12) - Fraction(1, 2),
+                  Fraction(1, 2))
+
+
+def assert_inside_interval(q, result):
+    """The grid runs upwards, and every sample lies strictly inside the
+    feasible interval."""
+    lower, upper = diagonal_range(q)
+    assert result.dx > 0
+    assert all(lower < diag < upper for diag, _ in result.samples)
+
+
+def unrefined_diagonal(q, steps: int, digits: int, i: int) -> Fraction:
+    """Grid diagonal i on the ends approximated to `digits` places alone."""
+    lo, hi = (approx(v, digits) for v in diagonal_range(q))
+    return lo + (i + 1) * (hi - lo) / (steps + 1)
 
 
 class TestEmbed:
@@ -286,10 +308,11 @@ class TestDiagonalRange:
 class TestAreaScan:
     def test_square_family_peak(self):
         result = area_scan(quad(25, 25, 25, 25), 999, 30)
-        assert abs(result.max_area - 625) < Fraction(1, 10**3)
+        argmax_diagonal, max_area = result.samples[result.argmax]
+        assert abs(max_area - 625) < Fraction(1, 10**3)
         target = Surd(25, 2).approx(30)
         step = Fraction(50, 1000)
-        assert abs(result.argmax_diagonal - target) <= step
+        assert abs(argmax_diagonal - target) <= step
 
     def test_square_family_hits_rhombus_samples(self):
         # grid step is 0.05, so diagonals 14 and 30 are sampled exactly
@@ -300,9 +323,10 @@ class TestAreaScan:
 
     def test_lilavati_family_peak(self):
         result = area_scan(quad(75, 40, 51, 68), 999, 30)
-        assert abs(result.max_area - 3234) < Fraction(1, 100)
+        argmax_diagonal, max_area = result.samples[result.argmax]
+        assert abs(max_area - 3234) < Fraction(1, 100)
         step = Fraction(115 - 35, 1000)
-        assert abs(result.argmax_diagonal - 85) <= step
+        assert abs(argmax_diagonal - 85) <= step
 
     def test_samples_strictly_increasing_and_vary(self):
         result = area_scan(quad(14, 13, 9, 12), 99, 20)
@@ -310,7 +334,7 @@ class TestAreaScan:
         assert diags == sorted(diags) and len(set(diags)) == len(diags)
         areas = [a for _, a in result.samples]
         assert min(areas) < max(areas)
-        assert result.max_area == max(areas)
+        assert areas[result.argmax] == max(areas)
 
     def test_scan_maximality_random(self):
         rng = random.Random(71)
@@ -319,10 +343,11 @@ class TestAreaScan:
             lower, upper = diagonal_range(q)
             step = (Fraction(upper) - Fraction(lower)) / 1000
             result = area_scan(q, 999, 30)
+            argmax_diagonal, max_area = result.samples[result.argmax]
             target = approx(cyclic_diagonal_pair(q).p, 30)
-            assert abs(result.argmax_diagonal - target) <= step
+            assert abs(argmax_diagonal - target) <= step
             ceiling = approx(sutra_area(q), 30)
-            assert result.max_area <= ceiling + Fraction(1, 10**6)
+            assert max_area <= ceiling + Fraction(1, 10**6)
 
     @pytest.mark.parametrize(
         "sides",
@@ -351,9 +376,7 @@ class TestAreaScan:
             reference = approx(exact, digits + 30)
             assert abs(area - reference) <= bound * reference
             oracle_areas.append(exact)
-        first_max = oracle_areas.index(max(oracle_areas))
-        assert result.argmax_diagonal == result.samples[first_max][0]
-        assert result.max_area == result.samples[first_max][1]
+        assert result.argmax == oracle_areas.index(max(oracle_areas))
 
     @pytest.mark.parametrize(
         "sides",
@@ -406,12 +429,12 @@ class TestAreaScan:
 
     def test_invalid_grid_diagonal_raises(self):
         # feasible diagonals run from sqrt(2) to sqrt(2) + 1e-12; at one digit
-        # the rounded-down lower end puts the first grid point below sqrt(2)
-        c = Fraction(1414213562374, 10**12) - Fraction(1, 2)
-        q = quad(Surd(2, 2), Surd(1, 2), c, Fraction(1, 2))
-        with pytest.raises(InvalidTriangle):
-            area_scan(q, 3, 1)
-        assert len(area_scan(q, 3, 20).samples) == 3
+        # the rounded-down lower end would put the first grid point below
+        # sqrt(2), so the ends are refined and the scan succeeds
+        result = area_scan(THIN_SQRT2, 3, 1)
+        assert_inside_interval(THIN_SQRT2, result)
+        assert_peak_matches_scan(THIN_SQRT2, 3, 1)
+        assert len(area_scan(THIN_SQRT2, 3, 20).samples) == 3
 
     @pytest.mark.parametrize("digits", [12, 50])
     @pytest.mark.parametrize("make_quad", [random_rational_quad, random_surd_quad])
@@ -427,19 +450,15 @@ class TestAreaScan:
             assert result.argmax == argmax
 
     def test_invalid_grid_names_the_first_failing_diagonal(self):
-        # the scan of test_invalid_grid_diagonal_raises: every grid point
-        # lies below sqrt(2), the least feasible diagonal, and the error
-        # names the first
-        c = Fraction(1414213562374, 10**12) - Fraction(1, 2)
-        q = quad(Surd(2, 2), Surd(1, 2), c, Fraction(1, 2))
-        with pytest.raises(InvalidTriangle) as expected:
-            reference_scan(q, 3, 1)
-        with pytest.raises(InvalidTriangle) as raised:
-            area_scan(q, 3, 1)
-        assert str(raised.value) == str(expected.value)
-        lo, hi = (approx(v, 1) for v in diagonal_range(q))
+        # the scan of test_invalid_grid_diagonal_raises: with one-digit ends
+        # every grid point would lie below sqrt(2), the least feasible
+        # diagonal; the refined grid matches the per-sample reference
+        lo, hi = (approx(v, 1) for v in diagonal_range(THIN_SQRT2))
         assert all(lo + i * (hi - lo) / 4 < Surd(1, 2) for i in (1, 2, 3))
-        assert str(raised.value).startswith(f"grid diagonal {lo + (hi - lo) / 4} leaves")
+        result = area_scan(THIN_SQRT2, 3, 1)
+        den, x0, dx, roots, area_den, argmax = reference_scan(THIN_SQRT2, 3, 1)
+        assert (result.den, result.x0, result.dx, result.area_den) == (den, x0, dx, area_den)
+        assert (result.roots, result.argmax) == (roots, argmax)
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):
@@ -491,14 +510,8 @@ scans = st.one_of(
 
 def assert_peak_matches_scan(q, steps: int, digits: int):
     """scan_peak(q) gives area_scan(q)'s grid, argmax and roots at the first
-    sample, the argmax and the last sample, or raises its error."""
-    try:
-        full = area_scan(q, steps, digits)
-    except InvalidTriangle as expected:
-        with pytest.raises(InvalidTriangle) as raised:
-            scan_peak(q, steps, digits)
-        assert str(raised.value) == str(expected)
-        return
+    sample, the argmax and the last sample."""
+    full = area_scan(q, steps, digits)
     peak = scan_peak(q, steps, digits)
     assert (peak.den, peak.x0, peak.dx, peak.area_den, peak.argmax) == (
         full.den, full.x0, full.dx, full.area_den, full.argmax
@@ -509,9 +522,10 @@ def assert_peak_matches_scan(q, steps: int, digits: int):
 # quadrilateral (sqrt(2), 1, s*sqrt(3), sqrt(2)): its feasible diagonals run
 # from s*sqrt(3) - sqrt(2) to 1 + sqrt(2), about 9.5e-14 wide, and at 3 digits
 # the upper end rounds down by about as much while the lower end rounds up by
-# 9e-28.  So the rounded upper end falls below the rounded lower one, and the
-# grid runs downwards (dx < 0); where it also falls below the true lower end,
-# the grid's last samples lie below the least feasible diagonal.
+# 9e-28.  So the rounded upper end falls below the rounded lower one: a grid
+# on those ends would run downwards (dx < 0), and where it also falls below
+# the true lower end, its last samples would lie below the least feasible
+# diagonal.  The scan refines the ends until its grid runs upwards inside.
 DESCENDING = Fraction(22103434310450229535227636939, 10**28)
 FAILS_AT_LAST = Fraction(22103434310450229535227636941, 10**28)
 FAILS_INSIDE = Fraction(22103434310450229535227636945, 10**28)
@@ -519,16 +533,6 @@ FAILS_INSIDE = Fraction(22103434310450229535227636945, 10**28)
 
 def thin_quad(s: Fraction):
     return quad(Surd(1, 2), 1, Surd(s, 3), Surd(1, 2))
-
-
-def failing_index(error: InvalidTriangle, q, steps: int, digits: int) -> int:
-    """The index of the grid diagonal an InvalidTriangle names."""
-    lo, hi = (approx(v, digits) for v in diagonal_range(q))
-    text = str(error)
-    return next(
-        i for i in range(steps)
-        if text.startswith(f"grid diagonal {lo + (i + 1) * (hi - lo) / (steps + 1)} leaves")
-    )
 
 
 class TestScanPeak:
@@ -543,16 +547,18 @@ class TestScanPeak:
         [(DESCENDING, 3), (DESCENDING, 10), (DESCENDING, 99), (FAILS_AT_LAST, 3), (FAILS_AT_LAST, 4)],
     )
     def test_descending_grid(self, s, steps):
+        # three-digit ends would give a descending grid; the refined one
+        # runs upwards inside the interval
         q = thin_quad(s)
-        assert area_scan(q, steps, 3).dx < 0
+        assert unrefined_diagonal(q, steps, 3, 1) < unrefined_diagonal(q, steps, 3, 0)
+        assert_inside_interval(q, area_scan(q, steps, 3))
         assert_peak_matches_scan(q, steps, 3)
 
     @pytest.mark.parametrize(
         "q, steps, digits, index",
         [
             # the rounded-down lower end puts every grid point below sqrt(2)
-            (quad(Surd(2, 2), Surd(1, 2), Fraction(1414213562374, 10**12) - Fraction(1, 2),
-                  Fraction(1, 2)), 3, 1, 0),
+            (THIN_SQRT2, 3, 1, 0),
             (thin_quad(FAILS_AT_LAST), 10, 3, 9),
             (thin_quad(FAILS_INSIDE), 10, 3, 5),
             (thin_quad(FAILS_INSIDE), 100, 3, 52),
@@ -560,12 +566,14 @@ class TestScanPeak:
         ids=["first", "last", "inside", "inside-100"],
     )
     def test_invalid_grid_raises_like_area_scan(self, q, steps, digits, index):
-        with pytest.raises(InvalidTriangle) as expected:
-            area_scan(q, steps, digits)
-        with pytest.raises(InvalidTriangle) as raised:
-            scan_peak(q, steps, digits)
-        assert str(raised.value) == str(expected.value)
-        assert failing_index(raised.value, q, steps, digits) == index
+        # on ends approximated to `digits` places alone, grid point `index`
+        # would be the first outside the feasible interval; the refined grid
+        # has every sample inside, and both scans succeed and agree
+        lower, upper = diagonal_range(q)
+        assert not lower < unrefined_diagonal(q, steps, digits, index) < upper
+        assert all(lower < unrefined_diagonal(q, steps, digits, i) < upper for i in range(index))
+        assert_inside_interval(q, area_scan(q, steps, digits))
+        assert_peak_matches_scan(q, steps, digits)
 
     @pytest.mark.parametrize(
         "fake",

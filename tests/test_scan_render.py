@@ -12,11 +12,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cyclicquad.cli as cli
-import cyclicquad.svg as svg
+from cyclicquad import exactnum, oracle
+from cyclicquad.construct import brahmagupta_quad
 from cyclicquad.exactnum import Surd, fixed_ratio, render_decimal
-from cyclicquad.mensuration import InvalidQuad, InvalidTriangle, quad
-from cyclicquad.oracle import ScanResult, area_scan
+from cyclicquad.mensuration import DiagQuad, InvalidQuad, quad
+from cyclicquad.oracle import ScanResult, area_scan, embed, scan_vertices
 from cyclicquad.svg import _PLOT, scan_svg
+from cyclicquad.triples import PythTriple
+
+from conftest import time_limit
 
 
 def reference_map(value, lo, hi, out_lo, out_len):
@@ -71,14 +75,6 @@ def quad_of(sides):
         assume(False)
 
 
-def scan_of(q, steps, digits):
-    try:
-        return area_scan(q, steps, digits)
-    except InvalidTriangle:
-        # a low-digit grid end can fall outside a very thin feasible interval
-        assume(False)
-
-
 quads = st.one_of(
     st.tuples(*[rational_sides] * 4),
     st.tuples(*[surd_sides] * 4),
@@ -89,18 +85,15 @@ class TestRenderersMatchFractions:
     @settings(deadline=None)
     @given(quads, st.integers(3, 60), st.integers(1, 60))
     def test_json_samples(self, q, steps, digits):
-        result = scan_of(q, steps, digits)
+        result = area_scan(q, steps, digits)
         expected = [[render_decimal(d, digits), render_decimal(a, digits)] for d, a in result.samples]
         assert json_samples(result, digits) == expected
 
     @settings(deadline=None)
     @given(quads, st.integers(3, 60), st.integers(1, 60))
     def test_svg_curve(self, q, steps, digits):
-        result = scan_of(q, steps, digits)
-        # the snapshots embed the figure, factoring at up to 60 digits
-        with patch.object(svg, "_snapshot", lambda *args: []):
-            text = scan_svg(q, result, digits)
-        assert svg_curve(text) == reference_curve(result)
+        result = area_scan(q, steps, digits)
+        assert svg_curve(scan_svg(q, result, digits)) == reference_curve(result)
 
     @pytest.mark.parametrize("roots", [(7, 7, 7), (1, 9, 4)], ids=["flat", "varied"])
     def test_zero_step(self, roots):
@@ -109,7 +102,7 @@ class TestRenderersMatchFractions:
         assert svg_curve(scan_svg(quad(3, 4, 3, 4), result, 12)) == reference_curve(result)
         expected = [[render_decimal(d, 12), render_decimal(a, 12)] for d, a in result.samples]
         assert json_samples(result, 12) == expected
-        assert result.argmax_diagonal == 5
+        assert result.samples[result.argmax][0] == 5
 
     def test_renderers_leave_the_fraction_samples_unbuilt(self):
         q = quad(75, 40, 51, 68)
@@ -160,3 +153,61 @@ class TestSmallFigures:
     def test_labels_from_a_tenth_keep_two_places(self):
         text = svg_scan(Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10))
         assert ">0.10<" in text
+
+
+def brahmagupta_sides():
+    t1, t2 = PythTriple(3, 4, 5), PythTriple(5, 12, 13)
+    return tuple(brahmagupta_quad(t1, t2).sides)
+
+
+class TestSnapshotsFromTheGrid:
+    @pytest.mark.parametrize(
+        "sides",
+        [
+            pytest.param((75, 40, 51, 68), id="integer"),
+            pytest.param((Fraction(15, 2), Fraction(13, 3), 9, Fraction(41, 4)), id="rational"),
+            pytest.param((Surd(3, 2), Surd(2, 2), 2, 4), id="surd"),
+            pytest.param(brahmagupta_sides(), id="brahmagupta"),
+        ],
+    )
+    def test_vertices_match_the_embedding(self, sides):
+        # segments exactly, heights floored: each below the exact height by
+        # less than one unit over the denominator
+        q = quad(*sides)
+        result = area_scan(q, 9, 12)
+        shown = (0, result.argmax, 8)
+        for i, (den, vertices) in zip(shown, scan_vertices(q, result, 12, shown)):
+            exact = embed(DiagQuad(q, result.samples[i][0]))
+            assert den > 0
+            for (x, y), (ex, ey) in zip(vertices, exact):
+                assert Fraction(x, den) == ex
+                assert 0 <= abs(ey) - Fraction(abs(y), den) < Fraction(1, den)
+
+    def test_scan_svg_neither_embeds_nor_factors(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drawing a scan must not embed or factor")
+
+        cases = [quad(75, 40, 51, 68), quad(13, Surd(14, 7), 7, Surd(8, 5)),
+                 quad(*brahmagupta_sides())]
+        scans = [(q, area_scan(q, 99, 12)) for q in cases]
+        monkeypatch.setattr(oracle, "embed", forbidden)
+        monkeypatch.setattr(exactnum, "square_free_split", forbidden)
+        monkeypatch.setattr(exactnum.Surd, "sqrt", forbidden)
+        for q, result in scans:
+            assert scan_svg(q, result, 12).count("<polygon ") == 3
+
+    def test_20_digit_svg_scan_finishes(self, capsys):
+        # drawing by embedding factored each snapshot's heights: past 60 s
+        argv = ["--format", "svg", "scan", "64319778597937997879", "55114109362843527589",
+                "16401117268241863454", "30000000000000000001"]
+        with time_limit(5):
+            assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("<polygon ") == 3 and captured.err == ""
+
+    def test_surd_sides_svg_scan_finishes(self):
+        # drawing by embedding ran past 100 s on these sides
+        q = quad(13, Surd(14, 7), 7, Surd(8, 5))
+        with time_limit(5):
+            text = scan_svg(q, area_scan(q, 9, 50), 50)
+        assert text.count("<polygon ") == 3
