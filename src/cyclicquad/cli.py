@@ -17,9 +17,9 @@ renderers print every report:
 The decimal of an exact value is `render_decimal(approx(value, digits),
 digits)`.  `scan` prints approximations only: it renders its diagonals and
 its areas as two columns of decimal strings, each in one `render_ratios`
-pass over the scan's integer numerators and shared denominator.  JSON and
-SVG take every sample from `area_scan`; text prints three and takes them
-from `scan_peak`, whose cost does not grow with `--steps`.
+pass over the integer numerators and shared denominators of the scan's
+`ScanGrid`.  JSON and SVG take every sample from `area_scan`; text prints
+three, found by `ScanGrid.peak`, whose cost does not grow with `--steps`.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -58,7 +58,7 @@ from .mensuration import (
     semiperimeter,
     sutra_area,
 )
-from .oracle import area_scan, concyclic_exact, scan_peak
+from .oracle import area_scan, concyclic_exact, scan_grid
 from .svg import scan_svg
 from .triples import NotPythagorean, generate_triples, hypotenuse_pairs, validate_triple
 
@@ -337,20 +337,23 @@ def cmd_scan(args) -> int:
     digits = _report_digits(args)
     if args.format == "text":
         # text prints only the first, the peak and the last sample
-        scan = scan_peak(q, args.steps, digits)
-        shown = (0, scan.argmax, args.steps - 1)
+        grid = scan_grid(q, args.steps, digits)
+        argmax = grid.peak(args.steps)
+        shown = (0, argmax, args.steps - 1)
+        roots = grid.roots(shown)
     else:
         scan = area_scan(q, args.steps, digits)
         if args.format == "svg":
-            _write(scan_svg(q, scan, digits), args.out)
+            _write(scan_svg(q, scan), args.out)
             return EXIT_OK
+        grid, roots, argmax = scan
         shown = range(args.steps)
 
-    x0, dx = scan.x0, scan.dx
-    diagonals = render_ratios([x0 + i * dx for i in shown], scan.den, digits)
-    areas = render_ratios(scan.roots, scan.area_den, digits)
+    x0, dx = grid.x0, grid.dx
+    diagonals = render_ratios([x0 + i * dx for i in shown], grid.den, digits)
+    areas = render_ratios(roots, grid.area_den, digits)
     samples = [[x, a] for x, a in zip(diagonals, areas)]
-    argmax_diagonal, max_area = samples[shown.index(scan.argmax)]
+    argmax_diagonal, max_area = samples[shown.index(argmax)]
     report = {
         "sides": sides,
         "steps": args.steps,

@@ -8,6 +8,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .mensuration import (
+    DiagonalPair,
     DiagQuad,
     GeometryError,
     Rhombus,
@@ -29,7 +30,8 @@ class CyclicQuadConstruction(
     """Result of gluing two scaled right triangles along a common
     hypotenuse.  The glue diagonal is a circumdiameter: both triangles are
     right triangles standing on it.  `diagonals` is the cyclic diagonal
-    pair of `sides`, the one checked against Ptolemy's equality."""
+    pair of `sides`; its p and the glue diagonal are checked against
+    Ptolemy's equality."""
 
     __slots__ = ()
 
@@ -55,7 +57,9 @@ def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
     sides = quad(t1.l * t2.n, t2.l * t1.n, t2.m * t1.n, t1.m * t2.n)
     glue = Fraction(t1.n * t2.n)
     diagonals = cyclic_diagonal_pair(sides)
-    if not ptolemy_check(sides, diagonals):
+    # the formulas' own p*q is ac + bd for any four sides, so p is paired
+    # with the glue diagonal, which must be the cyclic q
+    if not ptolemy_check(sides, DiagonalPair(diagonals.p, glue)):
         text = ", ".join(str(s) for s in sides)
         raise PtolemyViolation(f"glued sides {text} fail Ptolemy's equality")
     return CyclicQuadConstruction(sides=sides, glue_diagonal=glue, diagonals=diagonals)

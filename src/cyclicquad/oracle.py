@@ -6,16 +6,17 @@ the in-circle determinant decides concyclicity exactly, with no division
 and no square root.  A renderer approximates a coordinate only where it
 draws it.  Also hosts the diagonal scan that demonstrates the
 indeterminacy of a quadrilateral's area when only the four sides are
-fixed.  The scan does not embed: it evaluates each sample's closed-form
-area on integers scaled to a shared denominator, with relative error below
-2/F for F = 10**(digits + guard digits), and returns those integers
-(`ScanResult`), so a renderer prints a sample from its numerator and
-denominator.  `scan_peak` gives the same grid's first, largest and last
-samples without the rest: the area is unimodal along the grid, so it
+fixed.  The scan does not embed: `scan_grid` builds one integer
+`ScanGrid`, on which each sample's closed-form area is scaled to a shared
+denominator, with relative error below 2/F for F = 10**(digits + guard
+digits), so a renderer prints a sample from its numerator and
+denominator.  Every reader takes its samples from that grid: `area_scan`
+evaluates all of them (`ScanResult`), `ScanGrid.peak` finds the first
+maximum without the rest (the area is unimodal along the grid, so it
 bisects for the exact peak and certifies the largest root in a window
-around it.  `scan_vertices` gives a sample's four vertices on the same
-integers, so that a drawing of the scan never embeds and never factors.
-The embedding serves as the scan's independent oracle in the tests."""
+around it), and `ScanGrid.vertices` gives a sample's four vertices, so
+that a drawing of the scan never embeds and never factors.  The
+embedding serves as the scan's independent oracle in the tests."""
 
 from __future__ import annotations
 
@@ -89,56 +90,44 @@ def diagonal_range(q: QuadSides):
     return max(abs(a - b), abs(c - d)), min(a + b, c + d)
 
 
-class ScanResult(namedtuple("ScanResult", "den x0 dx roots area_den argmax")):
-    """A diagonal scan on integers: sample i, for 0 <= i < len(roots), has
-    diagonal (x0 + i*dx)/den and area roots[i]/area_den, and `argmax` is the
-    index of the first maximum.  `samples` gives the same values as
-    Fractions, built on each read; no renderer reads it."""
+class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale")):
+    """The integer grid of a diagonal scan (see `area_scan`): sample i has
+    scaled diagonal X = x0 + i*dx over `den`, each triangle's
+    P = (k - X^2) * X^2 - m^2, and area root(i)/area_den, floored at
+    F = `scale`.  `scan_grid` builds it; every reader of a scan takes its
+    samples from it."""
 
     __slots__ = ()
 
-    @property
-    def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        x0, dx, den, area_den = self.x0, self.dx, self.den, self.area_den
-        return tuple(
-            (Fraction(x0 + i * dx, den), Fraction(r, area_den))
-            for i, r in enumerate(self.roots)
-        )
-
-
-class _Grid(namedtuple("_Grid", "den x0 dx k1 m1 k2 m2 scale")):
-    """The integer grid that `area_scan`, `scan_peak` and `scan_vertices`
-    share (see `area_scan`): sample i has scaled diagonal X = x0 + i*dx over
-    `den`, and each triangle's P = (k - X^2) * X^2 - m^2."""
-
-    __slots__ = ()
-
-    def squares(self, indices) -> list:
-        x0, dx = self.x0, self.dx
-        return [(x0 + i * dx) ** 2 for i in indices]
-
-    def triangles(self, squares) -> tuple[list, list]:
+    def roots(self, indices) -> list:
+        """The integer area numerators of the samples at `indices`."""
+        x0, dx, scale_sq = self.x0, self.dx, self.scale * self.scale
         k1, c1, k2, c2 = self.k1, self.m1 * self.m1, self.k2, self.m2 * self.m2
-        return [(k1 - xx) * xx - c1 for xx in squares], [(k2 - xx) * xx - c2 for xx in squares]
-
-    def roots(self, p1, p2) -> list:
-        scale_sq = self.scale * self.scale
-        return [isqrt(u * scale_sq) + isqrt(v * scale_sq) for u, v in zip(p1, p2)]
+        squares = [(x0 + i * dx) ** 2 for i in indices]
+        return [
+            isqrt(((k1 - xx) * xx - c1) * scale_sq) + isqrt(((k2 - xx) * xx - c2) * scale_sq)
+            for xx in squares
+        ]
 
     def root(self, i: int) -> int:
-        return self.roots(*self.triangles(self.squares((i,))))[0]
+        return self.roots((i,))[0]
 
     @property
     def area_den(self) -> int:
         return 4 * self.den * self.den * self.scale
 
+    def _triangles(self, i: int) -> tuple[int, int, int]:
+        """Sample i's X and both triangles' P."""
+        x = self.x0 + i * self.dx
+        xx = x * x
+        return x, (self.k1 - xx) * xx - self.m1 * self.m1, (self.k2 - xx) * xx - self.m2 * self.m2
+
     def vertices(self, i: int) -> tuple[int, tuple]:
         """Sample i's four `embed` vertices as integer points over one
         denominator, 2*den*X*F for F = `scale`: a segment (X^2 + m)/(2*den*X)
         exactly, a height sqrt(P)/(2*den*X) as the floor isqrt(P*F^2)."""
-        x = self.x0 + i * self.dx
+        x, p1, p2 = self._triangles(i)
         xx = x * x
-        (p1,), (p2,) = self.triangles((xx,))
         scale = self.scale
         scale_sq = scale * scale
         return 2 * self.den * x * scale, (
@@ -148,22 +137,57 @@ class _Grid(namedtuple("_Grid", "den x0 dx k1 m1 k2 m2 scale")):
             (scale * (xx - self.m2), -isqrt(p2 * scale_sq)),
         )
 
+    def peak(self, steps: int) -> int:
+        """The first maximum of `roots(range(steps))`, at a cost that does
+        not depend on `steps`: it evaluates the two grid ends and a window
+        around the exact peak, never the whole grid.
 
-def _grid(squares, den: int, x0: int, dx: int, digits: int) -> _Grid:
-    sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
-    return _Grid(
-        den=den,
-        x0=x0,
-        dx=dx,
-        k1=2 * (sa + sb) * den,
-        m1=(sa - sb) * den,
-        k2=2 * (sc + sd) * den,
-        m2=(sc - sd) * den,
-        scale=10 ** (digits + GUARD_DIGITS),
-    )
+        With X the squared diagonal, each triangle's P(X) = (k - X)X - c is a
+        concave quadratic, so sqrt(P) is concave in X and the area
+        sqrt(P1) + sqrt(P2) is strictly concave in X.  X grows along the
+        grid, so the area is strictly unimodal in the sample index.
+
+        Peak: d(area)/dX has the sign of D1*sqrt(P2) + D2*sqrt(P1) with
+        D = k - 2X, decided on integers by the signs of D1 and D2 or, where
+        they differ, by D1^2 * P2 against D2^2 * P1.  Bisection finds the
+        first sample j past the peak, and m is the first maximum of the
+        roots on the window [j-2, j+1].
+
+        Certificate: each root is below the exact value S it floors by less
+        than 2 units.  Take a window end w that is not a grid end, with
+        root(m) >= root(w) + 2.  Then S[m] > S[w], so by unimodality every
+        sample i beyond w has S[i] <= S[w] < root(m), and its root is below
+        root(m).  When this holds at both ends, m is the first maximum.  It
+        rests on unimodality and the 2-unit bound alone, not on the
+        bisection; when it fails, the window doubles and is checked again.
+        The window's roots are taken one at a time, so memory stays
+        constant; only a grid flatter than 2 units around its peak widens
+        the window."""
+        last = steps - 1
+        root = self.root
+
+        def falling(i: int) -> bool:
+            # whether the area falls from sample i on: the sign of
+            # d1*sqrt(v) + d2*sqrt(u)
+            x, u, v = self._triangles(i)
+            xx = x * x
+            d1, d2 = self.k1 - 2 * xx, self.k2 - 2 * xx
+            if d1 * d2 >= 0:
+                return d1 + d2 < 0
+            return d1 * (d1 * d1 * v - d2 * d2 * u) < 0
+
+        j = bisect_left(range(steps), True, key=falling)
+        lo, hi = max(j - 2, 0), min(j + 1, last)
+        while True:
+            m = max(range(lo, hi + 1), key=root)
+            bound = root(m) - 2
+            if (lo == 0 or root(lo) <= bound) and (hi == last or root(hi) <= bound):
+                return m
+            width = hi - lo + 1
+            lo, hi = max(lo - width, 0), min(hi + width, last)
 
 
-def _scan_grid(q: QuadSides, steps: int, digits: int) -> _Grid:
+def scan_grid(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanGrid:
     """`steps` equally spaced samples strictly inside `diagonal_range(q)`.
     The ends are approximated to `digits` places, and to twice as many
     until lower < first sample < last sample < upper holds by exact
@@ -183,8 +207,35 @@ def _scan_grid(q: QuadSides, steps: int, digits: int) -> _Grid:
             break
         places *= 2
     den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
+    sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
     dx = step.numerator * (den // step.denominator)
-    return _grid(squares, den, lo.numerator * (den // lo.denominator) + dx, dx, digits)
+    return ScanGrid(
+        den=den,
+        x0=lo.numerator * (den // lo.denominator) + dx,
+        dx=dx,
+        k1=2 * (sa + sb) * den,
+        m1=(sa - sb) * den,
+        k2=2 * (sc + sd) * den,
+        m2=(sc - sd) * den,
+        scale=10 ** (digits + GUARD_DIGITS),
+    )
+
+
+class ScanResult(namedtuple("ScanResult", "grid roots argmax")):
+    """A whole diagonal scan: `roots` holds root(i) of `grid` for every
+    sample, and `argmax` is the index of the first maximum.  `samples` gives
+    the (diagonal, area) pairs as Fractions, built on each read; no renderer
+    reads it."""
+
+    __slots__ = ()
+
+    @property
+    def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        x0, dx, den, area_den = self.grid.x0, self.grid.dx, self.grid.den, self.grid.area_den
+        return tuple(
+            (Fraction(x0 + i * dx, den), Fraction(r, area_den))
+            for i, r in enumerate(self.roots)
+        )
 
 
 def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanResult:
@@ -204,94 +255,12 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     Q (`den` below), so P = Q^4 * 16T^2 is an exact integer per triangle
     and the area is (r1 + r2) / (4 Q^2 F) with r = isqrt(P F^2),
     F = 10**(digits + guard).
-    Every sample lies strictly inside the feasible interval (`_scan_grid`),
+    Every sample lies strictly inside the feasible interval (`scan_grid`),
     where both strict triangle inequalities hold, so every P is a positive
     integer, sqrt(P) >= 1 and each floor root is off by less than one
     unit in sqrt(P)*F >= F: the relative error of every sample is below
     2/F at any scale.  The argmax is taken on the integers, first maximum
     winning.  `embed`/`shoelace_area` stay the independent oracle."""
-    grid = _scan_grid(q, steps, digits)
-    roots = grid.roots(*grid.triangles(grid.squares(range(steps))))
-    return ScanResult(
-        den=grid.den,
-        x0=grid.x0,
-        dx=grid.dx,
-        roots=tuple(roots),
-        area_den=grid.area_den,
-        argmax=max(range(steps), key=roots.__getitem__),
-    )
-
-
-def scan_vertices(q: QuadSides, scan: ScanResult, digits: int, indices) -> list:
-    """For each index i of `scan`, `area_scan(q, steps, digits)`, the pair
-    (denominator, four vertices) of `_Grid.vertices`: the figure `embed`
-    gives at sample i, read off the scan's own integers, so that drawing a
-    sample neither embeds nor factors."""
-    grid = _grid([s * s for s in q], scan.den, scan.x0, scan.dx, digits)
-    return [grid.vertices(i) for i in indices]
-
-
-class ScanPeak(namedtuple("ScanPeak", "den x0 dx area_den argmax roots")):
-    """The first, largest and last samples of an `area_scan` grid: `den`,
-    `x0`, `dx`, `area_den` and `argmax` as in `ScanResult`, and `roots` the
-    integer roots of samples 0, `argmax` and steps - 1."""
-
-    __slots__ = ()
-
-
-def scan_peak(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanPeak:
-    """`area_scan`'s first, peak and last samples, the same integers, at a
-    cost that does not depend on `steps`: it evaluates the two grid ends and
-    a window around the exact peak, never the whole grid.
-
-    With X the squared diagonal, each triangle's P(X) = (k - X)X - c is a
-    concave quadratic, so sqrt(P) is concave in X and the area
-    sqrt(P1) + sqrt(P2) is strictly concave in X.  X grows along the grid,
-    so the area is strictly unimodal in the sample index.
-
-    Peak: d(area)/dX has the sign of D1*sqrt(P2) + D2*sqrt(P1) with
-    D = k - 2X, decided on integers by the signs of D1 and D2 or, where they
-    differ, by D1^2 * P2 against D2^2 * P1.  Bisection finds the first
-    sample j past the peak, and m is the first maximum of the roots on the
-    window [j-2, j+1].
-
-    Certificate: each root is below the exact value S it floors by less
-    than 2 units.  Take a window end w that is not a grid end, with
-    roots[m] >= roots[w] + 2.  Then S[m] > S[w], so by unimodality every
-    sample i beyond w has S[i] <= S[w] < roots[m], and its root is below
-    roots[m].  When this holds at both ends, m is `area_scan`'s argmax.  It
-    rests on unimodality and the 2-unit bound alone, not on the bisection;
-    when it fails, the window doubles and is checked again.  The window's
-    roots are taken one at a time, so memory stays constant; only a grid
-    flatter than 2 units around its peak widens the window."""
-    grid = _scan_grid(q, steps, digits)
-    last = steps - 1
-    k1, k2, root = grid.k1, grid.k2, grid.root
-
-    def falling(i: int) -> bool:
-        # whether the area falls from sample i on: the sign of
-        # d1*sqrt(v) + d2*sqrt(u)
-        (xx,) = grid.squares((i,))
-        (u,), (v,) = grid.triangles((xx,))
-        d1, d2 = k1 - 2 * xx, k2 - 2 * xx
-        if d1 * d2 >= 0:
-            return d1 + d2 < 0
-        return d1 * (d1 * d1 * v - d2 * d2 * u) < 0
-
-    j = bisect_left(range(steps), True, key=falling)
-    lo, hi = max(j - 2, 0), min(j + 1, last)
-    while True:
-        m = max(range(lo, hi + 1), key=root)
-        bound = root(m) - 2
-        if (lo == 0 or root(lo) <= bound) and (hi == last or root(hi) <= bound):
-            break
-        width = hi - lo + 1
-        lo, hi = max(lo - width, 0), min(hi + width, last)
-    return ScanPeak(
-        den=grid.den,
-        x0=grid.x0,
-        dx=grid.dx,
-        area_den=grid.area_den,
-        argmax=m,
-        roots=(root(0), root(m), root(last)),
-    )
+    grid = scan_grid(q, steps, digits)
+    roots = grid.roots(range(steps))
+    return ScanResult(grid, tuple(roots), max(range(steps), key=roots.__getitem__))

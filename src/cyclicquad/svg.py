@@ -1,16 +1,17 @@
 """Static SVG figures for the diagonal scan: area-versus-diagonal curve
 plus snapshots of the hinged quadrilateral at the smallest,
 area-maximizing and largest sampled diagonals.  All three are drawn from
-the scan's integer grid: the curve from its roots, and each snapshot from
-`scan_vertices`, the sample's exact segments and floored heights over one
-denominator, so drawing never embeds and never factors.  Every coordinate
+the scan's `ScanGrid`: the curve from the scan's roots, and each snapshot
+from `ScanGrid.vertices`, the sample's exact segments and floored heights
+over one denominator, so drawing never embeds, never factors and never
+rebuilds the grid.  Every coordinate
 and label is printed from an integer ratio, so output is byte-identical
 across runs."""
 
 from __future__ import annotations
 
 from .exactnum import approx, fixed_ratio, fixed_ratios, render_ratio
-from .oracle import ScanResult, scan_vertices
+from .oracle import ScanResult
 
 VIEW_W = 1000
 VIEW_H = 700
@@ -58,20 +59,18 @@ def _snapshot(vertices, sides: list[str], x0: int, label: str) -> list[str]:
     return parts
 
 
-def scan_svg(q: tuple, result: ScanResult, digits: int) -> str:
+def scan_svg(q: tuple, result: ScanResult) -> str:
     """The curve places sample i of n at x = px + i*pw/(n - 1) and its area
     r/area_den at y = py + ph - (r - r_min)*ph/(r_max - r_min), exact
-    integer ratios; a zero range places every sample at the middle.  The
-    snapshots are samples 0, argmax and n - 1 of the same grid, read off
-    `scan_vertices`."""
+    integer ratios; a zero area range places every sample at mid-height.
+    The snapshots are samples 0, argmax and n - 1, read off
+    `result.grid.vertices`."""
     px, py, pw, ph = _PLOT
-    den, x0, dx, roots, area_den, argmax = result
+    grid, roots, argmax = result
+    den, x0, dx, area_den = grid.den, grid.x0, grid.dx, grid.area_den
     last = len(roots) - 1
     lo_r, hi_r = min(roots), max(roots)
-    if dx:
-        xs = fixed_ratios(range(px * last, px * last + (last + 1) * pw, pw), last, 2)
-    else:
-        xs = [fixed_ratio(2 * px + pw, 2, 2)] * (last + 1)
+    xs = fixed_ratios(range(px * last, px * last + (last + 1) * pw, pw), last, 2)
     if hi_r > lo_r:
         span = hi_r - lo_r
         top = (py + ph) * span + lo_r * ph
@@ -90,8 +89,8 @@ def scan_svg(q: tuple, result: ScanResult, digits: int) -> str:
     ]
     sides = [_label(v.numerator, v.denominator) for v in (approx(s, 12) for s in q)]
     labels = ("smallest sampled diagonal", "area-maximizing diagonal", "largest sampled diagonal")
-    figures = scan_vertices(q, result, digits, (0, argmax, last))
-    for k, ((_, vertices), label) in enumerate(zip(figures, labels)):
+    for k, (i, label) in enumerate(zip((0, argmax, last), labels)):
+        _, vertices = grid.vertices(i)
         body.extend(_snapshot(vertices, sides, 20 + k * (_SNAP_W + 30), label))
     body.append("</svg>")
     return "\n".join(body) + "\n"

@@ -12,6 +12,7 @@ from cyclicquad.construct import (
 )
 from cyclicquad.exactnum import IncompatibleRadicands, Surd
 from cyclicquad.mensuration import (
+    DiagonalPair,
     DiagQuad,
     cyclic_diagonal_pair,
     heron_area,
@@ -70,6 +71,17 @@ class TestBrahmaguptaQuad:
     def test_failed_ptolemy_check_raises(self, monkeypatch):
         # a real check, not an assert that python -O would strip
         monkeypatch.setattr(construct, "ptolemy_check", lambda sides, pair: False)
+        with pytest.raises(PtolemyViolation):
+            brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(8, 15, 17))
+
+    def test_wrong_diagonal_pair_raises(self, monkeypatch):
+        # (2p, q/2) keeps the product p*q, so only a check against the glue
+        # diagonal refuses it
+        def wrong_pair(sides):
+            p, q = cyclic_diagonal_pair(sides)
+            return DiagonalPair(2 * p, q / 2)
+
+        monkeypatch.setattr(construct, "cyclic_diagonal_pair", wrong_pair)
         with pytest.raises(PtolemyViolation):
             brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(8, 15, 17))
 

@@ -27,7 +27,7 @@ from cyclicquad.mensuration import (
     cyclic_diagonal_pair,
     quad,
 )
-from cyclicquad.oracle import ScanResult, area_scan, embed
+from cyclicquad.oracle import ScanResult, area_scan, embed, scan_grid
 from cyclicquad.triples import PythTriple
 
 _DQ = DiagQuad(quad(75, 68, 51, 40), 77)
@@ -41,6 +41,7 @@ FIGURES = {
     "MensurationReport": area_by_diagonal(_DQ),
     "DiagonalPair": cyclic_diagonal_pair(quad(75, 68, 51, 40)),
     "PythTriple": PythTriple(3, 4, 5),
+    "ScanGrid": scan_grid(quad(75, 40, 51, 68), 9, 12),
     "ScanResult": area_scan(quad(75, 40, 51, 68), 9, 12),
     "CyclicQuadConstruction": brahmagupta_quad(PythTriple(3, 4, 5), PythTriple(8, 15, 17)),
     "ManifestEntry": run_manifest()[0],

@@ -31,7 +31,7 @@ from cyclicquad.oracle import (
     concyclic_exact,
     diagonal_range,
     embed,
-    scan_peak,
+    scan_grid,
     shoelace_area,
 )
 
@@ -105,7 +105,7 @@ def assert_inside_interval(q, result):
     """The grid runs upwards, and every sample lies strictly inside the
     feasible interval."""
     lower, upper = diagonal_range(q)
-    assert result.dx > 0
+    assert result.grid.dx > 0
     assert all(lower < diag < upper for diag, _ in result.samples)
 
 
@@ -444,8 +444,9 @@ class TestAreaScan:
             q = make_quad(rng)
             steps = rng.choice((3, 4, 17, 99, 250))
             result = area_scan(q, steps, digits)
+            grid = result.grid
             den, x0, dx, roots, area_den, argmax = reference_scan(q, steps, digits)
-            assert (result.den, result.x0, result.dx, result.area_den) == (den, x0, dx, area_den)
+            assert (grid.den, grid.x0, grid.dx, grid.area_den) == (den, x0, dx, area_den)
             assert result.roots == roots
             assert result.argmax == argmax
 
@@ -456,8 +457,9 @@ class TestAreaScan:
         lo, hi = (approx(v, 1) for v in diagonal_range(THIN_SQRT2))
         assert all(lo + i * (hi - lo) / 4 < Surd(1, 2) for i in (1, 2, 3))
         result = area_scan(THIN_SQRT2, 3, 1)
+        grid = result.grid
         den, x0, dx, roots, area_den, argmax = reference_scan(THIN_SQRT2, 3, 1)
-        assert (result.den, result.x0, result.dx, result.area_den) == (den, x0, dx, area_den)
+        assert (grid.den, grid.x0, grid.dx, grid.area_den) == (den, x0, dx, area_den)
         assert (result.roots, result.argmax) == (roots, argmax)
 
     def test_steps_validated(self):
@@ -509,14 +511,16 @@ scans = st.one_of(
 
 
 def assert_peak_matches_scan(q, steps: int, digits: int):
-    """scan_peak(q) gives area_scan(q)'s grid, argmax and roots at the first
-    sample, the argmax and the last sample."""
+    """scan_grid(q) is area_scan(q)'s whole grid, k, m and scale included,
+    its peak is area_scan's argmax, and its roots at the first sample, the
+    argmax and the last sample are area_scan's."""
     full = area_scan(q, steps, digits)
-    peak = scan_peak(q, steps, digits)
-    assert (peak.den, peak.x0, peak.dx, peak.area_den, peak.argmax) == (
-        full.den, full.x0, full.dx, full.area_den, full.argmax
-    )
-    assert peak.roots == (full.roots[0], full.roots[full.argmax], full.roots[-1])
+    grid = scan_grid(q, steps, digits)
+    assert grid == full.grid
+    argmax = grid.peak(steps)
+    assert argmax == full.argmax
+    shown = (0, argmax, steps - 1)
+    assert grid.roots(shown) == [full.roots[i] for i in shown]
 
 
 # quadrilateral (sqrt(2), 1, s*sqrt(3), sqrt(2)): its feasible diagonals run
@@ -588,11 +592,9 @@ class TestScanPeak:
     def test_window_widens_until_certified(self, monkeypatch, fake):
         # the answer rests on the certificate, not on where bisection put
         # the window: any unimodal roots give their first maximum
-        monkeypatch.setattr(oracle._Grid, "root", lambda self, i: fake(i))
-        peak = scan_peak(quad(75, 40, 51, 68), 999, 12)
-        first_max = max(range(999), key=fake)
-        assert peak.argmax == first_max
-        assert peak.roots == (fake(0), fake(first_max), fake(998))
+        monkeypatch.setattr(oracle.ScanGrid, "root", lambda self, i: fake(i))
+        grid = scan_grid(quad(75, 40, 51, 68), 999, 12)
+        assert grid.peak(999) == max(range(999), key=fake)
 
     def test_text_scan_at_a_trillion_steps(self, monkeypatch, capsys):
         def no_full_grid(*args):
@@ -609,4 +611,4 @@ class TestScanPeak:
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):
-            scan_peak(quad(25, 25, 25, 25), 2, 20)
+            scan_grid(quad(25, 25, 25, 25), 2, 20)

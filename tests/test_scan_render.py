@@ -1,22 +1,24 @@
-"""The scan's renderers print from the integer `ScanResult`: the JSON samples
-and the SVG curve must equal what the Fraction samples give."""
+"""The scan's renderers print from the integer `ScanResult` and its
+`ScanGrid`: the JSON samples and the SVG curve must equal what the Fraction
+samples give."""
 
 import io
 import json
 import re
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cyclicquad.cli as cli
-from cyclicquad import exactnum, oracle
+from cyclicquad import exactnum, oracle, svg
 from cyclicquad.construct import brahmagupta_quad
 from cyclicquad.exactnum import Surd, fixed_ratio, render_decimal
 from cyclicquad.mensuration import DiagQuad, InvalidQuad, quad
-from cyclicquad.oracle import ScanResult, area_scan, embed, scan_vertices
+from cyclicquad.oracle import ScanGrid, ScanResult, area_scan, embed
 from cyclicquad.svg import _PLOT, scan_svg
 from cyclicquad.triples import PythTriple
 
@@ -93,13 +95,14 @@ class TestRenderersMatchFractions:
     @given(quads, st.integers(3, 60), st.integers(1, 60))
     def test_svg_curve(self, q, steps, digits):
         result = area_scan(q, steps, digits)
-        assert svg_curve(scan_svg(q, result, digits)) == reference_curve(result)
+        assert svg_curve(scan_svg(q, result)) == reference_curve(result)
 
     @pytest.mark.parametrize("roots", [(7, 7, 7), (1, 9, 4)], ids=["flat", "varied"])
     def test_zero_step(self, roots):
-        # every sample at diagonal 5 of the figure (3, 4, 3, 4)
-        result = ScanResult(den=2, x0=10, dx=0, roots=roots, area_den=3, argmax=roots.index(max(roots)))
-        assert svg_curve(scan_svg(quad(3, 4, 3, 4), result, 12)) == reference_curve(result)
+        # every sample at diagonal 5; `scan_grid` never builds dx == 0, so
+        # only the JSON renderer is checked on this hand-built grid
+        grid = ScanGrid(den=2, x0=10, dx=0, k1=0, m1=0, k2=0, m2=0, scale=1)
+        result = ScanResult(grid, roots, argmax=roots.index(max(roots)))
         expected = [[render_decimal(d, 12), render_decimal(a, 12)] for d, a in result.samples]
         assert json_samples(result, 12) == expected
         assert result.samples[result.argmax][0] == 5
@@ -112,7 +115,7 @@ class TestRenderersMatchFractions:
             raise AssertionError("a renderer read ScanResult.samples")
 
         with patch.object(ScanResult, "samples", property(unread)):
-            scan_svg(q, result, 12)
+            scan_svg(q, result)
             json_samples(result, 12)
         assert len(result.samples) == 99
 
@@ -126,7 +129,7 @@ def polygons(text: str) -> list[list[tuple[float, float]]]:
 
 def svg_scan(*sides) -> str:
     result = area_scan(quad(*sides), 9, 12)
-    return scan_svg(quad(*sides), result, 12)
+    return scan_svg(quad(*sides), result)
 
 
 class TestSmallFigures:
@@ -176,7 +179,8 @@ class TestSnapshotsFromTheGrid:
         q = quad(*sides)
         result = area_scan(q, 9, 12)
         shown = (0, result.argmax, 8)
-        for i, (den, vertices) in zip(shown, scan_vertices(q, result, 12, shown)):
+        for i in shown:
+            den, vertices = result.grid.vertices(i)
             exact = embed(DiagQuad(q, result.samples[i][0]))
             assert den > 0
             for (x, y), (ex, ey) in zip(vertices, exact):
@@ -194,7 +198,18 @@ class TestSnapshotsFromTheGrid:
         monkeypatch.setattr(exactnum, "square_free_split", forbidden)
         monkeypatch.setattr(exactnum.Surd, "sqrt", forbidden)
         for q, result in scans:
-            assert scan_svg(q, result, 12).count("<polygon ") == 3
+            assert scan_svg(q, result).count("<polygon ") == 3
+
+    def test_scan_svg_never_rebuilds_the_grid(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drawing a scan must read the scan's own grid")
+
+        q = quad(75, 40, 51, 68)
+        result = area_scan(q, 99, 12)
+        for module in (oracle, svg):
+            monkeypatch.setattr(module, "scan_grid", forbidden, raising=False)
+        golden = Path(__file__).resolve().parent / "data" / "cli" / "scan_steps99.svg"
+        assert scan_svg(q, result) == golden.read_text()
 
     def test_20_digit_svg_scan_finishes(self, capsys):
         # drawing by embedding factored each snapshot's heights: past 60 s
@@ -209,5 +224,5 @@ class TestSnapshotsFromTheGrid:
         # drawing by embedding ran past 100 s on these sides
         q = quad(13, Surd(14, 7), 7, Surd(8, 5))
         with time_limit(5):
-            text = scan_svg(q, area_scan(q, 9, 50), 50)
+            text = scan_svg(q, area_scan(q, 9, 50))
         assert text.count("<polygon ") == 3
