@@ -18,8 +18,11 @@ The decimal of an exact value is `render_decimal(approx(value, digits),
 digits)`.  `scan` prints approximations only: it renders its diagonals and
 its areas as two columns of decimal strings, each in one `render_ratios`
 pass over the integer numerators and shared denominators of the scan's
-`ScanGrid`.  JSON and SVG take every sample from `area_scan`; text prints
-three, found by `ScanGrid.peak`, whose cost does not grow with `--steps`.
+`ScanGrid`.  JSON takes every sample from `area_scan`; text prints three,
+found by `ScanGrid.peak`, whose cost does not grow with `--steps`.  SVG
+passes the grid to `scan_svg`, which takes exact roots only for the first,
+the largest and the last sample and for any curve point that doubles do
+not prove.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -335,19 +338,18 @@ def cmd_scan(args) -> int:
     sides = [_parse_length(s) for s in args.sides]
     q = quad(*sides)
     digits = _report_digits(args)
-    if args.format == "text":
-        # text prints only the first, the peak and the last sample
+    if args.format == "json":
+        grid, roots, argmax = area_scan(q, args.steps, digits)
+        shown = range(args.steps)
+    else:
         grid = scan_grid(q, args.steps, digits)
+        if args.format == "svg":
+            _write(scan_svg(q, grid, args.steps), args.out)
+            return EXIT_OK
+        # text prints only the first, the peak and the last sample
         argmax = grid.peak(args.steps)
         shown = (0, argmax, args.steps - 1)
         roots = grid.roots(shown)
-    else:
-        scan = area_scan(q, args.steps, digits)
-        if args.format == "svg":
-            _write(scan_svg(q, scan), args.out)
-            return EXIT_OK
-        grid, roots, argmax = scan
-        shown = range(args.steps)
 
     x0, dx = grid.x0, grid.dx
     diagonals = render_ratios([x0 + i * dx for i in shown], grid.den, digits)

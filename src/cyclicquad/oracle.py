@@ -15,8 +15,10 @@ evaluates all of them (`ScanResult`), `ScanGrid.peak` finds the first
 maximum without the rest (the area is unimodal along the grid, so it
 bisects for the exact peak and certifies the largest root in a window
 around it), and `ScanGrid.vertices` gives a sample's four vertices, so
-that a drawing of the scan never embeds and never factors.  The
-embedding serves as the scan's independent oracle in the tests."""
+that a drawing of the scan never embeds and never factors.  The SVG
+drawing reads the grid's integer P values as well, to prove its curve
+points from doubles (`svg._proved_units`).  The embedding serves as the
+scan's independent oracle in the tests."""
 
 from __future__ import annotations
 

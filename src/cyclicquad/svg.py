@@ -1,17 +1,23 @@
 """Static SVG figures for the diagonal scan: area-versus-diagonal curve
 plus snapshots of the hinged quadrilateral at the smallest,
 area-maximizing and largest sampled diagonals.  All three are drawn from
-the scan's `ScanGrid`: the curve from the scan's roots, and each snapshot
-from `ScanGrid.vertices`, the sample's exact segments and floored heights
-over one denominator, so drawing never embeds, never factors and never
-rebuilds the grid.  Every coordinate
-and label is printed from an integer ratio, so output is byte-identical
-across runs."""
+the scan's `ScanGrid`, which `scan_svg` reads but never rebuilds.  The
+snapshots come from `ScanGrid.vertices`, each sample's exact segments and
+floored heights over one denominator, so drawing never embeds and never
+factors.  The curve takes exact roots only for the first, the largest and
+the last sample: every other point is proved from doubles of the grid's
+exact integers, with a stated error bound, to round to the pixel its
+exact root gives, and a point the bound does not prove takes its exact
+root.  Every coordinate and label is printed from an integer or an
+integer ratio, so output is byte-identical across runs and platforms."""
 
 from __future__ import annotations
 
+import sys
+from math import floor, sqrt
+
 from .exactnum import approx, fixed_ratio, fixed_ratios, render_ratio
-from .oracle import ScanResult
+from .oracle import ScanGrid
 
 VIEW_W = 1000
 VIEW_H = 700
@@ -20,6 +26,10 @@ _PLOT = (70, 40, 610, 420)  # x, y, width, height of the curve region
 _SNAP_Y = 520
 _SNAP_W = 300
 _SNAP_H = 160
+
+# the double curve's error margin per unit of its magnitude M: 32u for
+# u = 2**-53 (see `_proved_units`)
+_ROUNDING = 2.0**-48
 
 
 def _label(num: int, den: int) -> str:
@@ -59,32 +69,105 @@ def _snapshot(vertices, sides: list[str], x0: int, label: str) -> list[str]:
     return parts
 
 
-def scan_svg(q: tuple, result: ScanResult) -> str:
-    """The curve places sample i of n at x = px + i*pw/(n - 1) and its area
-    r/area_den at y = py + ph - (r - r_min)*ph/(r_max - r_min), exact
-    integer ratios; a zero area range places every sample at mid-height.
-    The snapshots are samples 0, argmax and n - 1, read off
-    `result.grid.vertices`."""
+def _proved_units(grid: ScanGrid, steps: int, lo_r: int, span: int) -> list:
+    """Each sample's curve y in hundredths of a pixel where doubles prove
+    it, else None.  With A = 100*(py + ph) and K = 100*ph/span, sample i is
+    drawn at n = floor(v + 1/2), v = A + K*(lo_r - r), where its root
+    r = floor(F*sqrt(P1)) + floor(F*sqrt(P2)) lies in (F*S - 2, F*S] for
+    S = sqrt(P1) + sqrt(P2), so v lies in [Y, Y + 2K) for
+    Y = A + K*(lo_r - F*S).
+
+    Certificate (a floating-point filter; Shewchuk, Discrete Comput. Geom.
+    18, 1997).  Every double operation here is correctly rounded, with
+    relative error at most u = 2**-53: the conversion of each P, each sqrt,
+    the quotients c = K*F, l = lo_r/F and g = 2K, and each sum and product.
+    So s = sqrt(P1) + sqrt(P2) is within 2.5u*S of S, and the doubles
+    low - c*s and high - c*s below are within 7u*M + 2u*E of
+    Y + 1/2 - E and Y + 1/2 + E, where M = A + c*(max(s) + l) bounds every
+    term and E is the margin.  E = 32u*M + g exceeds 2K + 7u*M + 2u*E, so
+    v + 1/2 lies between the two doubles and their floors bound n.  When
+    they agree, sample i is drawn at n; when also n < A, then v < A, so
+    r > lo_r and lo_r stays the least root.  A sample that fails either
+    test is left None, and so is every sample when a P or c is too large
+    for a double, when the platform's doubles are not binary64, or when the
+    scan is flat."""
+    unproved = [None] * steps
+    if not span or sys.float_info.mant_dig != 53:
+        return unproved
+    _, py, _, ph = _PLOT
+    top = 100 * (py + ph)
+    scale, x0, dx = grid.scale, grid.x0, grid.dx
+    k1, c1, k2, c2 = grid.k1, grid.m1 * grid.m1, grid.k2, grid.m2 * grid.m2
+    # a flat scan returned above, so dx > 0
+    squares = [x * x for x in range(x0, x0 + steps * dx, dx)]
+    try:
+        sums = [sqrt((k1 - xx) * xx - c1) + sqrt((k2 - xx) * xx - c2) for xx in squares]
+        c = 100 * ph * scale / span
+    except OverflowError:
+        return unproved
+    base = lo_r / scale
+    margin = _ROUNDING * (top + c * (max(sums) + base)) + 200 * ph / span
+    if not margin < 0.5:
+        return unproved
+    # low - c*s and high - c*s are y + 1/2 - E and y + 1/2 + E for
+    # y = top - c*(s - base)
+    low = top + 0.5 + c * base - margin
+    high = low + 2 * margin
+    lows = [floor(low - c * s) for s in sums]
+    highs = [floor(high - c * s) for s in sums]
+    return [n if n == h < top else None for n, h in zip(lows, highs)]
+
+
+def _curve_units(grid: ScanGrid, steps: int, argmax: int) -> tuple[list[int], int, int]:
+    """Every sample's curve y in hundredths of a pixel, with the least and
+    the largest root.  Exact roots are taken for samples 0, argmax and
+    steps - 1, and for each sample `_proved_units` leaves unproved; if one
+    of those undercuts both ends, the least root moves, and so does every
+    pixel, so every sample takes its exact root."""
+    _, py, _, ph = _PLOT
+    last = steps - 1
+    known = dict(zip((0, argmax, last), grid.roots((0, argmax, last))))
+    lo_r = min(known[0], known[last])
+    units = _proved_units(grid, steps, lo_r, known[argmax] - lo_r)
+    missing = [i for i, n in enumerate(units) if n is None and i not in known]
+    known.update(zip(missing, grid.roots(missing)))
+    if min(known.values()) < lo_r:
+        known = dict(enumerate(grid.roots(range(steps))))
+        lo_r = min(known.values())
+    hi_r = known[argmax]
+    span = hi_r - lo_r
+    if not span:
+        return [100 * py + 50 * ph] * steps, lo_r, hi_r
+    for i, r in known.items():
+        units[i] = (200 * ((py + ph) * span + (lo_r - r) * ph) + span) // (2 * span)
+    return units, lo_r, hi_r
+
+
+def scan_svg(q: tuple, grid: ScanGrid, steps: int) -> str:
+    """The `steps`-sample scan on `grid` (see `oracle.area_scan`).  The
+    curve places sample i of n at x = px + i*pw/(n - 1) and its area
+    r/area_den at y = py + ph - (r - r_min)*ph/(r_max - r_min), rounded to
+    two places; a zero area range places every sample at mid-height.  The
+    y column comes from `_curve_units`, which takes exact roots only where
+    doubles do not prove the pixel.  The snapshots are samples 0, argmax
+    and n - 1, read off `grid.vertices`."""
     px, py, pw, ph = _PLOT
-    grid, roots, argmax = result
     den, x0, dx, area_den = grid.den, grid.x0, grid.dx, grid.area_den
-    last = len(roots) - 1
-    lo_r, hi_r = min(roots), max(roots)
-    xs = fixed_ratios(range(px * last, px * last + (last + 1) * pw, pw), last, 2)
-    if hi_r > lo_r:
-        span = hi_r - lo_r
-        top = (py + ph) * span + lo_r * ph
-        ys = fixed_ratios([top - r * ph for r in roots], span, 2)
-    else:
-        ys = [fixed_ratio(2 * py + ph, 2, 2)] * (last + 1)
-    curve = " ".join(map(",".join, zip(xs, ys)))
+    last = steps - 1
+    argmax = grid.peak(steps)
+    units, lo_r, hi_r = _curve_units(grid, steps, argmax)
+    # x = px + i*pw/last in hundredths, rounded like `fixed_ratio`
+    xs = [(200 * n + last) // (2 * last) for n in range(px * last, px * last + steps * pw, pw)]
+    curve = " ".join(
+        ["%d.%02d,%d.%02d" % (x // 100, x % 100, y // 100, y % 100) for x, y in zip(xs, units)]
+    )
     body: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}">',
         f'<rect x="{px}" y="{py}" width="{pw}" height="{ph}" fill="none" stroke="black" stroke-width="2"/>',
         f'<polyline points="{curve}" fill="none" stroke="black" stroke-width="2"/>',
         f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_label(x0, den)} to {_label(x0 + last * dx, den)}</text>',
         f'<text x="{px}" y="{py - 12}" font-size="13">area {_label(lo_r, area_den)} to {_label(hi_r, area_den)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_label(roots[argmax], area_den)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_label(hi_r, area_den)}</text>',
         f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_label(x0 + argmax * dx, den)}</text>',
     ]
     sides = [_label(v.numerator, v.denominator) for v in (approx(s, 12) for s in q)]

@@ -42,3 +42,14 @@ def test_traced_run_observes_surds(capsys):
     assert t.calls["exactnum.surd_sqrt"] > 0
     assert t.calls["exactnum.square_free_split"] > 0
     assert t.maxes["exactnum.max_operand_bits"] > 0
+
+
+def test_traced_svg_scan_observes_the_drawing(capsys):
+    # the tracer wraps `svg.scan_svg` by name and measures its result
+    tracer = load_tracer()
+    with tracer.Tracer(cyclicquad) as t:
+        t.start_op(0)
+        assert main(["--format", "svg", "--steps", "9", "scan", "75", "40", "51", "68"]) == 0
+    capsys.readouterr()
+    assert t.calls["svg.scan_svg"] == 1
+    assert t.counts["svg.bytes"] > 0

@@ -15,6 +15,13 @@ from conftest import time_limit
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 
+SIDES_80 = [
+    "53702342298702900314186501861978917952591646589069216578666847614225793129935131",
+    "38645708957458125109916684478674801782240005510317688634899862001321450129624253",
+    "25472285789645087989880181318047485199648290023307462091389693829302135896208000",
+    "87939823223186002773145329248828446915704894884080899850836230542941273950599438",
+]
+
 _REPORTS = [
     ("area_quad77_split", ["area", "75", "68", "51", "40", "--diagonal", "77"]),
     ("area_trapezium", ["area", "14", "12", "9", "13"]),
@@ -48,6 +55,20 @@ CASES = (
             "scan_9digit_sides.svg",
             0,
             ["--format", "svg", "scan", "655703491", "247009029", "923783236", "809765390"],
+        ),
+        (
+            # 20-digit sides: the curve proved from doubles
+            "scan_20digit_sides.svg",
+            0,
+            ["--format", "svg", "scan", "64319778597937997879", "55114109362843527589",
+             "16401117268241863454", "30000000000000000001"],
+        ),
+        (
+            # 80-digit sides: each P is too large for a double, so every
+            # curve point takes its exact root
+            "scan_80digit_sides.svg",
+            0,
+            ["--format", "svg", "scan", *SIDES_80],
         ),
         (
             "area_incommensurable_split.err",
