@@ -15,14 +15,13 @@ renderers print every report:
   `_json` writes it directly, byte-identical to `json.dumps(indent=2)` with
   `_json_value` as the hook for exact values.
 The decimal of an exact value is `render_decimal(approx(value, digits),
-digits)`.  `scan` prints approximations only: it renders its diagonals and
-its areas as two columns of decimal strings, each in one `render_ratios`
-pass over the integer numerators and shared denominators of the scan's
-`ScanGrid`.  JSON takes every sample from `area_scan`; text prints three,
-found by `ScanGrid.peak`, whose cost does not grow with `--steps`.  SVG
-passes the grid to `scan_svg`, which takes exact roots only for the first,
-the largest and the last sample and for any curve point that doubles do
-not prove.
+digits)`.  `scan` prints approximations only: `--steps` builds the scan's
+`ScanGrid`, and the sample count, diagonals and areas are read from it,
+each column in one `render_ratios` pass over integer numerators.  JSON
+takes every sample from `area_scan`; text prints three, found by
+`ScanGrid.peak`, whose cost does not grow with `--steps`.  SVG passes the
+grid to `scan_svg`, which takes exact roots only for the first, the
+largest and the last sample and where doubles do not prove a curve point.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -340,25 +339,24 @@ def cmd_scan(args) -> int:
     digits = _report_digits(args)
     if args.format == "json":
         grid, roots, argmax = area_scan(q, args.steps, digits)
-        shown = range(args.steps)
+        shown = range(grid.steps)
     else:
         grid = scan_grid(q, args.steps, digits)
         if args.format == "svg":
-            _write(scan_svg(q, grid, args.steps), args.out)
+            _write(scan_svg(q, grid), args.out)
             return EXIT_OK
         # text prints only the first, the peak and the last sample
-        argmax = grid.peak(args.steps)
-        shown = (0, argmax, args.steps - 1)
+        argmax = grid.peak()
+        shown = (0, argmax, grid.steps - 1)
         roots = grid.roots(shown)
 
-    x0, dx = grid.x0, grid.dx
-    diagonals = render_ratios([x0 + i * dx for i in shown], grid.den, digits)
+    diagonals = render_ratios(grid.diagonals(shown), grid.den, digits)
     areas = render_ratios(roots, grid.area_den, digits)
     samples = [[x, a] for x, a in zip(diagonals, areas)]
     argmax_diagonal, max_area = samples[shown.index(argmax)]
     report = {
         "sides": sides,
-        "steps": args.steps,
+        "steps": grid.steps,
         "argmax_diagonal": argmax_diagonal,
         "max_area": max_area,
         "first_sample": samples[0],

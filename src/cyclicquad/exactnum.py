@@ -640,6 +640,7 @@ def render_ratios(nums, den: int, digits: int) -> list[str]:
     printed on its own."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    nums = list(nums)
     bounds = [den]
     top = max(nums, default=0)
     while bounds[-1] <= top:
@@ -666,6 +667,7 @@ def fixed_ratios(nums, den: int, places: int) -> list[str]:
     the scale and the divisor are computed once and the column is rounded in
     one comprehension.  A column holding a negative num is printed one item
     at a time."""
+    nums = list(nums)
     if min(nums, default=0) < 0:
         return [fixed_ratio(num, den, places) for num in nums]
     scale = 10**places

@@ -7,18 +7,15 @@ and no square root.  A renderer approximates a coordinate only where it
 draws it.  Also hosts the diagonal scan that demonstrates the
 indeterminacy of a quadrilateral's area when only the four sides are
 fixed.  The scan does not embed: `scan_grid` builds one integer
-`ScanGrid`, on which each sample's closed-form area is scaled to a shared
-denominator, with relative error below 2/F for F = 10**(digits + guard
-digits), so a renderer prints a sample from its numerator and
-denominator.  Every reader takes its samples from that grid: `area_scan`
-evaluates all of them (`ScanResult`), `ScanGrid.peak` finds the first
-maximum without the rest (the area is unimodal along the grid, so it
-bisects for the exact peak and certifies the largest root in a window
-around it), and `ScanGrid.vertices` gives a sample's four vertices, so
-that a drawing of the scan never embeds and never factors.  The SVG
-drawing reads the grid's integer P values as well, to prove its curve
-points from doubles (`svg._proved_units`).  The embedding serves as the
-scan's independent oracle in the tests."""
+`ScanGrid`, which carries its sample count and alone computes a sample's
+diagonal, its triangles' radicands P and its area root, over shared
+denominators with relative error below 2/F for F = 10**(digits + guard
+digits).  Every reader takes its samples from it: `area_scan` evaluates
+all of them (`ScanResult`), `ScanGrid.peak` the first maximum alone (it
+bisects the unimodal area and certifies a window around the peak),
+`ScanGrid.vertices` a sample's four vertices, so that a drawing never
+embeds or factors, and `svg._proved_units` the curve points it proves from
+doubles of the P values.  The embedding is the scan's oracle in the tests."""
 
 from __future__ import annotations
 
@@ -92,24 +89,36 @@ def diagonal_range(q: QuadSides):
     return max(abs(a - b), abs(c - d)), min(a + b, c + d)
 
 
-class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale")):
-    """The integer grid of a diagonal scan (see `area_scan`): sample i has
-    scaled diagonal X = x0 + i*dx over `den`, each triangle's
-    P = (k - X^2) * X^2 - m^2, and area root(i)/area_den, floored at
-    F = `scale`.  `scan_grid` builds it; every reader of a scan takes its
-    samples from it."""
+class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
+    """The integer grid of a diagonal scan, built by `scan_grid`: `steps`
+    samples, sample i at scaled diagonal X = x0 + i*dx over `den`, each
+    triangle's P = (k - X^2) * X^2 - m^2, and area root(i)/area_den floored
+    at F = `scale`.  Only `diagonals` computes X, only `radicands` P."""
 
     __slots__ = ()
 
+    def diagonals(self, indices):
+        """The scaled diagonals X at `indices`: a range of X for a range."""
+        x0, dx = self.x0, self.dx
+        if type(indices) is range and dx:
+            return range(x0 + indices.start * dx, x0 + indices.stop * dx, indices.step * dx)
+        return [x0 + i * dx for i in indices]
+
+    def radicands(self, indices) -> tuple[list, list]:
+        """(P1, P2): each triangle's P at the samples at `indices`."""
+        k1, c1, k2, c2 = self.k1, self.m1 * self.m1, self.k2, self.m2 * self.m2
+        p1, p2 = [], []
+        for x in self.diagonals(indices):
+            xx = x * x
+            p1.append((k1 - xx) * xx - c1)
+            p2.append((k2 - xx) * xx - c2)
+        return p1, p2
+
     def roots(self, indices) -> list:
         """The integer area numerators of the samples at `indices`."""
-        x0, dx, scale_sq = self.x0, self.dx, self.scale * self.scale
-        k1, c1, k2, c2 = self.k1, self.m1 * self.m1, self.k2, self.m2 * self.m2
-        squares = [(x0 + i * dx) ** 2 for i in indices]
-        return [
-            isqrt(((k1 - xx) * xx - c1) * scale_sq) + isqrt(((k2 - xx) * xx - c2) * scale_sq)
-            for xx in squares
-        ]
+        scale_sq = self.scale * self.scale
+        p1, p2 = self.radicands(indices)
+        return [isqrt(u * scale_sq) + isqrt(v * scale_sq) for u, v in zip(p1, p2)]
 
     def root(self, i: int) -> int:
         return self.roots((i,))[0]
@@ -118,28 +127,21 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale")):
     def area_den(self) -> int:
         return 4 * self.den * self.den * self.scale
 
-    def _triangles(self, i: int) -> tuple[int, int, int]:
-        """Sample i's X and both triangles' P."""
-        x = self.x0 + i * self.dx
-        xx = x * x
-        return x, (self.k1 - xx) * xx - self.m1 * self.m1, (self.k2 - xx) * xx - self.m2 * self.m2
-
     def vertices(self, i: int) -> tuple[int, tuple]:
         """Sample i's four `embed` vertices as integer points over one
         denominator, 2*den*X*F for F = `scale`: a segment (X^2 + m)/(2*den*X)
         exactly, a height sqrt(P)/(2*den*X) as the floor isqrt(P*F^2)."""
-        x, p1, p2 = self._triangles(i)
-        xx = x * x
-        scale = self.scale
-        scale_sq = scale * scale
+        [x] = self.diagonals((i,))
+        [p1], [p2] = self.radicands((i,))
+        xx, scale = x * x, self.scale
         return 2 * self.den * x * scale, (
             (0, 0),
-            (scale * (xx + self.m1), isqrt(p1 * scale_sq)),
+            (scale * (xx + self.m1), isqrt(p1 * scale * scale)),
             (2 * scale * xx, 0),
-            (scale * (xx - self.m2), -isqrt(p2 * scale_sq)),
+            (scale * (xx - self.m2), -isqrt(p2 * scale * scale)),
         )
 
-    def peak(self, steps: int) -> int:
+    def peak(self) -> int:
         """The first maximum of `roots(range(steps))`, at a cost that does
         not depend on `steps`: it evaluates the two grid ends and a window
         around the exact peak, never the whole grid.
@@ -165,20 +167,21 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale")):
         The window's roots are taken one at a time, so memory stays
         constant; only a grid flatter than 2 units around its peak widens
         the window."""
-        last = steps - 1
+        last = self.steps - 1
         root = self.root
+        xs = self.diagonals(range(self.steps))
 
         def falling(i: int) -> bool:
             # whether the area falls from sample i on: the sign of
             # d1*sqrt(v) + d2*sqrt(u)
-            x, u, v = self._triangles(i)
-            xx = x * x
+            xx = xs[i] ** 2
             d1, d2 = self.k1 - 2 * xx, self.k2 - 2 * xx
             if d1 * d2 >= 0:
                 return d1 + d2 < 0
+            [u], [v] = self.radicands((i,))
             return d1 * (d1 * d1 * v - d2 * d2 * u) < 0
 
-        j = bisect_left(range(steps), True, key=falling)
+        j = bisect_left(range(self.steps), True, key=falling)
         lo, hi = max(j - 2, 0), min(j + 1, last)
         while True:
             m = max(range(lo, hi + 1), key=root)
@@ -220,6 +223,7 @@ def scan_grid(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanGri
         k2=2 * (sc + sd) * den,
         m2=(sc - sd) * den,
         scale=10 ** (digits + GUARD_DIGITS),
+        steps=steps,
     )
 
 
@@ -233,11 +237,9 @@ class ScanResult(namedtuple("ScanResult", "grid roots argmax")):
 
     @property
     def samples(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        x0, dx, den, area_den = self.grid.x0, self.grid.dx, self.grid.den, self.grid.area_den
-        return tuple(
-            (Fraction(x0 + i * dx, den), Fraction(r, area_den))
-            for i, r in enumerate(self.roots)
-        )
+        den, area_den, steps = self.grid.den, self.grid.area_den, self.grid.steps
+        pairs = zip(self.grid.diagonals(range(steps)), self.roots)
+        return tuple((Fraction(x, den), Fraction(r, area_den)) for x, r in pairs)
 
 
 def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanResult:
@@ -264,5 +266,5 @@ def area_scan(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanRes
     2/F at any scale.  The argmax is taken on the integers, first maximum
     winning.  `embed`/`shoelace_area` stay the independent oracle."""
     grid = scan_grid(q, steps, digits)
-    roots = grid.roots(range(steps))
-    return ScanResult(grid, tuple(roots), max(range(steps), key=roots.__getitem__))
+    roots = grid.roots(range(grid.steps))
+    return ScanResult(grid, tuple(roots), max(range(grid.steps), key=roots.__getitem__))

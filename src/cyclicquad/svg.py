@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from math import floor, sqrt
+from operator import add
 
 from .exactnum import approx, fixed_ratio, fixed_ratios, render_ratio
 from .oracle import ScanGrid
@@ -69,7 +70,7 @@ def _snapshot(vertices, sides: list[str], x0: int, label: str) -> list[str]:
     return parts
 
 
-def _proved_units(grid: ScanGrid, steps: int, lo_r: int, span: int) -> list:
+def _proved_units(grid: ScanGrid, lo_r: int, span: int) -> list:
     """Each sample's curve y in hundredths of a pixel where doubles prove
     it, else None.  With A = 100*(py + ph) and K = 100*ph/span, sample i is
     drawn at n = floor(v + 1/2), v = A + K*(lo_r - r), where its root
@@ -91,21 +92,18 @@ def _proved_units(grid: ScanGrid, steps: int, lo_r: int, span: int) -> list:
     test is left None, and so is every sample when a P or c is too large
     for a double, when the platform's doubles are not binary64, or when the
     scan is flat."""
-    unproved = [None] * steps
+    unproved = [None] * grid.steps
     if not span or sys.float_info.mant_dig != 53:
         return unproved
     _, py, _, ph = _PLOT
     top = 100 * (py + ph)
-    scale, x0, dx = grid.scale, grid.x0, grid.dx
-    k1, c1, k2, c2 = grid.k1, grid.m1 * grid.m1, grid.k2, grid.m2 * grid.m2
-    # a flat scan returned above, so dx > 0
-    squares = [x * x for x in range(x0, x0 + steps * dx, dx)]
+    p1, p2 = grid.radicands(range(grid.steps))
     try:
-        sums = [sqrt((k1 - xx) * xx - c1) + sqrt((k2 - xx) * xx - c2) for xx in squares]
-        c = 100 * ph * scale / span
+        sums = list(map(add, map(sqrt, p1), map(sqrt, p2)))
+        c = 100 * ph * grid.scale / span
     except OverflowError:
         return unproved
-    base = lo_r / scale
+    base = lo_r / grid.scale
     margin = _ROUNDING * (top + c * (max(sums) + base)) + 200 * ph / span
     if not margin < 0.5:
         return unproved
@@ -113,51 +111,51 @@ def _proved_units(grid: ScanGrid, steps: int, lo_r: int, span: int) -> list:
     # y = top - c*(s - base)
     low = top + 0.5 + c * base - margin
     high = low + 2 * margin
-    lows = [floor(low - c * s) for s in sums]
-    highs = [floor(high - c * s) for s in sums]
-    return [n if n == h < top else None for n, h in zip(lows, highs)]
+    return [
+        n if n == floor(high - c * s) < top else None for s in sums for n in [floor(low - c * s)]
+    ]
 
 
-def _curve_units(grid: ScanGrid, steps: int, argmax: int) -> tuple[list[int], int, int]:
+def _curve_units(grid: ScanGrid, argmax: int) -> tuple[list[int], int, int]:
     """Every sample's curve y in hundredths of a pixel, with the least and
     the largest root.  Exact roots are taken for samples 0, argmax and
     steps - 1, and for each sample `_proved_units` leaves unproved; if one
     of those undercuts both ends, the least root moves, and so does every
     pixel, so every sample takes its exact root."""
     _, py, _, ph = _PLOT
-    last = steps - 1
+    last = grid.steps - 1
     known = dict(zip((0, argmax, last), grid.roots((0, argmax, last))))
     lo_r = min(known[0], known[last])
-    units = _proved_units(grid, steps, lo_r, known[argmax] - lo_r)
+    units = _proved_units(grid, lo_r, known[argmax] - lo_r)
     missing = [i for i, n in enumerate(units) if n is None and i not in known]
     known.update(zip(missing, grid.roots(missing)))
     if min(known.values()) < lo_r:
-        known = dict(enumerate(grid.roots(range(steps))))
+        known = dict(enumerate(grid.roots(range(grid.steps))))
         lo_r = min(known.values())
     hi_r = known[argmax]
     span = hi_r - lo_r
     if not span:
-        return [100 * py + 50 * ph] * steps, lo_r, hi_r
+        return [100 * py + 50 * ph] * grid.steps, lo_r, hi_r
     for i, r in known.items():
         units[i] = (200 * ((py + ph) * span + (lo_r - r) * ph) + span) // (2 * span)
     return units, lo_r, hi_r
 
 
-def scan_svg(q: tuple, grid: ScanGrid, steps: int) -> str:
-    """The `steps`-sample scan on `grid` (see `oracle.area_scan`).  The
-    curve places sample i of n at x = px + i*pw/(n - 1) and its area
+def scan_svg(q: tuple, grid: ScanGrid) -> str:
+    """The scan on `grid` (see `oracle.area_scan`).  The curve places
+    sample i of n = `grid.steps` at x = px + i*pw/(n - 1) and its area
     r/area_den at y = py + ph - (r - r_min)*ph/(r_max - r_min), rounded to
     two places; a zero area range places every sample at mid-height.  The
     y column comes from `_curve_units`, which takes exact roots only where
     doubles do not prove the pixel.  The snapshots are samples 0, argmax
     and n - 1, read off `grid.vertices`."""
     px, py, pw, ph = _PLOT
-    den, x0, dx, area_den = grid.den, grid.x0, grid.dx, grid.area_den
-    last = steps - 1
-    argmax = grid.peak(steps)
-    units, lo_r, hi_r = _curve_units(grid, steps, argmax)
+    den, area_den, last = grid.den, grid.area_den, grid.steps - 1
+    argmax = grid.peak()
+    units, lo_r, hi_r = _curve_units(grid, argmax)
+    first_x, peak_x, last_x = grid.diagonals((0, argmax, last))
     # x = px + i*pw/last in hundredths, rounded like `fixed_ratio`
-    xs = [(200 * n + last) // (2 * last) for n in range(px * last, px * last + steps * pw, pw)]
+    xs = [(200 * n + last) // (2 * last) for n in range(px * last, (px + pw) * last + pw, pw)]
     curve = " ".join(
         ["%d.%02d,%d.%02d" % (x // 100, x % 100, y // 100, y % 100) for x, y in zip(xs, units)]
     )
@@ -165,10 +163,10 @@ def scan_svg(q: tuple, grid: ScanGrid, steps: int) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}">',
         f'<rect x="{px}" y="{py}" width="{pw}" height="{ph}" fill="none" stroke="black" stroke-width="2"/>',
         f'<polyline points="{curve}" fill="none" stroke="black" stroke-width="2"/>',
-        f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_label(x0, den)} to {_label(x0 + last * dx, den)}</text>',
+        f'<text x="{px}" y="{py + ph + 22}" font-size="13">diagonal {_label(first_x, den)} to {_label(last_x, den)}</text>',
         f'<text x="{px}" y="{py - 12}" font-size="13">area {_label(lo_r, area_den)} to {_label(hi_r, area_den)}</text>',
         f'<text x="{px + pw + 16}" y="{py + 16}" font-size="13">max area {_label(hi_r, area_den)}</text>',
-        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_label(x0 + argmax * dx, den)}</text>',
+        f'<text x="{px + pw + 16}" y="{py + 36}" font-size="13">at diagonal {_label(peak_x, den)}</text>',
     ]
     sides = [_label(v.numerator, v.denominator) for v in (approx(s, 12) for s in q)]
     labels = ("smallest sampled diagonal", "area-maximizing diagonal", "largest sampled diagonal")

@@ -53,3 +53,15 @@ def test_traced_svg_scan_observes_the_drawing(capsys):
     capsys.readouterr()
     assert t.calls["svg.scan_svg"] == 1
     assert t.counts["svg.bytes"] > 0
+
+
+def test_traced_json_scan_counts_every_sample(capsys):
+    # a JSON scan evaluates its whole grid through `oracle.area_scan`,
+    # which the tracer wraps by name and counts the samples of
+    tracer = load_tracer()
+    with tracer.Tracer(cyclicquad) as t:
+        t.start_op(0)
+        assert main(["--format", "json", "--steps", "9", "scan", "75", "40", "51", "68"]) == 0
+    capsys.readouterr()
+    assert t.calls["oracle.area_scan"] == 1
+    assert t.counts["oracle.area_scan.samples"] == 9

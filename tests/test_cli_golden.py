@@ -50,6 +50,16 @@ CASES = (
             0,
             ["--format", "svg", "--steps", "99", "scan", "75", "40", "51", "68"],
         ),
+        ("scan_steps9.svg", 0, ["--format", "svg", "--steps", "9", "scan", "75", "40", "51", "68"]),
+        # the smallest grid: the peak's window is clipped at both ends, and
+        # every curve point is a known exact root
+        ("scan_steps3.txt", 0, ["--steps", "3", "scan", "75", "40", "51", "68"]),
+        (
+            "scan_steps3.json",
+            0,
+            ["--format", "json", "--steps", "3", "scan", "75", "40", "51", "68"],
+        ),
+        ("scan_steps3.svg", 0, ["--format", "svg", "--steps", "3", "scan", "75", "40", "51", "68"]),
         (
             # snapshot heights irrational, drawn from the scan's integers
             "scan_9digit_sides.svg",

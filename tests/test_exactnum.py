@@ -679,6 +679,13 @@ class TestColumnRenderers:
         assert render_ratios(nums, 9, 6) == [reference_render_ratio(n, 9, 6) for n in nums]
         assert fixed_ratios(nums, 9, 3) == [reference_fixed_ratio(n, 9, 3) for n in nums]
 
+    def test_one_shot_iterators(self):
+        # each renderer reads its column once, so an iterator prints whole
+        nums = [1, 20, 300]
+        assert render_ratios(iter(nums), 7, 5) == ["0.1429", "2.8571", "42.857"]
+        assert fixed_ratios(iter(nums), 7, 2) == ["0.14", "2.86", "42.86"]
+        assert fixed_ratios(iter([-1, 20]), 7, 2) == ["-0.14", "2.86"]
+
     def test_digits_validated(self):
         with pytest.raises(ValueError):
             render_ratios([1, 2], 3, 0)

@@ -467,6 +467,35 @@ class TestAreaScan:
             area_scan(quad(25, 25, 25, 25), 2, 20)
 
 
+class TestGridArithmetic:
+    """`ScanGrid.diagonals`, `radicands` and `roots` against the per-sample
+    reference, each triangle's P against its Fraction value Q^4 * 16T^2."""
+
+    @pytest.mark.parametrize("make_quad", [random_rational_quad, random_surd_quad])
+    def test_match_per_sample_reference(self, make_quad):
+        rng = random.Random(len(make_quad.__name__))
+        for _ in range(20):
+            q = make_quad(rng)
+            steps, digits = rng.choice((3, 4, 17, 99)), rng.choice((12, 50))
+            grid = scan_grid(q, steps, digits)
+            assert grid.steps == steps
+            den, x0, dx, roots, _, _ = reference_scan(q, steps, digits)
+            sa, sb, sc, sd = (s * s for s in q)
+            for indices in (range(steps), range(steps - 1, -1, -2), [steps - 1, 0, steps // 2]):
+                diagonals = grid.diagonals(indices)
+                assert list(diagonals) == [x0 + i * dx for i in indices]
+                p1, p2 = grid.radicands(indices)
+                for x, u, v in zip(diagonals, p1, p2, strict=True):
+                    xx = Fraction(x, den) ** 2
+                    assert u == den**4 * (2 * (sa + sb) * xx - xx * xx - (sa - sb) ** 2)
+                    assert v == den**4 * (2 * (sc + sd) * xx - xx * xx - (sc - sd) ** 2)
+                assert grid.roots(indices) == [roots[i] for i in indices]
+
+    @pytest.mark.parametrize("steps", [3, 9, 10**12])
+    def test_grid_carries_its_steps(self, steps):
+        assert scan_grid(quad(75, 40, 51, 68), steps, 12).steps == steps
+
+
 def quads_of(sides):
     """Valid quadrilaterals with four sides drawn from `sides`."""
 
@@ -517,7 +546,7 @@ def assert_peak_matches_scan(q, steps: int, digits: int):
     full = area_scan(q, steps, digits)
     grid = scan_grid(q, steps, digits)
     assert grid == full.grid
-    argmax = grid.peak(steps)
+    argmax = grid.peak()
     assert argmax == full.argmax
     shown = (0, argmax, steps - 1)
     assert grid.roots(shown) == [full.roots[i] for i in shown]
@@ -594,7 +623,7 @@ class TestScanPeak:
         # the window: any unimodal roots give their first maximum
         monkeypatch.setattr(oracle.ScanGrid, "root", lambda self, i: fake(i))
         grid = scan_grid(quad(75, 40, 51, 68), 999, 12)
-        assert grid.peak(999) == max(range(999), key=fake)
+        assert grid.peak() == max(range(999), key=fake)
 
     def test_text_scan_at_a_trillion_steps(self, monkeypatch, capsys):
         def no_full_grid(*args):

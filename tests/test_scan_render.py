@@ -98,13 +98,13 @@ class TestRenderersMatchFractions:
     @given(quads, st.integers(3, 60), st.integers(1, 60))
     def test_svg_curve(self, q, steps, digits):
         result = area_scan(q, steps, digits)
-        assert svg_curve(scan_svg(q, result.grid, steps)) == reference_curve(result)
+        assert svg_curve(scan_svg(q, result.grid)) == reference_curve(result)
 
     @pytest.mark.parametrize("roots", [(7, 7, 7), (1, 9, 4)], ids=["flat", "varied"])
     def test_zero_step(self, roots):
         # every sample at diagonal 5; `scan_grid` never builds dx == 0, so
         # only the JSON renderer is checked on this hand-built grid
-        grid = ScanGrid(den=2, x0=10, dx=0, k1=0, m1=0, k2=0, m2=0, scale=1)
+        grid = ScanGrid(den=2, x0=10, dx=0, k1=0, m1=0, k2=0, m2=0, scale=1, steps=3)
         result = ScanResult(grid, roots, argmax=roots.index(max(roots)))
         expected = [[render_decimal(d, 12), render_decimal(a, 12)] for d, a in result.samples]
         assert json_samples(result, 12) == expected
@@ -118,7 +118,7 @@ class TestRenderersMatchFractions:
             raise AssertionError("a renderer read ScanResult.samples")
 
         with patch.object(ScanResult, "samples", property(unread)):
-            scan_svg(q, result.grid, 99)
+            scan_svg(q, result.grid)
             json_samples(result, 12)
         assert len(result.samples) == 99
 
@@ -132,7 +132,7 @@ def polygons(text: str) -> list[list[tuple[float, float]]]:
 
 def svg_scan(*sides) -> str:
     result = area_scan(quad(*sides), 9, 12)
-    return scan_svg(quad(*sides), result.grid, 9)
+    return scan_svg(quad(*sides), result.grid)
 
 
 class TestSmallFigures:
@@ -201,7 +201,7 @@ class TestSnapshotsFromTheGrid:
         monkeypatch.setattr(exactnum, "square_free_split", forbidden)
         monkeypatch.setattr(exactnum.Surd, "sqrt", forbidden)
         for q, result in scans:
-            assert scan_svg(q, result.grid, 99).count("<polygon ") == 3
+            assert scan_svg(q, result.grid).count("<polygon ") == 3
 
     def test_scan_svg_never_rebuilds_the_grid(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -212,7 +212,7 @@ class TestSnapshotsFromTheGrid:
         for module in (oracle, svg):
             monkeypatch.setattr(module, "scan_grid", forbidden, raising=False)
         golden = Path(__file__).resolve().parent / "data" / "cli" / "scan_steps99.svg"
-        assert scan_svg(q, result.grid, 99) == golden.read_text()
+        assert scan_svg(q, result.grid) == golden.read_text()
 
     def test_20_digit_svg_scan_finishes(self, capsys):
         # drawing by embedding factored each snapshot's heights: past 60 s
@@ -227,7 +227,7 @@ class TestSnapshotsFromTheGrid:
         # drawing by embedding ran past 100 s on these sides
         q = quad(13, Surd(14, 7), 7, Surd(8, 5))
         with time_limit(5):
-            text = scan_svg(q, area_scan(q, 9, 50).grid, 9)
+            text = scan_svg(q, area_scan(q, 9, 50).grid)
         assert text.count("<polygon ") == 3
 
 
@@ -313,7 +313,7 @@ class TestCurveCertificate:
     )
     def test_matches_the_exact_drawing(self, q, steps, digits):
         grid = scan_grid(q, steps, digits)
-        assert scan_svg(q, grid, steps) == reference_scan_svg(q, exact_result(grid, steps))
+        assert scan_svg(q, grid) == reference_scan_svg(q, exact_result(grid, steps))
 
     @pytest.mark.parametrize("patch", ["margin", "doubles"])
     def test_unproved_points_take_every_exact_root(self, monkeypatch, evaluated, patch):
@@ -327,7 +327,7 @@ class TestCurveCertificate:
         else:
             # doubles that are not binary64 prove nothing
             monkeypatch.setattr(svg, "sys", SimpleNamespace(float_info=SimpleNamespace(mant_dig=24)))
-        assert scan_svg(q, grid, 99) == expected
+        assert scan_svg(q, grid) == expected
         assert set(evaluated) == set(range(99))
 
     def test_proved_points_lie_above_the_least_root(self):
@@ -340,7 +340,7 @@ class TestCurveCertificate:
         lo_r = roots[5]
         span = max(roots) - lo_r
         assert all(r < lo_r for r in roots[:5])
-        units = svg._proved_units(grid, 99, lo_r, span)
+        units = svg._proved_units(grid, lo_r, span)
         proved = [i for i, n in enumerate(units) if n is not None]
         assert len(proved) > 90
         for i in proved:
@@ -356,7 +356,7 @@ class TestCurveCertificate:
         assert (roots[0] < roots[1]) == (sides[0] == 75)
         expected = reference_scan_svg(q, exact_result(grid, 999))
         evaluated.clear()
-        assert scan_svg(q, grid, 999) == expected
+        assert scan_svg(q, grid) == expected
         assert len(evaluated) <= 16
 
     def test_overflowing_p_takes_every_exact_root(self, evaluated):
@@ -366,14 +366,14 @@ class TestCurveCertificate:
             float((grid.k1 - grid.x0**2) * grid.x0**2 - grid.m1**2)
         expected = reference_scan_svg(q, exact_result(grid, 999))
         evaluated.clear()
-        assert scan_svg(q, grid, 999) == expected
+        assert scan_svg(q, grid) == expected
         assert set(evaluated) == set(range(999))
 
     def test_flat_scan_draws_at_mid_height(self):
         # dx == 0: every sample is the first, so every root is equal
         q = quad(75, 40, 51, 68)
         grid = scan_grid(q, 9, 12)._replace(dx=0)
-        text = scan_svg(q, grid, 9)
+        text = scan_svg(q, grid)
         assert text == reference_scan_svg(q, exact_result(grid, 9))
         assert svg_curve(text).count(",250.00") == 9
 
@@ -392,7 +392,7 @@ class TestCurveCertificate:
         assert result.roots[1] < min(result.roots[0], result.roots[-1])
         # doubles would prove sample 1 where its true root puts it
         monkeypatch.setattr(svg, "_ROUNDING", 1.0)
-        assert scan_svg(q, grid, 99) == reference_scan_svg(q, result)
+        assert scan_svg(q, grid) == reference_scan_svg(q, result)
 
     def test_cli_svg_scan_skips_the_full_kernel(self, monkeypatch, capsys, evaluated):
         def forbidden(*args, **kwargs):
