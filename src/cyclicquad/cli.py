@@ -13,15 +13,16 @@ renderers print every report:
 - JSON is deterministic: fixed key order, an exact value as
   {coefficient: {num, den}, radicand, decimal} with every field a string.
   `_json` writes it directly, byte-identical to `json.dumps(indent=2)` with
-  `_json_value` as the hook for exact values.
+  `_json_value` as the hook for exact values.  It fills cached `%`
+  templates: one per exact value, built from the layout `_json_value`
+  defines, and one per block of int or str rows, such as triples.
 The decimal of an exact value is `render_decimal(approx(value, digits),
 digits)`.  `scan` prints approximations only: `--steps` builds the scan's
 `ScanGrid`, and the sample count, diagonals and areas are read from it,
 each column in one `render_ratios` pass over integer numerators.  JSON
 takes every sample from `area_scan`; text prints three, found by
-`ScanGrid.peak`, whose cost does not grow with `--steps`.  SVG passes the
-grid to `scan_svg`, which takes exact roots only for the first, the
-largest and the last sample and where doubles do not prove a curve point.
+`ScanGrid.peak`, whose cost does not grow with `--steps`; SVG draws the
+grid with `scan_svg`.
 A sum of surds has no single c*sqrt(r) form, so a command whose report holds
 one exits 2 and names the value.  `--format svg` applies only to scan.
 """
@@ -90,50 +91,73 @@ def _decimal(value, digits: int) -> str:
     return render_decimal(approx(value, digits), digits)
 
 
-def _json_value(value, digits: int):
-    """The JSON form of a value `_json` has no rule for: one c*sqrt(r) term
-    with its decimal for an exact value."""
+def _exact_strs(value, digits: int) -> tuple[str, str, str, str]:
+    """(num, den, radicand, decimal) of an exact value c*sqrt(r)."""
     if isinstance(value, (Fraction, Surd)):
         c, r = _term(value)
-        return {
-            "coefficient": {"num": str(c.numerator), "den": str(c.denominator)},
-            "radicand": str(r),
-            "decimal": _decimal(value, digits),
-        }
+        return str(c.numerator), str(c.denominator), str(r), _decimal(value, digits)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _exact_layout(num, den, radicand, decimal) -> dict:
+    """The JSON layout of an exact value, from its four strings."""
+    return {"coefficient": {"num": num, "den": den}, "radicand": radicand, "decimal": decimal}
+
+
+def _json_value(value, digits: int) -> dict:
+    """The JSON form of a value `_json` has no rule for: one c*sqrt(r) term
+    with its decimal for an exact value."""
+    return _exact_layout(*_exact_strs(value, digits))
+
+
+@lru_cache(maxsize=64)
+def _exact_template(pad: str) -> str:
+    """`%` template, to fill with `_exact_strs`, of an exact value at `pad`."""
+    return _json(_exact_layout(*["%s"] * 4), pad, 0)
+
+
+def _enclose(items: list[str], pad: str | None, brackets: str = "[]") -> str:
+    """`items` between `brackets`: in JSON each on its own line, indented
+    two spaces past `pad`; in text, for `pad` None, as `[a, b]`."""
+    if not items:
+        return brackets
+    if pad is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 @lru_cache(maxsize=256)
-def _list_template(shape: tuple[int, ...], pad: str, leaf: str) -> str:
-    """`%` template of a JSON list of `shape[0]` items, each on its own line
-    indented two spaces past `pad`, and each a list of shape `shape[1:]`
-    nested the same way; `leaf`, the template of one scalar, for the empty
-    shape.  No dimension is 0."""
+def _list_template(shape: tuple[int, ...], pad: str | None, leaf: str) -> str:
+    """`%` template of a list of `shape[0]` items written by `_enclose`, each
+    a list of shape `shape[1:]` nested the same way; `leaf`, the template
+    of one scalar, for the empty shape.  No dimension is 0."""
     if not shape:
         return leaf
-    inner = pad + "  "
-    item = _list_template(shape[1:], inner, leaf)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
+    # JSON pads start with a newline; text's None stays None
+    item = _list_template(shape[1:], pad and pad + "  ", leaf)
+    return _enclose([item] * shape[0], pad)
 
 
-def _block(value, pad: str) -> str | None:
-    """`value`, a non-empty list, as one filled template when its items are
-    scalars or lists nested to one shape, and the scalars, all at the same
-    depth, are all ints or all strs: triple and pair rows, scan samples.
-    None for any other list.  Strs that hold only ASCII digits, '.' and '-',
-    such as decimals, need no escaping, so the template quotes them."""
-    shape = []
-    leaves = value
+def _block(value, pad: str | None) -> str | None:
+    """`value`, a list or tuple, as one filled template when it nests lists
+    or tuples to one shape around scalars that are all ints or all strs,
+    such as triple and pair rows and scan samples; else None.  Text, for
+    `pad` None, prints a str as itself; JSON's template quotes strs that
+    hold only ASCII digits, '.' and '-', such as decimals."""
+    shape, leaves = [], value
     kinds = set(map(type, leaves))
-    while kinds == {list}:
+    while all(issubclass(k, (list, tuple)) for k in kinds):
         lengths = set(map(len, leaves))
         if len(lengths) != 1:
             return None
         shape.append(lengths.pop())
         leaves = list(chain.from_iterable(leaves))
         kinds = set(map(type, leaves))
+    if kinds != {int} and kinds != {str}:
+        return None
     leaf = "%s"
-    if kinds == {str}:
+    if kinds == {str} and pad is not None:
         # one check over the joined column, not one call per leaf; bytes
         # translate, unlike str.isdigit, makes no Unicode lookup per char,
         # and isascii keeps a lone surrogate away from encode
@@ -142,13 +166,10 @@ def _block(value, pad: str) -> str | None:
             leaf = '"%s"'
         else:
             leaves = map(encode_basestring_ascii, leaves)
-    elif kinds != {int}:
-        return None
     # only the row template is cached: one keyed by the outer length would
     # keep output-sized strings alive
-    inner = pad + "  "
-    row = _list_template(tuple(shape), inner, leaf)
-    return ("[" + inner + ("," + inner).join([row] * len(value)) + pad + "]") % tuple(leaves)
+    row = _list_template(tuple(shape), pad and pad + "  ", leaf)
+    return _enclose([row] * len(value), pad) % tuple(leaves)
 
 
 def _json(value, pad: str, digits: int) -> str:
@@ -160,46 +181,23 @@ def _json(value, pad: str, digits: int) -> str:
         return encode_basestring_ascii(value)
     if cls is int:
         return repr(value)
-    if cls is list or cls is tuple:
-        if not value:
-            return "[]"
+    if isinstance(value, (list, tuple)):
         # a list of only ints or only strs, or of rows of them, fills one
         # template, with no Python call per item
-        block = _block(value, pad)
-        if block is not None:
-            return block
-        inner = pad + "  "
-        items = [_json(v, inner, digits) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return _block(value, pad) or _enclose([_json(v, pad + "  ", digits) for v in value], pad)
     if cls is dict:
-        if not value:
-            return "{}"
         inner = pad + "  "
         items = [
             f"{encode_basestring_ascii(k)}: {_json(v, inner, digits)}" for k, v in value.items()
         ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return _enclose(items, pad, "{}")
+    if cls is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return _json(_json_value(value, digits), pad, digits)
-
-
-def _int_leaves(value: list) -> bool:
-    """Whether `value` nests only lists, to any depth, around int leaves."""
-    level = value
-    while True:
-        kinds = set(map(type, level))
-        if kinds <= {int}:
-            return True
-        if not kinds <= {int, list}:
-            return False
-        if int in kinds:
-            level = [v for v in level if type(v) is list]
-        level = list(chain.from_iterable(level))
+    # an exact value fills one template, where `_json_value`'s dict would
+    # take eight calls
+    return _exact_template(pad) % _exact_strs(value, digits)
 
 
 def _text(value, digits: int) -> str:
@@ -208,12 +206,9 @@ def _text(value, digits: int) -> str:
     # against Fraction goes through the numbers ABCs
     if isinstance(value, (int, str)):
         return str(value)
-    # a list nesting only lists and ints, such as the triples and their
-    # pairs, is already its own repr
-    if type(value) is list and _int_leaves(value):
-        return repr(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_text(v, digits) for v in value) + "]"
+        # the triples and their pairs fill one template, as in JSON
+        return _block(value, None) or _enclose([_text(v, digits) for v in value], None)
     if isinstance(value, (Fraction, Surd)):
         c, r = _term(value)
         exact = str(c) if r == 1 else f"{c}*sqrt({r})"
@@ -346,9 +341,10 @@ def cmd_scan(args) -> int:
             _write(scan_svg(q, grid), args.out)
             return EXIT_OK
         # text prints only the first, the peak and the last sample
-        argmax = grid.peak()
+        known: dict = {}
+        argmax = grid.peak(known)
         shown = (0, argmax, grid.steps - 1)
-        roots = grid.roots(shown)
+        roots = grid.known_roots(known, shown)
 
     diagonals = render_ratios(grid.diagonals(shown), grid.den, digits)
     areas = render_ratios(roots, grid.area_den, digits)
@@ -389,12 +385,9 @@ def cmd_triples(args) -> int:
     if args.max_hypotenuse < 5:
         raise UsageError("max_hypotenuse must be >= 5")
     found = generate_triples(args.max_hypotenuse)
-    report: dict = {
-        "max_hypotenuse": args.max_hypotenuse,
-        "triples": list(map(list, found)),
-    }
+    report: dict = {"max_hypotenuse": args.max_hypotenuse, "triples": found}
     if args.pairs:
-        report["hypotenuse_pairs"] = [[list(p), list(s)] for p, s in hypotenuse_pairs(found)]
+        report["hypotenuse_pairs"] = hypotenuse_pairs(found)
     return _write_report(args, "triples", report)
 
 

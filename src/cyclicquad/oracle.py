@@ -123,6 +123,13 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
     def root(self, i: int) -> int:
         return self.roots((i,))[0]
 
+    def known_roots(self, known: dict, indices) -> list:
+        """The roots at `indices`: from `known`, index to root, or else
+        taken in one `roots` call and added to it."""
+        missing = [i for i in indices if i not in known]
+        known.update(zip(missing, self.roots(missing)))
+        return [known[i] for i in indices]
+
     @property
     def area_den(self) -> int:
         return 4 * self.den * self.den * self.scale
@@ -141,10 +148,10 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
             (scale * (xx - self.m2), -isqrt(p2 * scale * scale)),
         )
 
-    def peak(self) -> int:
+    def peak(self, known: dict | None = None) -> int:
         """The first maximum of `roots(range(steps))`, at a cost that does
-        not depend on `steps`: it evaluates the two grid ends and a window
-        around the exact peak, never the whole grid.
+        not depend on `steps`: it evaluates a window around the exact peak,
+        never the whole grid, and adds the roots it takes to `known`.
 
         With X the squared diagonal, each triangle's P(X) = (k - X)X - c is a
         concave quadratic, so sqrt(P) is concave in X and the area
@@ -164,11 +171,10 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
         root(m).  When this holds at both ends, m is the first maximum.  It
         rests on unimodality and the 2-unit bound alone, not on the
         bisection; when it fails, the window doubles and is checked again.
-        The window's roots are taken one at a time, so memory stays
-        constant; only a grid flatter than 2 units around its peak widens
-        the window."""
+        Each root is taken once and kept, so memory grows with the window;
+        only a grid flatter than 2 units around its peak widens it."""
         last = self.steps - 1
-        root = self.root
+        known = {} if known is None else known
         xs = self.diagonals(range(self.steps))
 
         def falling(i: int) -> bool:
@@ -184,9 +190,11 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
         j = bisect_left(range(self.steps), True, key=falling)
         lo, hi = max(j - 2, 0), min(j + 1, last)
         while True:
-            m = max(range(lo, hi + 1), key=root)
-            bound = root(m) - 2
-            if (lo == 0 or root(lo) <= bound) and (hi == last or root(hi) <= bound):
+            window = range(lo, hi + 1)
+            known.update((i, self.root(i)) for i in window if i not in known)
+            m = max(window, key=known.__getitem__)
+            bound = known[m] - 2
+            if (lo == 0 or known[lo] <= bound) and (hi == last or known[hi] <= bound):
                 return m
             width = hi - lo + 1
             lo, hi = max(lo - width, 0), min(hi + width, last)

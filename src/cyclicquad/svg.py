@@ -4,8 +4,8 @@ area-maximizing and largest sampled diagonals.  All three are drawn from
 the scan's `ScanGrid`, which `scan_svg` reads but never rebuilds.  The
 snapshots come from `ScanGrid.vertices`, each sample's exact segments and
 floored heights over one denominator, so drawing never embeds and never
-factors.  The curve takes exact roots only for the first, the largest and
-the last sample: every other point is proved from doubles of the grid's
+factors.  The curve takes exact roots only at both ends and around the
+peak: every other point is proved from doubles of the grid's
 exact integers, with a stated error bound, to round to the pixel its
 exact root gives, and a point the bound does not prove takes its exact
 root.  Every coordinate and label is printed from an integer or an
@@ -116,29 +116,29 @@ def _proved_units(grid: ScanGrid, lo_r: int, span: int) -> list:
     ]
 
 
-def _curve_units(grid: ScanGrid, argmax: int) -> tuple[list[int], int, int]:
-    """Every sample's curve y in hundredths of a pixel, with the least and
-    the largest root.  Exact roots are taken for samples 0, argmax and
-    steps - 1, and for each sample `_proved_units` leaves unproved; if one
-    of those undercuts both ends, the least root moves, and so does every
-    pixel, so every sample takes its exact root."""
+def _curve_units(grid: ScanGrid) -> tuple[int, list[int], int, int]:
+    """The first maximum, every sample's curve y in hundredths of a pixel,
+    and the least and the largest root.  Exact roots are taken for the
+    window `ScanGrid.peak` checks, for samples 0 and steps - 1, and for each
+    sample `_proved_units` leaves unproved, each once; if one of those
+    undercuts both ends, the least root moves, and so does every pixel, so
+    every sample takes its exact root."""
     _, py, _, ph = _PLOT
-    last = grid.steps - 1
-    known = dict(zip((0, argmax, last), grid.roots((0, argmax, last))))
-    lo_r = min(known[0], known[last])
-    units = _proved_units(grid, lo_r, known[argmax] - lo_r)
-    missing = [i for i, n in enumerate(units) if n is None and i not in known]
-    known.update(zip(missing, grid.roots(missing)))
+    known: dict = {}
+    argmax = grid.peak(known)
+    r_first, r_peak, r_last = grid.known_roots(known, (0, argmax, grid.steps - 1))
+    lo_r = min(r_first, r_last)
+    units = _proved_units(grid, lo_r, r_peak - lo_r)
+    grid.known_roots(known, [i for i, n in enumerate(units) if n is None])
     if min(known.values()) < lo_r:
-        known = dict(enumerate(grid.roots(range(grid.steps))))
-        lo_r = min(known.values())
+        lo_r = min(grid.known_roots(known, range(grid.steps)))
     hi_r = known[argmax]
     span = hi_r - lo_r
     if not span:
-        return [100 * py + 50 * ph] * grid.steps, lo_r, hi_r
+        return argmax, [100 * py + 50 * ph] * grid.steps, lo_r, hi_r
     for i, r in known.items():
         units[i] = (200 * ((py + ph) * span + (lo_r - r) * ph) + span) // (2 * span)
-    return units, lo_r, hi_r
+    return argmax, units, lo_r, hi_r
 
 
 def scan_svg(q: tuple, grid: ScanGrid) -> str:
@@ -151,8 +151,7 @@ def scan_svg(q: tuple, grid: ScanGrid) -> str:
     and n - 1, read off `grid.vertices`."""
     px, py, pw, ph = _PLOT
     den, area_den, last = grid.den, grid.area_den, grid.steps - 1
-    argmax = grid.peak()
-    units, lo_r, hi_r = _curve_units(grid, argmax)
+    argmax, units, lo_r, hi_r = _curve_units(grid)
     first_x, peak_x, last_x = grid.diagonals((0, argmax, last))
     # x = px + i*pw/last in hundredths, rounded like `fixed_ratio`
     xs = [(200 * n + last) // (2 * last) for n in range(px * last, (px + pw) * last + pw, pw)]

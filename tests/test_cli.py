@@ -214,15 +214,15 @@ class TestScan:
 
     def test_json_scan_bypasses_the_hook(self, capsys, monkeypatch):
         # the samples are rendered to strings by the command, so the JSON
-        # writer calls the hook only for the four exact sides
+        # writer renders only the four exact sides as exact values
         calls = []
-        original = cli._json_value
+        original = cli._decimal
 
         def counting(value, digits):
             calls.append(value)
             return original(value, digits)
 
-        monkeypatch.setattr(cli, "_json_value", counting)
+        monkeypatch.setattr(cli, "_decimal", counting)
         code, out, _ = run_cli(capsys, "--format", "json", "scan", "75", "40", "51", "68")
         assert code == 0 and len(json.loads(out)["report"]["samples"]) == 999
         assert calls == [75, 40, 51, 68]
@@ -289,6 +289,24 @@ class TestTriples:
         code, out, err = run_cli(capsys, "triples", "4")
         assert code == 2 and out == ""
         assert err == "error: max_hypotenuse must be >= 5\n"
+
+    @pytest.mark.parametrize("n", [5, 24, 25, 100, 1000, 2000])
+    def test_pairs_print_as_the_listified_report(self, capsys, n):
+        # the writers take the PythTriple rows and pair tuples as they come;
+        # the output is that of the report copied into lists of lists
+        found = triples.generate_triples(n)
+        report = {
+            "max_hypotenuse": n,
+            "triples": [list(t) for t in found],
+            "hypotenuse_pairs": [[list(p), list(s)] for p, s in triples.hypotenuse_pairs(found)],
+        }
+        code, out, _ = run_cli(capsys, "triples", str(n), "--pairs")
+        assert code == 0
+        assert out == "triples:\n" + "".join(f"  {k}: {v!r}\n" for k, v in report.items())
+        code, out, _ = run_cli(capsys, "--format", "json", "triples", str(n), "--pairs")
+        config = {"precision_digits": cli.DEFAULT_DIGITS, "scan_steps": 999, "output_format": "json"}
+        payload = {"command": "triples", "config": config, "report": report}
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestExitCodes:

@@ -5,6 +5,7 @@
 writer it replaced, copied here as `reference_text`."""
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclicquad import cli
 from cyclicquad.exactnum import Surd
+from cyclicquad.triples import validate_triple
 
 
 def reference_text(value, digits: int) -> str:
@@ -39,6 +41,19 @@ fractions = st.builds(Fraction, ints, st.integers(1, 10**30))
 # single-term surds; a square radicand gives back a Fraction
 surds = st.builds(Surd, fractions, st.integers(1, 10**6))
 scalars = st.one_of(ints, st.booleans(), keys, fractions, surds)
+exacts = fractions | surds
+
+# rows as `generate_triples` and `hypotenuse_pairs` give them: PythTriples,
+# a namedtuple of their own style, and plain tuples
+Row = namedtuple("Row", "l m n")
+pyth_triples = st.integers(2, 60).flatmap(
+    lambda p: st.builds(
+        lambda q, k: validate_triple(k * (p * p - q * q), k * 2 * p * q, k * (p * p + q * q)),
+        st.integers(1, p - 1),
+        st.integers(1, 9),
+    )
+)
+int_rows = pyth_triples | st.builds(Row, ints, ints, ints) | st.tuples(ints, ints, ints)
 
 
 
@@ -68,6 +83,37 @@ def containers(children, odd_leaf):
         | blocks(keys)
         | blocks(st.one_of(ints, ints, ints, odd_leaf))
     )
+
+
+def tuple_blocks(rows):
+    """Uniform blocks of tuple rows: k rows, k pairs of rows as tuples or
+    lists, and single rows."""
+    return st.one_of(
+        st.lists(rows, min_size=1, max_size=6),
+        st.lists(rows, min_size=1, max_size=6).map(tuple),
+        st.lists(st.tuples(rows, rows), min_size=1, max_size=6),
+        st.lists(st.lists(rows, min_size=2, max_size=2), min_size=1, max_size=6),
+        rows,
+    )
+
+
+def nested(children, depth: int):
+    """`children` inside `depth` levels of lists, tuples and dicts."""
+    for _ in range(depth):
+        children = st.one_of(
+            st.lists(children, max_size=3),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(keys, children, max_size=3),
+        )
+    return children
+
+
+# exact values, alone, in lists or beside triple rows, at depths 0 to 4
+exact_trees = st.integers(0, 4).flatmap(
+    lambda depth: nested(
+        exacts | st.lists(exacts, max_size=4) | tuple_blocks(pyth_triples | int_rows), depth
+    )
+)
 
 
 text_trees = st.recursive(
@@ -138,6 +184,28 @@ class TestJsonWriter:
     def test_string_block_examples(self, value):
         assert cli._json(value, "\n", 20) == reference_json(value, 20)
 
+    @settings(deadline=None)
+    @given(exact_trees, st.sampled_from((1, 60)))
+    def test_exact_values_and_tuple_rows(self, value, digits):
+        # an exact value fills one template at any depth, and tuple rows,
+        # PythTriples among them, are arrays as json.dumps writes them
+        assert cli._json(value, "\n", digits) == reference_json(value, digits)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(-(10**99) - 7, 3),
+            Surd(Fraction(-(10**100), 7), 30),
+            [Fraction(1, 3), {"a": (Surd(2, 3), [Fraction(-5)])}],
+            {"k": [[(3, 4, 5)], ({"x": Fraction(7, 2)},)]},
+            [validate_triple(3, 4, 5), Row(-1, 0, 10**100)],
+            ((validate_triple(7, 24, 25), validate_triple(15, 20, 25)),),
+        ],
+    )
+    @pytest.mark.parametrize("digits", [1, 60])
+    def test_exact_examples(self, value, digits):
+        assert cli._json(value, "\n", digits) == reference_json(value, digits)
+
     def test_unknown_type_raises_from_the_hook(self):
         with pytest.raises(TypeError, match="set is not JSON serializable"):
             cli._json({"a": [1, {2}]}, "\n", 20)
@@ -147,6 +215,11 @@ class TestTextWriter:
     @settings(deadline=None)
     @given(text_trees, st.integers(1, 60))
     def test_matches_reference(self, value, digits):
+        assert cli._text(value, digits) == reference_text(value, digits)
+
+    @settings(deadline=None)
+    @given(tuple_blocks(pyth_triples | int_rows) | blocks(ints), st.integers(1, 60))
+    def test_int_and_tuple_blocks(self, value, digits):
         assert cli._text(value, digits) == reference_text(value, digits)
 
     def test_int_rows(self):

@@ -625,6 +625,24 @@ class TestScanPeak:
         grid = scan_grid(quad(75, 40, 51, 68), 999, 12)
         assert grid.peak() == max(range(999), key=fake)
 
+    @pytest.mark.parametrize("sides", [(75, 40, 51, 68), (28, 67, 91, 62), (96, 44, 85, 86)])
+    def test_text_scan_takes_each_root_once(self, monkeypatch, capsys, sides):
+        # the peak's window roots are kept for the report: each root is
+        # taken once, the window's 4 one at a time and both ends' together
+        taken = []
+        roots = oracle.ScanGrid.roots
+
+        def counted(self, indices):
+            taken.append(list(indices))
+            return roots(self, indices)
+
+        monkeypatch.setattr(oracle.ScanGrid, "roots", counted)
+        assert cli.main(["scan", *map(str, sides)]) == 0
+        capsys.readouterr()
+        indices = [i for call in taken for i in call]
+        assert len(taken) == 5 and len(indices) == len(set(indices)) == 6
+        assert {0, 998} <= set(indices)
+
     def test_text_scan_at_a_trillion_steps(self, monkeypatch, capsys):
         def no_full_grid(*args):
             raise AssertionError("a text scan must not evaluate the whole grid")
