@@ -1,9 +1,22 @@
 """Command-line surface.
 
 Subcommands: reproduce, area, construct, scan, rhombus, triples.
-Exit codes: 0 success, 1 manifest failure, 2 usage or domain error
-(`UsageError`, `GeometryError`, `NotPythagorean`, `IncompatibleRadicands`).
-Any other exception is a bug and propagates.
+Exit codes:
+- 0 success, and `-h`/`--help`;
+- 1 manifest failure: `reproduce` found an entry that does not pass;
+- 2 usage or domain error: a command line the grammar rejects, or
+  `UsageError`, `GeometryError`, `NotPythagorean`, `IncompatibleRadicands`;
+- 3 output error: `--out` names a file that cannot be written.
+`main()` returns the code and raises no `SystemExit`.  Any other exception
+is a bug and propagates.
+
+`build_parser()` builds the parser once per process from the fixed grammar
+in `_GRAMMAR`.  It is argparse's parsing algorithm over that table: the
+same values, the same rejections and, for the usage errors the tests check,
+the same messages, with argparse's help texts written out in `_HELP`.  Each
+command imports the modules only it needs, so a one-shot call loads
+neither argparse nor json, nor the manifest, construction, oracle or SVG
+modules it does not run.
 
 Commands build their reports from the program's own values, and two
 renderers print every report:
@@ -13,7 +26,8 @@ renderers print every report:
 - JSON is deterministic: fixed key order, an exact value as
   {coefficient: {num, den}, radicand, decimal} with every field a string.
   `_json` writes it directly, byte-identical to `json.dumps(indent=2)` with
-  `_json_value` as the hook for exact values.  It fills cached `%`
+  `_json_value` as the hook for exact values, and `_quote` quotes strings
+  as `json.dumps` does.  It fills cached `%`
   templates: one per exact value, built from the layout `_json_value`
   defines, and one per block of int or str rows, such as triples.
 The decimal of an exact value is `render_decimal(approx(value, digits),
@@ -29,14 +43,12 @@ one exits 2 and names the value.  `--format svg` applies only to scan.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
-from .construct import brahmagupta_quad, rhombus_from_triple
 from .exactnum import (
     DEFAULT_DIGITS,
     IncompatibleRadicands,
@@ -45,7 +57,6 @@ from .exactnum import (
     render_decimal,
     render_ratios,
 )
-from .manifest import run_manifest
 from .mensuration import (
     DiagQuad,
     GeometryError,
@@ -61,17 +72,20 @@ from .mensuration import (
     semiperimeter,
     sutra_area,
 )
-from .oracle import area_scan, concyclic_exact, scan_grid
-from .svg import scan_svg
 from .triples import NotPythagorean, generate_triples, hypotenuse_pairs, validate_triple
 
 EXIT_OK = 0
 EXIT_MANIFEST_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_OUTPUT = 3
 
 
 class UsageError(ValueError):
     """The command line asks for something the program does not do."""
+
+
+class OutputError(Exception):
+    """The report cannot be written to the file `--out` names."""
 
 
 def _report_digits(args) -> int:
@@ -114,6 +128,46 @@ def _json_value(value, digits: int) -> dict:
 def _exact_template(pad: str) -> str:
     """`%` template, to fill with `_exact_strs`, of an exact value at `pad`."""
     return _json(_exact_layout(*["%s"] * 4), pad, 0)
+
+
+# json.dumps's two-character escapes; any other character outside ' '..'~'
+# is written as \uXXXX
+_SHORT_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+
+
+def _escape(char: str) -> str:
+    """`char` as `json.dumps` escapes it in ASCII output."""
+    code = ord(char)
+    if code > 0xFFFF:
+        # past the BMP: the UTF-16 surrogate pair
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return _SHORT_ESCAPES.get(char) or "\\u%04x" % code
+
+
+def _quote(text: str) -> str:
+    """`text` as a JSON string, as `json.dumps` writes it with its default
+    `ensure_ascii`."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(c if " " <= c <= "~" and c not in '"\\' else _escape(c) for c in text) + '"'
+
+
+class _Quoted(dict):
+    """`_QUOTED[text]` is `_quote(text)`, kept for the first 1,024 strings:
+    reports quote the same keys and names on every call, and a dict lookup
+    costs less than the call."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = _quote(text)
+        if len(self) < 1024:
+            self[text] = quoted
+        return quoted
+
+
+_QUOTED = _Quoted()
 
 
 def _enclose(items: list[str], pad: str | None, brackets: str = "[]") -> str:
@@ -165,7 +219,7 @@ def _block(value, pad: str | None) -> str | None:
         if joined.isascii() and not joined.encode().translate(None, b"0123456789.-"):
             leaf = '"%s"'
         else:
-            leaves = map(encode_basestring_ascii, leaves)
+            leaves = map(_quote, leaves)
     # only the row template is cached: one keyed by the outer length would
     # keep output-sized strings alive
     row = _list_template(tuple(shape), pad and pad + "  ", leaf)
@@ -178,7 +232,7 @@ def _json(value, pad: str, digits: int) -> str:
     the value starts on: a bare newline at the top level."""
     cls = type(value)
     if cls is str:
-        return encode_basestring_ascii(value)
+        return _QUOTED[value]
     if cls is int:
         return repr(value)
     if isinstance(value, (list, tuple)):
@@ -188,7 +242,7 @@ def _json(value, pad: str, digits: int) -> str:
     if cls is dict:
         inner = pad + "  "
         items = [
-            f"{encode_basestring_ascii(k)}: {_json(v, inner, digits)}" for k, v in value.items()
+            f"{_QUOTED[k]}: {_json(v, inner, digits)}" for k, v in value.items()
         ]
         return _enclose(items, pad, "{}")
     if cls is bool:
@@ -232,7 +286,7 @@ def _write(text: str, out_path) -> None:
         try:
             handle = open(out_path, "w")
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
+            raise OutputError(f"cannot write {out_path}: {exc.strerror}") from exc
         with handle:
             handle.write(text)
     else:
@@ -264,6 +318,8 @@ def _write_report(args, command: str, report: dict) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .manifest import run_manifest
+
     entries = run_manifest()
     failures = [e for e in entries if e.status != "pass"]
     if args.format == "json":
@@ -299,6 +355,8 @@ def cmd_area(args) -> int:
             "sutra_area": sutra_area(q),
         }
         if args.diagonal is not None:
+            from .oracle import concyclic_exact
+
             dq = DiagQuad(q, _parse_length(args.diagonal))
             split = area_by_diagonal(dq)
             pair = cyclic_diagonal_pair(q)
@@ -313,6 +371,8 @@ def cmd_area(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .construct import brahmagupta_quad
+
     t1 = validate_triple(args.l1, args.m1, args.n1)
     t2 = validate_triple(args.l2, args.m2, args.n2)
     built = brahmagupta_quad(t1, t2)
@@ -329,6 +389,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .oracle import area_scan, scan_grid
+
     sides = [_parse_length(s) for s in args.sides]
     q = quad(*sides)
     digits = _report_digits(args)
@@ -338,6 +400,8 @@ def cmd_scan(args) -> int:
     else:
         grid = scan_grid(q, args.steps, digits)
         if args.format == "svg":
+            from .svg import scan_svg
+
             _write(scan_svg(q, grid), args.out)
             return EXIT_OK
         # text prints only the first, the peak and the last sample
@@ -365,6 +429,8 @@ def cmd_scan(args) -> int:
 
 def cmd_rhombus(args) -> int:
     if args.triple and not args.dims:
+        from .construct import rhombus_from_triple
+
         r = rhombus_from_triple(validate_triple(*args.triple))
     elif len(args.dims) == 2 and not args.triple:
         r = Rhombus(side=_parse_length(args.dims[0]), d1=_parse_length(args.dims[1]))
@@ -391,53 +457,6 @@ def cmd_triples(args) -> int:
     return _write_report(args, "triples", report)
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later `main()` in the process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="cyclicquad",
-        description="Exact mensuration of quadrilaterals: gross and root "
-        "area rules, perpendicular splits, cyclic diagonals, rhombus "
-        "families, integer cyclic quadrilateral construction, and a "
-        "coordinate-embedding oracle.",
-    )
-    parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS, metavar="N",
-                        help="significant decimal digits for approximations")
-    parser.add_argument("--steps", type=int, default=999, metavar="N",
-                        help="grid points for the diagonal scan")
-    parser.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    parser.add_argument("--out", metavar="PATH", default=None)
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("reproduce", help="run the worked-example manifest")
-
-    p_area = sub.add_parser("area", help="areas of a triangle or quadrilateral")
-    p_area.add_argument("sides", nargs="+")
-    p_area.add_argument("--diagonal", default=None)
-
-    p_con = sub.add_parser("construct", help="glue two Pythagorean triples")
-    # one positional per number: argparse cannot print a positional whose
-    # metavar is a tuple, in help or in a missing-argument error
-    for name in ("l1", "m1", "n1", "l2", "m2", "n2"):
-        p_con.add_argument(name, type=int, metavar=name.upper())
-
-    p_scan = sub.add_parser("scan", help="area versus diagonal for fixed sides")
-    p_scan.add_argument("sides", nargs=4)
-
-    p_rho = sub.add_parser("rhombus", help="rhombus second diagonal and area")
-    p_rho.add_argument("dims", nargs="*")
-    p_rho.add_argument("--triple", nargs=3, type=int, metavar=("L", "M", "N"))
-
-    p_tri = sub.add_parser("triples", help="enumerate Pythagorean triples")
-    p_tri.add_argument("max_hypotenuse", type=int)
-    p_tri.add_argument("--pairs", action="store_true",
-                       help="also list pairs sharing a hypotenuse")
-
-    return parser
-
-
 _COMMANDS = {
     "reproduce": cmd_reproduce,
     "area": cmd_area,
@@ -447,9 +466,352 @@ _COMMANDS = {
     "triples": cmd_triples,
 }
 
+# -- the command-line grammar ------------------------------------------------
+#
+# For the global level (key None) and each command: its options and its
+# positionals.  An option is (option string, dest, nargs, convert, default)
+# and a positional (dest, name in messages, nargs, convert).  nargs is 0
+# for a flag, None for one value, an int for a list of that many, "+" or
+# "*" for a list of one or more or of any number, and `_COMMAND` for the
+# command word and every string after it (argparse's PARSER).  convert is
+# int, str, or the tuple of allowed choices.
+_COMMAND = "A..."
+_GRAMMAR = {
+    None: (
+        [
+            ("--digits", "digits", None, int, DEFAULT_DIGITS),
+            ("--steps", "steps", None, int, 999),
+            ("--format", "format", None, ("text", "json", "svg"), "text"),
+            ("--out", "out", None, str, None),
+        ],
+        [("command", "command", _COMMAND, tuple(_COMMANDS))],
+    ),
+    "reproduce": ([], []),
+    "area": ([("--diagonal", "diagonal", None, str, None)], [("sides", "sides", "+", str)]),
+    "construct": ([], [(n, n.upper(), None, int) for n in ("l1", "m1", "n1", "l2", "m2", "n2")]),
+    "scan": ([], [("sides", "sides", 4, str)]),
+    "rhombus": ([("--triple", "triple", 3, int, None)], [("dims", "dims", "*", str)]),
+    "triples": (
+        [("--pairs", "pairs", 0, None, False)],
+        [("max_hypotenuse", "max_hypotenuse", None, int)],
+    ),
+}
+_HELP_OPTION = ("-h/--help", None, 0, None, None)
+
+# argparse's help, as Python 3.11 formats it for an 80-column terminal; a
+# usage error prints the first paragraph
+_HELP = {
+    None: """\
+usage: cyclicquad [-h] [--digits N] [--steps N] [--format {text,json,svg}]
+                  [--out PATH]
+                  {reproduce,area,construct,scan,rhombus,triples} ...
+
+Exact mensuration of quadrilaterals: gross and root area rules, perpendicular
+splits, cyclic diagonals, rhombus families, integer cyclic quadrilateral
+construction, and a coordinate-embedding oracle.
+
+positional arguments:
+  {reproduce,area,construct,scan,rhombus,triples}
+    reproduce           run the worked-example manifest
+    area                areas of a triangle or quadrilateral
+    construct           glue two Pythagorean triples
+    scan                area versus diagonal for fixed sides
+    rhombus             rhombus second diagonal and area
+    triples             enumerate Pythagorean triples
+
+options:
+  -h, --help            show this help message and exit
+  --digits N            significant decimal digits for approximations
+  --steps N             grid points for the diagonal scan
+  --format {text,json,svg}
+  --out PATH
+""",
+    "reproduce": """\
+usage: cyclicquad reproduce [-h]
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "area": """\
+usage: cyclicquad area [-h] [--diagonal DIAGONAL] sides [sides ...]
+
+positional arguments:
+  sides
+
+options:
+  -h, --help           show this help message and exit
+  --diagonal DIAGONAL
+""",
+    "construct": """\
+usage: cyclicquad construct [-h] L1 M1 N1 L2 M2 N2
+
+positional arguments:
+  L1
+  M1
+  N1
+  L2
+  M2
+  N2
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "scan": """\
+usage: cyclicquad scan [-h] sides sides sides sides
+
+positional arguments:
+  sides
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "rhombus": """\
+usage: cyclicquad rhombus [-h] [--triple L M N] [dims ...]
+
+positional arguments:
+  dims
+
+options:
+  -h, --help      show this help message and exit
+  --triple L M N
+""",
+    "triples": """\
+usage: cyclicquad triples [-h] [--pairs] max_hypotenuse
+
+positional arguments:
+  max_hypotenuse
+
+options:
+  -h, --help      show this help message and exit
+  --pairs         also list pairs sharing a hypotenuse
+""",
+}
+
+
+def _negative_number(arg: str) -> bool:
+    """Whether argparse reads `arg` as a negative number, and so as an
+    argument: its `^-\\d+$|^-\\d*\\.\\d+$`, such as -5, -2.5 or -.5."""
+    # `$` matches before a final newline too
+    digits = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    whole, dot, fraction = digits.partition(".")
+    return bool(whole.isdecimal() or dot and not whole) and (not dot or fraction.isdecimal())
+
+
+def _run(nargs, pattern: str, start: int) -> int | None:
+    """The number of strings from `start` that a positional takes, or None
+    if it takes none, as argparse's regular expressions match it over the
+    classes of the strings in `pattern`: 'A' an argument, 'O' an option,
+    '-' the '--' that ends options, after which every string is an 'A'.
+    Each run takes the dashes that follow it."""
+    if nargs == _COMMAND:
+        # the command word, then every string left
+        return len(pattern) - start if pattern[start:].lstrip("-")[:1] == "A" else None
+    end = pattern.find("O", start)
+    chunk = pattern[start:] if end < 0 else pattern[start:end]
+    if nargs in ("+", "*"):
+        return len(chunk) if nargs == "*" or "A" in chunk else None
+    count = 1 if nargs is None else nargs
+    if chunk.count("A") < count:
+        return None
+    taken = 0
+    for _ in range(count):
+        taken = chunk.index("A", taken) + 1
+    return len(chunk) - len(chunk[taken:].lstrip("-"))
+
+
+class ParserExit(Exception):
+    """The command line ends the call: `text` is help for stdout (code 0) or
+    a usage error for stderr (code 2)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+class Parser:
+    """The parser of one level of the command line: the global options and
+    the command word, or one command's own options and positionals.
+
+    It runs argparse's algorithm (`ArgumentParser._parse_known_args`) over
+    its row of `_GRAMMAR`: it classifies every string as an option or an
+    argument, then takes options and runs of positionals in turn.  Parsing
+    leaves the parser unchanged."""
+
+    def __init__(self, command: str | None, commands: dict | None = None):
+        options, self.positionals = _GRAMMAR[command]
+        self.prog = "cyclicquad" if command is None else f"cyclicquad {command}"
+        self.help = _HELP[command]
+        self.usage = self.help[: self.help.index("\n\n") + 1]
+        self.commands = commands
+        self.defaults = {dest: default for _, dest, _, _, default in options}
+        self.options = {"-h": _HELP_OPTION, "--help": _HELP_OPTION}
+        self.options.update((option[0], option) for option in options)
+
+    def error(self, message: str):
+        raise ParserExit(EXIT_USAGE, f"{self.usage}{self.prog}: error: {message}\n")
+
+    def parse_args(self, argv) -> SimpleNamespace:
+        values: dict = {}
+        extras = self._parse(list(argv), values)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return SimpleNamespace(**values)
+
+    def _classify(self, arg: str):
+        """argparse's `_parse_optional`: (option, option string, explicit
+        argument) for an option of this level, (None, arg, None) for an
+        unknown option, None for an argument."""
+        if not arg.startswith("-"):
+            return None
+        options = self.options
+        if arg in options:
+            return options[arg], arg, None
+        if len(arg) == 1:
+            return None
+        name, eq, explicit = arg.partition("=")
+        if eq and name in options:
+            return options[name], name, explicit
+        if arg[1] == "-":
+            # a prefix of long options, such as --dig; --dig=5 too
+            matches = [(options[o], o, explicit if eq else None) for o in options if o.startswith(name)]
+        else:
+            # -h with more short flags, or a value, joined to it
+            matches = [(options[o], o, arg[2:]) for o in options if o == arg[:2]]
+        if len(matches) > 1:
+            names = ", ".join(option for _, option, _ in matches)
+            self.error(f"ambiguous option: {arg} could match {names}")
+        if matches:
+            return matches[0]
+        if _negative_number(arg) or " " in arg:
+            return None
+        return None, arg, None
+
+    def _value(self, name: str, nargs, convert, args: list):
+        """argparse's `_get_values`: the value of `args` for an option or
+        positional called `name` in messages."""
+        values = []
+        for arg in args:
+            if isinstance(convert, tuple):
+                if arg not in convert:
+                    choices = ", ".join(map(repr, convert))
+                    self.error(f"argument {name}: invalid choice: {arg!r} (choose from {choices})")
+                values.append(arg)
+            else:
+                try:
+                    values.append(convert(arg))
+                except ValueError:
+                    self.error(f"argument {name}: invalid {convert.__name__} value: {arg!r}")
+        # one value for nargs None, but a list if a '--' was all it took
+        return values[0] if nargs is None and len(values) == 1 else values
+
+    def _parse(self, argv: list, values: dict) -> list:
+        """argparse's `parse_known_args` on this level: put the values of
+        `argv` in `values`, and return the strings no option or positional
+        took."""
+        values.update(self.defaults)
+        found = {}
+        kinds = []
+        for i, arg in enumerate(argv):
+            if arg == "--":
+                # every later string is an argument
+                kinds.append("-" + "A" * (len(argv) - i - 1))
+                break
+            option = self._classify(arg)
+            if option:
+                found[i] = option
+            kinds.append("O" if option else "A")
+        pattern = "".join(kinds)
+        extras: list = []
+        taken = 0  # positionals taken so far
+
+        def take_positionals(start: int) -> int:
+            # argparse's `consume_positionals`: as many positionals as can
+            # each take their run, in order
+            nonlocal taken
+            runs, at = [], start
+            for _, _, nargs, _ in self.positionals[taken:]:
+                run = _run(nargs, pattern, at)
+                if run is None:
+                    break
+                runs.append(run)
+                at += run
+            for (dest, name, nargs, convert), run in zip(self.positionals[taken:], runs):
+                args = argv[start : start + run]
+                start += run
+                if nargs == _COMMAND:
+                    self._value(name, None, convert, args[:1])
+                    values[dest] = args[0]
+                    extras.extend(self.commands[args[0]]._parse(args[1:], values))
+                    continue
+                if "--" in args:
+                    args.remove("--")
+                values[dest] = self._value(name, nargs, convert, args)
+            taken += len(runs)
+            return start
+
+        def take_option(start: int) -> int:
+            (name, dest, nargs, convert, _), option, explicit = found[start]
+            count = 1 if nargs is None else nargs
+            stop = start + 1
+            if explicit is None:
+                if not pattern.startswith("A" * count, stop):
+                    expected = "one argument" if nargs is None else f"{count} arguments"
+                    self.error(f"argument {name}: expected {expected}")
+                args = argv[stop : stop + count]
+                stop += count
+            elif count == 1:
+                args = [explicit]
+            elif count:
+                self.error(f"argument {name}: expected {count} arguments")
+            elif option == "-h" and explicit and not explicit.lstrip("h"):
+                # argparse reads letters joined to -h as more short flags,
+                # and -h is the only one
+                args = []
+            else:
+                ignored = explicit.lstrip("h") if option == "-h" else explicit
+                self.error(f"argument {name}: ignored explicit argument {ignored!r}")
+            if dest is None:
+                raise ParserExit(EXIT_OK, self.help)
+            values[dest] = True if nargs == 0 else self._value(name, nargs, convert, args)
+            return stop
+
+        start = 0
+        last = max(found, default=-1)
+        while start <= last:
+            following = min(i for i in found if i >= start)
+            if start != following:
+                end = take_positionals(start)
+                if end > start:
+                    start = end
+                    continue
+                extras.extend(argv[start:following])
+                start = following
+            if found[start][0] is None:
+                extras.append(argv[start])
+                start += 1
+            else:
+                start = take_option(start)
+        extras.extend(argv[take_positionals(start) :])
+        missing = [name for _, name, _, _ in self.positionals[taken:]]
+        if missing:
+            self.error("the following arguments are required: " + ", ".join(missing))
+        return extras
+
+
+@cache
+def build_parser() -> Parser:
+    """The command-line parser, built on the first call and shared by every
+    later `main()` in the process; parsing leaves it unchanged."""
+    return Parser(None, {command: Parser(command) for command in _COMMANDS})
+
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    except ParserExit as stop:
+        (sys.stderr if stop.code else sys.stdout).write(stop.text)
+        return stop.code
     try:
         if args.digits < 1:
             raise UsageError("--digits must be at least 1")
@@ -461,6 +823,9 @@ def main(argv=None) -> int:
     except (GeometryError, NotPythagorean, IncompatibleRadicands, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

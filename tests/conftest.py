@@ -1,10 +1,12 @@
+import argparse
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
-from cyclicquad.exactnum import NegativeRadicand, approx
+from cyclicquad.exactnum import DEFAULT_DIGITS, NegativeRadicand, approx
 from cyclicquad.mensuration import (
     DiagQuad,
     InvalidQuad,
@@ -85,3 +87,52 @@ def random_diag_quad(rng: random.Random, max_side: int = 200) -> DiagQuad:
             return DiagQuad(q, diag)
         except (InvalidQuad, InvalidTriangle):
             continue
+
+
+# The argparse parser that `cyclicquad.cli.Parser` replaced, kept as the
+# reference of tests/test_cli_parser.py.
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later `main()` in the process; parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="cyclicquad",
+        description="Exact mensuration of quadrilaterals: gross and root "
+        "area rules, perpendicular splits, cyclic diagonals, rhombus "
+        "families, integer cyclic quadrilateral construction, and a "
+        "coordinate-embedding oracle.",
+    )
+    parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS, metavar="N",
+                        help="significant decimal digits for approximations")
+    parser.add_argument("--steps", type=int, default=999, metavar="N",
+                        help="grid points for the diagonal scan")
+    parser.add_argument("--format", choices=("text", "json", "svg"), default="text")
+    parser.add_argument("--out", metavar="PATH", default=None)
+
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("reproduce", help="run the worked-example manifest")
+
+    p_area = sub.add_parser("area", help="areas of a triangle or quadrilateral")
+    p_area.add_argument("sides", nargs="+")
+    p_area.add_argument("--diagonal", default=None)
+
+    p_con = sub.add_parser("construct", help="glue two Pythagorean triples")
+    # one positional per number: argparse cannot print a positional whose
+    # metavar is a tuple, in help or in a missing-argument error
+    for name in ("l1", "m1", "n1", "l2", "m2", "n2"):
+        p_con.add_argument(name, type=int, metavar=name.upper())
+
+    p_scan = sub.add_parser("scan", help="area versus diagonal for fixed sides")
+    p_scan.add_argument("sides", nargs=4)
+
+    p_rho = sub.add_parser("rhombus", help="rhombus second diagonal and area")
+    p_rho.add_argument("dims", nargs="*")
+    p_rho.add_argument("--triple", nargs=3, type=int, metavar=("L", "M", "N"))
+
+    p_tri = sub.add_parser("triples", help="enumerate Pythagorean triples")
+    p_tri.add_argument("max_hypotenuse", type=int)
+    p_tri.add_argument("--pairs", action="store_true",
+                       help="also list pairs sharing a hypotenuse")
+
+    return parser

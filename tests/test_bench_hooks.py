@@ -14,6 +14,10 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def load_tracer():
+    # the tracer wraps names in every program module, and the commands
+    # import some of them only when they run
+    for name in ("construct", "manifest", "oracle", "svg"):
+        importlib.import_module(f"cyclicquad.{name}")
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -8,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cyclicquad.cli as cli
-from cyclicquad import exactnum, mensuration, triples
+from cyclicquad import exactnum, manifest, mensuration, triples
 from cyclicquad.cli import main
 from cyclicquad.manifest import ManifestEntry
 
@@ -51,7 +50,7 @@ class TestReproduce:
             computed=2,
             status="fail",
         )
-        monkeypatch.setattr(cli, "run_manifest", lambda: [broken])
+        monkeypatch.setattr(manifest, "run_manifest", lambda: [broken])
         code, out, _ = run_cli(capsys, "reproduce")
         assert code == 1
         assert "0/1 entries passed" in out
@@ -139,7 +138,7 @@ class TestConstruct:
         assert code == 2 and "error:" in err
 
     def test_missing_triple_is_a_usage_error(self, capsys):
-        code, out, err = run_catching_exit(capsys, ["construct", "3", "4", "5"])
+        code, out, err = run_cli(capsys, "construct", "3", "4", "5")
         assert (code, out) == (2, "")
         assert err.endswith("error: the following arguments are required: L2, M2, N2\n")
 
@@ -208,9 +207,10 @@ class TestScan:
         assert code == 2 and "error:" in err
 
     def test_wrong_arity_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", "3", "4", "5"])
-        assert exc.value.code == 2
+        # main returns the parser's exit code; it raises no SystemExit
+        code, out, err = run_cli(capsys, "scan", "3", "4", "5")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: sides\n")
 
     def test_json_scan_bypasses_the_hook(self, capsys, monkeypatch):
         # the samples are rendered to strings by the command, so the JSON
@@ -372,10 +372,10 @@ class TestOutFile:
         payload = json.loads(path.read_text())
         assert payload["report"]["area"]["coefficient"]["num"] == "6"
 
-    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "report.txt"
         code, out, err = run_cli(capsys, "--out", str(path), "area", "3", "4", "5")
-        assert code == 2 and out == ""
+        assert code == cli.EXIT_OUTPUT == 3 and out == ""
         assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
@@ -403,17 +403,55 @@ class TestProcess:
             assert (done.returncode, done.stdout, done.stderr) == (0, handle.read(), "")
 
     def test_cold_start_skips_dataclasses_inspect_and_typing(self):
-        # -I -S: no site, so no .pth file imports typing before the program
+        # -I -S: no site, so no .pth file imports typing before the program.
+        # The parser needs neither argparse (nor gettext, locale, shutil
+        # under it) nor json, and each command imports its own modules.
+        forbidden = {
+            "dataclasses", "inspect", "typing",
+            "argparse", "json", "gettext", "locale", "shutil",
+            "cyclicquad.construct", "cyclicquad.manifest", "cyclicquad.oracle", "cyclicquad.svg",
+        }
         code = (
             f"import sys; sys.path.insert(0, {SRC!r})\n"
             "import cyclicquad.cli\n"
             "cyclicquad.cli.build_parser()\n"
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+            f"print(sorted({sorted(forbidden)!r} & sys.modules.keys()))\n"
         )
         done = subprocess.run(
             [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("reproduce.json", ["--format", "json", "reproduce"]),
+            ("area_trapezium.txt", ["area", "14", "12", "9", "13"]),
+            ("area_quad77_split.txt", ["area", "75", "68", "51", "40", "--diagonal", "77"]),
+            ("construct_3_4_5_8_15_17.txt", ["construct", "3", "4", "5", "8", "15", "17"]),
+            ("scan_steps9.txt", ["--steps", "9", "scan", "75", "40", "51", "68"]),
+            ("scan_steps9.json", ["--format", "json", "--steps", "9", "scan", "75", "40", "51", "68"]),
+            ("scan_steps9.svg", ["--format", "svg", "--steps", "9", "scan", "75", "40", "51", "68"]),
+            ("rhombus_1_1.txt", ["rhombus", "1", "1"]),
+            ("triples_325_pairs.txt", ["triples", "325", "--pairs"]),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_each_command_in_a_fresh_process(self, golden, argv):
+        # in this process every module is loaded already; a fresh child
+        # shows that each command imports the modules it runs
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r})\n"
+            "from cyclicquad.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        expected = (Path(DATA) / "cli" / golden).read_text()
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == expected
 
     def test_package_import_loads_no_module(self):
         # the package re-exports nothing: each name comes from its own module
@@ -428,22 +466,12 @@ class TestProcess:
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def run_catching_exit(capsys, argv):
-    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 SUBCOMMANDS = ["reproduce", "area", "construct", "scan", "rhombus", "triples"]
 
 
 class TestHelp:
     def test_help_names_every_subcommand(self, capsys):
-        code, out, err = run_catching_exit(capsys, ["--help"])
+        code, out, err = run_cli(capsys, "--help")
         usage = out.split("\n\n")[0]
         assert (code, err) == (0, "")
         assert usage.startswith("usage: cyclicquad ")
@@ -451,7 +479,7 @@ class TestHelp:
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_each_subcommand_has_help(self, capsys, command):
-        code, out, err = run_catching_exit(capsys, [command, "--help"])
+        code, out, err = run_cli(capsys, command, "--help")
         assert (code, err) == (0, "")
         assert out.startswith(f"usage: cyclicquad {command} ")
 
@@ -470,11 +498,11 @@ class TestParserReuse:
         fresh = []
         for _, argv in self.SEQUENCE:
             cli.build_parser.cache_clear()
-            fresh.append(run_catching_exit(capsys, argv))
+            fresh.append(run_cli(capsys, *argv))
         cli.build_parser.cache_clear()
         parser = cli.build_parser()
         for (golden, argv), expected in zip(self.SEQUENCE, fresh):
-            got = run_catching_exit(capsys, argv)
+            got = run_cli(capsys, *argv)
             assert got == expected
             if golden:
                 assert got == (0, (Path(DATA) / "cli" / golden).read_text(), "")
@@ -483,13 +511,13 @@ class TestParserReuse:
 
     def test_warm_calls_construct_no_parser(self, capsys, monkeypatch):
         built = []
-        original = argparse.ArgumentParser.__init__
+        original = cli.Parser.__init__
 
         def counting(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
+            built.append(args)
             original(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr(cli.Parser, "__init__", counting)
         cli.build_parser.cache_clear()
         run_cli(capsys, "area", "3", "4", "5")
         assert built  # the counter sees the cold build

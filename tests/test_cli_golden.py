@@ -80,6 +80,15 @@ CASES = (
             0,
             ["--format", "svg", "scan", *SIDES_80],
         ),
+        ("help.txt", 0, ["--help"]),
+        *[(f"help_{c}.txt", 0, [c, "--help"]) for c in
+          ("reproduce", "area", "construct", "scan", "rhombus", "triples")],
+        # usage errors: argparse's wording, as Python 3.11 printed it
+        ("usage_area_missing_side.err", 2, ["area"]),
+        ("usage_construct_missing_number.err", 2, ["construct", "3", "4", "5", "8", "15"]),
+        ("usage_format_xml.err", 2, ["--format", "xml", "area", "3", "4", "5"]),
+        ("usage_unknown_command.err", 2, ["circle", "3", "4", "5"]),
+        ("usage_triples_not_int.err", 2, ["triples", "x"]),
         (
             "area_incommensurable_split.err",
             2,

@@ -227,3 +227,33 @@ class TestTextWriter:
         assert cli._text(rows, 12) == "[[3, 4, 5], [6, 8, 10], [5, 12, 13], [], [True, 0]]"
         pairs = [[[7, 24, 25], [15, 20, 25]], [[1, (2,)], [[]]]]
         assert cli._text(pairs, 12) == "[[[7, 24, 25], [15, 20, 25]], [[1, [2]], [[]]]]"
+
+
+# any code point: lone surrogates, characters past U+FFFF, C0 controls and
+# DEL, and the two characters JSON escapes by name
+any_text = st.text(
+    st.characters(min_codepoint=0, max_codepoint=0x10FFFF)
+    | st.sampled_from('"\\\x00\x1f\x7f𐏿\U0001f600 ')
+)
+
+
+class TestQuote:
+    @settings(deadline=None)
+    @given(any_text)
+    def test_matches_json_dumps(self, text):
+        assert cli._quote(text) == json.dumps(text)
+
+    @settings(deadline=None)
+    @given(st.lists(any_text, max_size=4))
+    def test_memo_matches_json_dumps(self, texts):
+        # `_QUOTED` keeps each answer; asking twice gives it back unchanged
+        for text in texts + texts:
+            assert cli._QUOTED[text] == json.dumps(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "plain", '"', "\\", "\b\f\n\r\t", "\x00\x1f\x7f", "é", "\ud800", "\udfff x",
+         "\U0001f600", "\U0010ffff", "a b"],
+    )
+    def test_examples(self, text):
+        assert cli._quote(text) == json.dumps(text)

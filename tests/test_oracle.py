@@ -647,7 +647,7 @@ class TestScanPeak:
         def no_full_grid(*args):
             raise AssertionError("a text scan must not evaluate the whole grid")
 
-        monkeypatch.setattr(cli, "area_scan", no_full_grid)
+        monkeypatch.setattr(oracle, "area_scan", no_full_grid)
         with time_limit(5):
             code = cli.main(["--steps", "1000000000000", "scan", "75", "40", "51", "68"])
         assert code == 0

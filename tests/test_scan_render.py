@@ -60,7 +60,7 @@ def json_samples(result: ScanResult, digits: int) -> list:
     """The JSON samples `cmd_scan` prints for `result`, whatever the sides."""
     out = io.StringIO()
     argv = ["--format", "json", "--digits", str(digits), "scan", "3", "4", "3", "4"]
-    with patch.object(cli, "area_scan", lambda q, steps, digits: result), redirect_stdout(out):
+    with patch.object(oracle, "area_scan", lambda q, steps, digits: result), redirect_stdout(out):
         assert cli.main(argv) == 0
     return json.loads(out.getvalue())["report"]["samples"]
 
@@ -398,7 +398,7 @@ class TestCurveCertificate:
         def forbidden(*args, **kwargs):
             raise AssertionError("an SVG scan must not evaluate every sample")
 
-        monkeypatch.setattr(cli, "area_scan", forbidden)
+        monkeypatch.setattr(oracle, "area_scan", forbidden)
         assert cli.main(["--format", "svg", "scan", "75", "40", "51", "68"]) == 0
         captured = capsys.readouterr()
         golden = Path(__file__).resolve().parent / "data" / "cli" / "scan_steps999.svg"
