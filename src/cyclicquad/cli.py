@@ -6,7 +6,8 @@ Exit codes:
 - 1 manifest failure: `reproduce` found an entry that does not pass;
 - 2 usage or domain error: a command line the grammar rejects, or
   `UsageError`, `GeometryError`, `NotPythagorean`, `IncompatibleRadicands`;
-- 3 output error: `--out` names a file that cannot be written.
+- 3 output error: `--out` is empty, or names a file that cannot be opened,
+  written or closed.
 `main()` returns the code and raises no `SystemExit`.  Any other exception
 is a bug and propagates.
 
@@ -19,19 +20,19 @@ neither argparse nor json, nor the manifest, construction, oracle or SVG
 modules it does not run.
 
 Commands build their reports from the program's own values, and two
-renderers print every report:
+renderers print every report.  Both read an exact value c*sqrt(r) through
+`_exact_strs` alone, as the strings of c's numerator and denominator, of r
+and of its decimal, `render_decimal(approx(value, digits), digits)`:
 - text shows an exact value as `c*sqrt(r) (decimal)`, or `c (decimal)` when
   it is rational, always with its coefficient (`1*sqrt(3)`), and a list as
   `[a, b]`;
 - JSON is deterministic: fixed key order, an exact value as
   {coefficient: {num, den}, radicand, decimal} with every field a string.
   `_json` writes it directly, byte-identical to `json.dumps(indent=2)` with
-  `_json_value` as the hook for exact values, and `_quote` quotes strings
-  as `json.dumps` does.  It fills cached `%`
-  templates: one per exact value, built from the layout `_json_value`
-  defines, and one per block of int or str rows, such as triples.
-The decimal of an exact value is `render_decimal(approx(value, digits),
-digits)`.  `scan` prints approximations only: `--steps` builds the scan's
+  a hook that gives that dict, and `_quote` quotes strings as `json.dumps`
+  does.  It fills cached `%` templates: one per exact value and indent,
+  and one per block of int or str rows, such as triples.
+`scan` prints approximations only: `--steps` builds the scan's
 `ScanGrid`, and the sample count, diagonals and areas are read from it,
 each column in one `render_ratios` pass over integer numerators.  JSON
 takes every sample from `area_scan`; text prints three, found by
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain
 from types import SimpleNamespace
 
@@ -93,41 +94,25 @@ def _report_digits(args) -> int:
     return args.digits if args.format == "json" else min(args.digits, 12)
 
 
-def _term(value) -> tuple[Fraction, int]:
-    """(c, r) of an exact value c*sqrt(r).  A sum of surds has no such
-    form and raises IncompatibleRadicands."""
-    if isinstance(value, Surd):
-        return value.coefficient, value.radicand
-    return value, 1
-
-
-def _decimal(value, digits: int) -> str:
-    return render_decimal(approx(value, digits), digits)
-
-
 def _exact_strs(value, digits: int) -> tuple[str, str, str, str]:
-    """(num, den, radicand, decimal) of an exact value c*sqrt(r)."""
-    if isinstance(value, (Fraction, Surd)):
-        c, r = _term(value)
-        return str(c.numerator), str(c.denominator), str(r), _decimal(value, digits)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    """(num, den, radicand, decimal) of an exact value c*sqrt(r): the only
+    reading of an exact value that the text and JSON writers print from.  A
+    sum of surds has no such form and raises IncompatibleRadicands."""
+    if isinstance(value, Surd):
+        c, r = value.coefficient, value.radicand
+    elif isinstance(value, Fraction):
+        c, r = value, 1
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    decimal = render_decimal(approx(value, digits), digits)
+    return str(c.numerator), str(c.denominator), str(r), decimal
 
 
-def _exact_layout(num, den, radicand, decimal) -> dict:
-    """The JSON layout of an exact value, from its four strings."""
-    return {"coefficient": {"num": num, "den": den}, "radicand": radicand, "decimal": decimal}
-
-
-def _json_value(value, digits: int) -> dict:
-    """The JSON form of a value `_json` has no rule for: one c*sqrt(r) term
-    with its decimal for an exact value."""
-    return _exact_layout(*_exact_strs(value, digits))
-
-
-@lru_cache(maxsize=64)
+@cache
 def _exact_template(pad: str) -> str:
     """`%` template, to fill with `_exact_strs`, of an exact value at `pad`."""
-    return _json(_exact_layout(*["%s"] * 4), pad, 0)
+    layout = {"coefficient": {"num": "%s", "den": "%s"}, "radicand": "%s", "decimal": "%s"}
+    return _json(layout, pad, 0)
 
 
 # json.dumps's two-character escapes; any other character outside ' '..'~'
@@ -155,21 +140,6 @@ def _quote(text: str) -> str:
     return '"' + "".join(c if " " <= c <= "~" and c not in '"\\' else _escape(c) for c in text) + '"'
 
 
-class _Quoted(dict):
-    """`_QUOTED[text]` is `_quote(text)`, kept for the first 1,024 strings:
-    reports quote the same keys and names on every call, and a dict lookup
-    costs less than the call."""
-
-    def __missing__(self, text: str) -> str:
-        quoted = _quote(text)
-        if len(self) < 1024:
-            self[text] = quoted
-        return quoted
-
-
-_QUOTED = _Quoted()
-
-
 def _enclose(items: list[str], pad: str | None, brackets: str = "[]") -> str:
     """`items` between `brackets`: in JSON each on its own line, indented
     two spaces past `pad`; in text, for `pad` None, as `[a, b]`."""
@@ -181,7 +151,7 @@ def _enclose(items: list[str], pad: str | None, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
-@lru_cache(maxsize=256)
+@cache
 def _list_template(shape: tuple[int, ...], pad: str | None, leaf: str) -> str:
     """`%` template of a list of `shape[0]` items written by `_enclose`, each
     a list of shape `shape[1:]` nested the same way; `leaf`, the template
@@ -227,12 +197,13 @@ def _block(value, pad: str | None) -> str | None:
 
 
 def _json(value, pad: str, digits: int) -> str:
-    """`value` as `json.dumps(value, indent=2, default=hook)` writes it, with
-    `_json_value` as the hook.  `pad` is a newline and the indent of the line
-    the value starts on: a bare newline at the top level."""
+    """`value` as `json.dumps(value, indent=2, default=hook)` writes it, for
+    a hook that gives an exact value as {coefficient: {num, den}, radicand,
+    decimal} from `_exact_strs`.  `pad` is a newline and the indent of the
+    line the value starts on: a bare newline at the top level."""
     cls = type(value)
     if cls is str:
-        return _QUOTED[value]
+        return _quote(value)
     if cls is int:
         return repr(value)
     if isinstance(value, (list, tuple)):
@@ -241,16 +212,14 @@ def _json(value, pad: str, digits: int) -> str:
         return _block(value, pad) or _enclose([_json(v, pad + "  ", digits) for v in value], pad)
     if cls is dict:
         inner = pad + "  "
-        items = [
-            f"{_QUOTED[k]}: {_json(v, inner, digits)}" for k, v in value.items()
-        ]
+        items = [f"{_quote(k)}: {_json(v, inner, digits)}" for k, v in value.items()]
         return _enclose(items, pad, "{}")
     if cls is bool:
         return "true" if value else "false"
     if value is None:
         return "null"
-    # an exact value fills one template, where `_json_value`'s dict would
-    # take eight calls
+    # an exact value fills one template, where walking its dict would take
+    # eight calls
     return _exact_template(pad) % _exact_strs(value, digits)
 
 
@@ -264,9 +233,9 @@ def _text(value, digits: int) -> str:
         # the triples and their pairs fill one template, as in JSON
         return _block(value, None) or _enclose([_text(v, digits) for v in value], None)
     if isinstance(value, (Fraction, Surd)):
-        c, r = _term(value)
-        exact = str(c) if r == 1 else f"{c}*sqrt({r})"
-        return f"{exact} ({_decimal(value, digits)})"
+        num, den, r, decimal = _exact_strs(value, digits)
+        c = num if den == "1" else f"{num}/{den}"
+        return f"{c} ({decimal})" if r == "1" else f"{c}*sqrt({r}) ({decimal})"
     raise TypeError(f"{type(value).__name__} has no text form")
 
 
@@ -280,17 +249,18 @@ def _parse_length(text: str) -> Fraction:
     return value
 
 
-def _write(text: str, out_path) -> None:
-    """Write the command's output to --out, or to stdout without one."""
-    if out_path:
-        try:
-            handle = open(out_path, "w")
-        except OSError as exc:
-            raise OutputError(f"cannot write {out_path}: {exc.strerror}") from exc
-        with handle:
-            handle.write(text)
-    else:
+def _write(text: str, out_path: str | None) -> None:
+    """Write the command's output to --out, or to stdout without one.  Any
+    failure to open, write or close the file, for an empty path too, raises
+    OutputError."""
+    if out_path is None:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _write_json(args, command: str, **body) -> None:

@@ -93,7 +93,8 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
     """The integer grid of a diagonal scan, built by `scan_grid`: `steps`
     samples, sample i at scaled diagonal X = x0 + i*dx over `den`, each
     triangle's P = (k - X^2) * X^2 - m^2, and area root(i)/area_den floored
-    at F = `scale`.  Only `diagonals` computes X, only `radicands` P."""
+    at F = `scale`.  Only `diagonals` computes X, only `radicands` P, and
+    only `roots` the roots."""
 
     __slots__ = ()
 
@@ -119,9 +120,6 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
         scale_sq = self.scale * self.scale
         p1, p2 = self.radicands(indices)
         return [isqrt(u * scale_sq) + isqrt(v * scale_sq) for u, v in zip(p1, p2)]
-
-    def root(self, i: int) -> int:
-        return self.roots((i,))[0]
 
     def known_roots(self, known: dict, indices) -> list:
         """The roots at `indices`: from `known`, index to root, or else
@@ -191,7 +189,7 @@ class ScanGrid(namedtuple("ScanGrid", "den x0 dx k1 m1 k2 m2 scale steps")):
         lo, hi = max(j - 2, 0), min(j + 1, last)
         while True:
             window = range(lo, hi + 1)
-            known.update((i, self.root(i)) for i in window if i not in known)
+            self.known_roots(known, window)
             m = max(window, key=known.__getitem__)
             bound = known[m] - 2
             if (lo == 0 or known[lo] <= bound) and (hi == last or known[hi] <= bound):

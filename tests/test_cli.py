@@ -216,13 +216,13 @@ class TestScan:
         # the samples are rendered to strings by the command, so the JSON
         # writer renders only the four exact sides as exact values
         calls = []
-        original = cli._decimal
+        original = cli._exact_strs
 
         def counting(value, digits):
             calls.append(value)
             return original(value, digits)
 
-        monkeypatch.setattr(cli, "_decimal", counting)
+        monkeypatch.setattr(cli, "_exact_strs", counting)
         code, out, _ = run_cli(capsys, "--format", "json", "scan", "75", "40", "51", "68")
         assert code == 0 and len(json.loads(out)["report"]["samples"]) == 999
         assert calls == [75, 40, 51, 68]
@@ -377,6 +377,20 @@ class TestOutFile:
         code, out, err = run_cli(capsys, "--out", str(path), "area", "3", "4", "5")
         assert code == cli.EXIT_OUTPUT == 3 and out == ""
         assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv", [["--out="], ["--out", ""]], ids=["joined", "separate"])
+    def test_empty_out_is_an_output_error(self, capsys, argv):
+        # an empty path names no file; it is not a missing --out
+        code, out, err = run_cli(capsys, *argv, "area", "3", "4", "5")
+        assert (code, out) == (cli.EXIT_OUTPUT, "")
+        assert err == "error: cannot write : No such file or directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_an_output_error(self, capsys):
+        # /dev/full opens, then fails when the report is flushed on close
+        code, out, err = run_cli(capsys, "--out", "/dev/full", "area", "3", "4", "5")
+        assert (code, out) == (cli.EXIT_OUTPUT, "")
+        assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 class TestGolden:

@@ -1,10 +1,12 @@
 """The direct JSON and text writers against their references.
 
 `cli._json` must give the bytes `json.dumps(indent=2)` gives with
-`cli._json_value` as the hook, and `cli._text` the bytes of the recursive
-writer it replaced, copied here as `reference_text`."""
+`json_value` as the hook, and `cli._text` the bytes of the recursive
+writer it replaced, copied here as `reference_text`.  Both read an exact
+value through `cli._exact_strs`, and must print the same fields of it."""
 
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -17,6 +19,13 @@ from cyclicquad.exactnum import Surd
 from cyclicquad.triples import validate_triple
 
 
+def json_value(value, digits: int) -> dict:
+    """The JSON form of a value `json.dumps` has no rule for: one c*sqrt(r)
+    term with its decimal for an exact value."""
+    num, den, radicand, decimal = cli._exact_strs(value, digits)
+    return {"coefficient": {"num": num, "den": den}, "radicand": radicand, "decimal": decimal}
+
+
 def reference_text(value, digits: int) -> str:
     """Text form of one report value, as the recursive writer printed it."""
     if isinstance(value, (int, str)):
@@ -24,14 +33,16 @@ def reference_text(value, digits: int) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(reference_text(v, digits) for v in value) + "]"
     if isinstance(value, (Fraction, Surd)):
-        c, r = cli._term(value)
+        fields = json_value(value, digits)
+        c = Fraction(int(fields["coefficient"]["num"]), int(fields["coefficient"]["den"]))
+        r = int(fields["radicand"])
         exact = str(c) if r == 1 else f"{c}*sqrt({r})"
-        return f"{exact} ({cli._decimal(value, digits)})"
+        return f"{exact} ({fields['decimal']})"
     raise TypeError(f"{type(value).__name__} has no text form")
 
 
 def reference_json(value, digits: int) -> str:
-    return json.dumps(value, indent=2, default=partial(cli._json_value, digits=digits))
+    return json.dumps(value, indent=2, default=partial(json_value, digits=digits))
 
 
 # quotes, backslashes and control characters among any other code point
@@ -229,6 +240,22 @@ class TestTextWriter:
         assert cli._text(pairs, 12) == "[[[7, 24, 25], [15, 20, 25]], [[1, [2]], [[]]]]"
 
 
+# text's `c (decimal)` or `c*sqrt(r) (decimal)`, c as `num` or `num/den`
+TEXT_EXACT = re.compile(r"(-?\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))? \((.*)\)")
+
+
+class TestWritersAgree:
+    @settings(deadline=None)
+    @given(exacts, st.integers(1, 60))
+    def test_text_prints_the_fields_json_writes(self, value, digits):
+        num, den, radicand, decimal = TEXT_EXACT.fullmatch(cli._text(value, digits)).groups()
+        assert json.loads(cli._json(value, "\n", digits)) == {
+            "coefficient": {"num": num, "den": den or "1"},
+            "radicand": radicand or "1",
+            "decimal": decimal,
+        }
+
+
 # any code point: lone surrogates, characters past U+FFFF, C0 controls and
 # DEL, and the two characters JSON escapes by name
 any_text = st.text(
@@ -242,13 +269,6 @@ class TestQuote:
     @given(any_text)
     def test_matches_json_dumps(self, text):
         assert cli._quote(text) == json.dumps(text)
-
-    @settings(deadline=None)
-    @given(st.lists(any_text, max_size=4))
-    def test_memo_matches_json_dumps(self, texts):
-        # `_QUOTED` keeps each answer; asking twice gives it back unchanged
-        for text in texts + texts:
-            assert cli._QUOTED[text] == json.dumps(text)
 
     @pytest.mark.parametrize(
         "text",

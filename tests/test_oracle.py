@@ -620,15 +620,23 @@ class TestScanPeak:
     )
     def test_window_widens_until_certified(self, monkeypatch, fake):
         # the answer rests on the certificate, not on where bisection put
-        # the window: any unimodal roots give their first maximum
-        monkeypatch.setattr(oracle.ScanGrid, "root", lambda self, i: fake(i))
+        # the window: any unimodal roots give their first maximum.  A wider
+        # window takes only the roots it does not hold yet
+        taken = []
+
+        def fake_roots(self, indices):
+            taken.extend(indices)
+            return list(map(fake, indices))
+
+        monkeypatch.setattr(oracle.ScanGrid, "roots", fake_roots)
         grid = scan_grid(quad(75, 40, 51, 68), 999, 12)
         assert grid.peak() == max(range(999), key=fake)
+        assert len(taken) == len(set(taken))
 
     @pytest.mark.parametrize("sides", [(75, 40, 51, 68), (28, 67, 91, 62), (96, 44, 85, 86)])
     def test_text_scan_takes_each_root_once(self, monkeypatch, capsys, sides):
         # the peak's window roots are kept for the report: each root is
-        # taken once, the window's 4 one at a time and both ends' together
+        # taken once, the window's 4 together and both ends' together
         taken = []
         roots = oracle.ScanGrid.roots
 
@@ -640,7 +648,7 @@ class TestScanPeak:
         assert cli.main(["scan", *map(str, sides)]) == 0
         capsys.readouterr()
         indices = [i for call in taken for i in call]
-        assert len(taken) == 5 and len(indices) == len(set(indices)) == 6
+        assert len(taken) == 2 and len(indices) == len(set(indices)) == 6
         assert {0, 998} <= set(indices)
 
     def test_text_scan_at_a_trillion_steps(self, monkeypatch, capsys):
