@@ -22,7 +22,8 @@ modules it does not run.
 Commands build their reports from the program's own values, and two
 renderers print every report.  Both read an exact value c*sqrt(r) through
 `_exact_strs` alone, as the strings of c's numerator and denominator, of r
-and of its decimal, `render_decimal(approx(value, digits), digits)`:
+and of its decimal: `render_decimal` of the value itself when it is
+rational, of its `Surd.approx` otherwise:
 - text shows an exact value as `c*sqrt(r) (decimal)`, or `c (decimal)` when
   it is rational, always with its coefficient (`1*sqrt(3)`), and a list as
   `[a, b]`;
@@ -54,7 +55,6 @@ from .exactnum import (
     DEFAULT_DIGITS,
     IncompatibleRadicands,
     Surd,
-    approx,
     render_decimal,
     render_ratios,
 )
@@ -100,11 +100,12 @@ def _exact_strs(value, digits: int) -> tuple[str, str, str, str]:
     sum of surds has no such form and raises IncompatibleRadicands."""
     if isinstance(value, Surd):
         c, r = value.coefficient, value.radicand
+        decimal = render_decimal(value.approx(digits), digits)
     elif isinstance(value, Fraction):
         c, r = value, 1
+        decimal = render_decimal(value, digits)
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    decimal = render_decimal(approx(value, digits), digits)
     return str(c.numerator), str(c.denominator), str(r), decimal
 
 

@@ -21,6 +21,15 @@ never factors the product.  Inputs are exact: a coefficient or a square
 root's factor that is not an int, Fraction or Surd raises TypeError, and
 ``to_exact`` is only the boundary coercion of an int length to a Fraction.
 
+Rules run on integers.  ``integer_units(values)`` measures values in one
+unit 1/u, u the lcm of their denominators and of a Surd's coefficient
+denominators: a rational value comes back as an int numerator, a Surd as a
+Surd with integer coefficients.  A rule homogeneous of degree k in its
+lengths computes on those numerators and builds its one result with
+``ratio(num, den)``, a single Fraction of two ints, or a Surd quotient.  The
+ints live only inside a rule: no rule takes or returns one, and every value
+a figure holds or a rule returns is a Fraction or a Surd.
+
 Equality is equality of normal forms.  Order is decided by the sign of the
 difference, which is exact: square roots of distinct squarefree integers
 are linearly independent over the rationals, so a sum of two or more terms
@@ -577,12 +586,60 @@ def to_exact(value: int | Exact) -> Exact:
 
 def approx(value: int | Exact, digits: int = DEFAULT_DIGITS) -> Fraction:
     """Rational approximation of any exact scalar, correct to `digits`
-    significant digits: a rational value comes back as itself."""
+    significant digits: a Fraction comes back as itself, not a copy, and an
+    int as a Fraction."""
     if isinstance(value, Surd):
         return value.approx(digits)
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, int):
         raise TypeError(f"not an exact scalar: {value!r}")
     return Fraction(value)
+
+
+def integer_units(values) -> tuple[list, int]:
+    """(scaled, unit): the values measured in one unit 1/`unit`, the lcm of
+    their denominators and of a Surd's coefficient denominators, so that
+    value == scaled / unit for each.  A rational value comes back as an int,
+    a Surd as a Surd with integer coefficients.  A rule homogeneous of
+    degree k in the values runs on the scaled ones and divides by unit**k
+    once, with ``ratio``."""
+    values = tuple(values)
+    try:
+        dens = [v.denominator for v in values]
+    except AttributeError:
+        # a Surd has no denominator: its coefficients' denominators count
+        dens = []
+        for v in values:
+            if isinstance(v, Surd):
+                dens.extend(c.denominator for c, _ in v.terms)
+            else:
+                dens.append(v.denominator)
+        unit = lcm(*dens)
+        return [_scaled(v, unit) for v in values], unit
+    unit = lcm(*dens)
+    return [v.numerator * (unit // d) for v, d in zip(values, dens)], unit
+
+
+def _scaled(value: int | Exact, unit: int) -> int | Surd:
+    """value * unit, for a `unit` that its denominators divide."""
+    if not isinstance(value, Surd):
+        return value.numerator * (unit // value.denominator)
+    if unit == 1:
+        return value
+    return _normal(tuple((c * unit, r) for c, r in value.terms))
+
+
+def ratio(num: int | Exact, den: int | Exact) -> Exact:
+    """num / den as an exact value: the one Fraction of two ints, or the
+    quotient in normal form when either is a Fraction or a Surd."""
+    if type(den) is int:
+        if type(num) is int:
+            return Fraction(num, den)
+        if isinstance(num, Surd):
+            # one Fraction per term, where Surd division builds several
+            return _normal(tuple((c / den, r) for c, r in num.terms))
+    return num / den
 
 
 def render_decimal(value: Fraction, digits: int) -> str:

@@ -6,14 +6,39 @@ half-sums of opposite sides), the square-root rule
 sqrt((s-a)(s-b)(s-c)(s-d)) which is exact only for cyclic quadrilaterals,
 Heron's rule for triangles, the perpendicular-foot (abadha) split, and the
 cyclic diagonal formulas tied to Ptolemy's theorem.
+
+Every rule and every figure's check is homogeneous in the lengths, so each
+brings its lengths to one unit first, as the Lilavati brings fractional
+measures to one denominator: ``integer_units`` gives integer numerators
+A, B, ... over 1/u, the rule runs on them, and ``ratio`` builds the one
+result, a value of degree d in the lengths over u**d.  A Surd length
+scales to a Surd with integer coefficients and takes the same code.  The
+ints never leave a rule: figures hold, and rules return, Fractions and
+Surds.  The integer forms, with S = A + B + C (+ D) the scaled perimeter:
+
+- checks (degree 1): the signs of A, B, ... and the strict inequalities
+  between them, such as A < B + C, compared as they are;
+- semiperimeter S/(2u) (degree 1) and gross area (A + C)(B + D)/(4u**2)
+  (degree 2);
+- root rule: sqrt of the product of S - 2A, S - 2B, S - 2C, S - 2D over
+  4u**2, or, when S is even, of the halved factors S/2 - A, ... over u**2
+  (degree 2);
+- Heron: sqrt((A + B + C)(B + C - A)(A - B + C)(A + B - C))/(4u**2)
+  (degree 2), the four factors F1 ... F4 below;
+- abadha split: segments (C**2 + A**2 - B**2)/(2Cu) and
+  (C**2 + B**2 - A**2)/(2Cu), height sqrt(F1 F2 F3 F4)/(2Cu) (degree 1);
+- rhombus: d2 = sqrt((2A - D)(2A + D))/u (degree 1);
+- cyclic diagonals: with P = AC + BD, Q = AD + BC and R = AB + CD,
+  p = sqrt(PQR)/(Ru) and q = sqrt(PQR)/(Qu) (degree 1);
+- Ptolemy's check pq == ac + bd on the sides and diagonals in one unit
+  (degree 2), and the circumradius ABC/(u sqrt(F1 F2 F3 F4)) (degree 1).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .exactnum import Exact, Surd, to_exact
+from .exactnum import Exact, Surd, integer_units, ratio, to_exact
 
 
 class GeometryError(ValueError):
@@ -59,13 +84,14 @@ class Triangle(namedtuple("Triangle", "a b c")):
     _make = classmethod(_remake)
 
     def __post_init__(self):
-        sides = list(self)
-        if not all(s > 0 for s in sides):
-            raise InvalidTriangle(f"sides must be positive: {sides}")
-        for i in range(3):
-            if not sides[i] < sides[(i + 1) % 3] + sides[(i + 2) % 3]:
+        # on the sides in one unit; a message names the sides as given
+        (a, b, c), _ = integer_units(self)
+        if not (a > 0 and b > 0 and c > 0):
+            raise InvalidTriangle(f"sides must be positive: {list(self)}")
+        for given, side, others in ((self.a, a, b + c), (self.b, b, c + a), (self.c, c, a + b)):
+            if not side < others:
                 raise InvalidTriangle(
-                    f"triangle inequality fails: {sides[i]} >= sum of the others"
+                    f"triangle inequality fails: {given} >= sum of the others"
                 )
 
 
@@ -83,13 +109,15 @@ class QuadSides(namedtuple("QuadSides", "a b c d")):
     _make = classmethod(_remake)
 
     def __post_init__(self):
-        if not all(s > 0 for s in self):
+        sides, _ = integer_units(self)
+        a, b, c, d = sides
+        if not (a > 0 and b > 0 and c > 0 and d > 0):
             raise InvalidQuad(f"sides must be positive: {tuple(self)}")
-        total = sum(self)
-        for side in self:
+        total = a + b + c + d
+        for given, side in zip(self, sides):
             if not 2 * side < total:
                 raise InvalidQuad(
-                    f"closure fails: side {side} >= sum of the other three"
+                    f"closure fails: side {given} >= sum of the other three"
                 )
 
 
@@ -145,12 +173,14 @@ class Trapezium(namedtuple("Trapezium", "base face legs height")):
 
     def __post_init__(self):
         values = (self.base, self.face, *self.legs, self.height)
-        if not all(v > 0 for v in values):
+        scaled, _ = integer_units(values)
+        if not all(v > 0 for v in scaled):
             raise InvalidTrapezium(f"all lengths must be positive: {values}")
+        base, face, *legs, height = scaled
         # face == base is the parallelogram limit, still measurable
-        if self.face > self.base:
+        if face > base:
             raise InvalidTrapezium("face must not exceed the base")
-        if any(self.height > leg for leg in self.legs):
+        if any(height > leg for leg in legs):
             raise InvalidTrapezium("height exceeds a leg")
 
 
@@ -167,9 +197,10 @@ class Rhombus(namedtuple("Rhombus", "side d1")):
     _make = classmethod(_remake)
 
     def __post_init__(self):
-        if not (self.side > 0 and self.d1 > 0):
+        (side, d1), _ = integer_units(self)
+        if not (side > 0 and d1 > 0):
             raise DegenerateRhombus("side and diagonal must be positive")
-        if not self.d1 < 2 * self.side:
+        if not d1 < 2 * side:
             raise DegenerateRhombus(
                 f"diagonal {self.d1} must be strictly less than twice the side"
             )
@@ -190,34 +221,42 @@ class DiagonalPair(namedtuple("DiagonalPair", "p q")):
 
 
 def semiperimeter(sides) -> Exact:
-    return sum(sides, Fraction(0)) / 2
+    """Half the perimeter, S/(2u): degree 1."""
+    scaled, unit = integer_units(sides)
+    return ratio(sum(scaled), 2 * unit)
 
 
 def gross_area(q: QuadSides) -> Exact:
-    """The gross rule: product of the half-sums of opposite sides."""
-    a, b, c, d = q
-    return (a + c) / 2 * ((b + d) / 2)
+    """The gross rule: product of the half-sums of opposite sides,
+    (A + C)(B + D)/(4u**2), degree 2."""
+    (a, b, c, d), unit = integer_units(q)
+    return ratio((a + c) * (b + d), 4 * unit * unit)
 
 
 def sutra_area(q: QuadSides) -> Exact:
     """The square-root rule sqrt((s-a)(s-b)(s-c)(s-d)).  Evaluated
     unconditionally, as the classical texts state it; it equals the true
-    area only when the quadrilateral is cyclic.  The four factors go to
-    ``Surd.sqrt`` as they are, so for rational sides each is factored on
-    its own, at the size of a side, and never their product."""
-    a, b, c, d = q
-    s = semiperimeter(q)
-    return Surd.sqrt(s - a, s - b, s - c, s - d)
+    area only when the quadrilateral is cyclic.  Degree 2: s - a is
+    (S - 2A)/(2u), and when S is even, (S/2 - A)/u.  Both are (H - kA)/(ku)
+    for S/2 = H/k in lowest terms, k = 1 or 2, and the area is the root of
+    the four factors H - kA, ... over (ku)**2.  The factors go to
+    ``Surd.sqrt`` as they are, so each is factored on its own, at the size
+    of a side, and never their product."""
+    (a, b, c, d), unit = integer_units(q)
+    (half,), k = integer_units((ratio(a + b + c + d, 2),))
+    root = Surd.sqrt(half - k * a, half - k * b, half - k * c, half - k * d)
+    return ratio(root, (k * unit) ** 2)
 
 
 def heron_area(t: Triangle) -> Exact:
     """Triangle area sqrt(s(s-a)(s-b)(s-c)) = sqrt(16T**2)/4 with
-    16T**2 = (a+b+c)(b+c-a)(a-b+c)(a+b-c).  For rational sides
+    16T**2 = (a+b+c)(b+c-a)(a-b+c)(a+b-c): sqrt(F1 F2 F3 F4)/(4u**2) on the
+    integer factors A + B + C, B + C - A, A - B + C and A + B - C, degree 2.
     ``Surd.sqrt`` factors each of the four factors on its own, at the size
     of a side, rather than their product; a surd side makes it multiply the
     factors out, which is exact whatever the sides are."""
-    a, b, c = t
-    return Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c) / 4
+    (a, b, c), unit = integer_units(t)
+    return ratio(Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c), 4 * unit * unit)
 
 
 def trapezium_area(t: Trapezium) -> Exact:
@@ -226,8 +265,9 @@ def trapezium_area(t: Trapezium) -> Exact:
 
 
 def rhombus_second_diagonal(r: Rhombus) -> Exact:
-    """d2 = sqrt(4 a**2 - d1**2) = sqrt((2a - d1)(2a + d1))."""
-    return Surd.sqrt(2 * r.side - r.d1, 2 * r.side + r.d1)
+    """d2 = sqrt(4 a**2 - d1**2) = sqrt((2A - D)(2A + D))/u, degree 1."""
+    (side, d1), unit = integer_units(r)
+    return ratio(Surd.sqrt(2 * side - d1, 2 * side + d1), unit)
 
 
 def rhombus_area(r: Rhombus) -> Exact:
@@ -238,22 +278,28 @@ def rhombus_area(r: Rhombus) -> Exact:
 def abadha_split(t: Triangle) -> tuple[Exact, Exact, Exact]:
     """Foot-of-perpendicular split of side c: returns the two segments of c
     (the first adjacent to side a) and the height onto c,
-    sqrt((a - segment)(a + segment))."""
-    segment_a = (t.c * t.c + t.a * t.a - t.b * t.b) / (2 * t.c)
-    height = Surd.sqrt(t.a - segment_a, t.a + segment_a)
-    return segment_a, t.c - segment_a, height
+    sqrt((a - segment)(a + segment)) = 2T/c.  Degree 1: the segments are
+    (C**2 + A**2 - B**2)/(2Cu) and (C**2 + B**2 - A**2)/(2Cu), and the
+    height sqrt(F1 F2 F3 F4)/(2Cu) on Heron's four integer factors."""
+    (a, b, c), unit = integer_units(t)
+    aa, bb, cc = a * a, b * b, c * c
+    den = 2 * c * unit
+    height = ratio(Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c), den)
+    return ratio(cc + aa - bb, den), ratio(cc + bb - aa, den), height
 
 
 def area_by_diagonal(dq: DiagQuad) -> MensurationReport:
     """Split the quadrilateral along its diagonal, apply Heron to both
     triangles and report the summed area plus the perpendiculars from the
-    off-diagonal vertices onto the diagonal.  When the two triangle areas
-    are incommensurable surds the split area is their two-term sum.
+    off-diagonal vertices onto the diagonal, 2*T/x, from the areas and the
+    diagonal in one unit.  When the two triangle areas are incommensurable
+    surds the split area is their two-term sum.
     """
     t1, t2 = map(heron_area, dq.triangles)
+    (h1, h2, x), _ = integer_units((t1, t2, dq.diagonal))
     return MensurationReport(
         split_area=t1 + t2,
-        perpendiculars=(2 * t1 / dq.diagonal, 2 * t2 / dq.diagonal),
+        perpendiculars=(ratio(2 * h1, x), ratio(2 * h2, x)),
     )
 
 
@@ -261,24 +307,27 @@ def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:
     """Diagonals of the cyclic configuration with the given side order:
     p = sqrt((ac+bd)(ad+bc)/(ab+cd)), q = sqrt((ac+bd)(ab+cd)/(ad+bc)).
     Stated unconditionally in the classical sources; valid only for the
-    cyclic configuration.  One root is taken, and q = p(ab+cd)/(ad+bc), the
-    same normal form, so each factor is split once."""
-    a, b, c, d = q
-    ac_bd = a * c + b * d
-    ad_bc = a * d + b * c
+    cyclic configuration.  Degree 1: with P = AC + BD, Q = AD + BC and
+    R = AB + CD, p = sqrt(PQR)/(Ru) and q = sqrt(PQR)/(Qu).  One root is
+    taken, of the three factors each split once."""
+    (a, b, c, d), unit = integer_units(q)
     ab_cd = a * b + c * d
-    p = Surd.sqrt(ac_bd, ad_bc, 1 / ab_cd)
-    return DiagonalPair(p=p, q=p * ab_cd / ad_bc)
+    ad_bc = a * d + b * c
+    root = Surd.sqrt(a * c + b * d, ad_bc, ab_cd)
+    return DiagonalPair(p=ratio(root, ab_cd * unit), q=ratio(root, ad_bc * unit))
 
 
 def ptolemy_check(q: QuadSides, d: DiagonalPair) -> bool:
-    """Exact Ptolemy equality: p*q == ac + bd."""
-    a, b, c, d_side = q
-    return d.p * d.q == a * c + b * d_side
+    """Exact Ptolemy equality: p*q == ac + bd, on the sides and diagonals
+    in one unit (degree 2)."""
+    (a, b, c, d_side, p, q_diag), _ = integer_units((*q, *d))
+    return p * q_diag == a * c + b * d_side
 
 
 def triangle_circumradius(t: Triangle) -> Exact:
-    """Circumradius abc / (4 * area).  The manifest's quad77-circumradii
+    """Circumradius abc / (4 * area) = ABC/(u sqrt(F1 F2 F3 F4)) on Heron's
+    four integer factors, degree 1.  The manifest's quad77-circumradii
     entry reads it, to show both diagonal triangles of the 77-split on one
     circle."""
-    return t.a * t.b * t.c / (4 * heron_area(t))
+    (a, b, c), unit = integer_units(t)
+    return ratio(a * b * c, unit * Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c))

@@ -22,9 +22,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
-from .exactnum import DEFAULT_DIGITS, GUARD_DIGITS, Exact, IncompatibleRadicands, approx
+from .exactnum import (
+    DEFAULT_DIGITS,
+    GUARD_DIGITS,
+    Exact,
+    IncompatibleRadicands,
+    approx,
+    integer_units,
+)
 from .mensuration import DiagQuad, GeometryError, QuadSides, abadha_split
 
 
@@ -76,9 +83,10 @@ def concyclic_exact(dq: DiagQuad) -> bool:
     and b and D between c and d, both facing the diagonal x, must sum to pi,
     so cos B == -cos D.  By the law of cosines that is
     (a^2 + b^2 - x^2) * c * d == -(c^2 + d^2 - x^2) * a * b, one exact
-    comparison with no square root."""
-    a, b, c, d = dq.sides
-    diag_sq = dq.diagonal * dq.diagonal
+    comparison with no square root.  It is homogeneous of degree 4, so it is
+    made on the sides and diagonal in one unit."""
+    (a, b, c, d, x), _ = integer_units((*dq.sides, dq.diagonal))
+    diag_sq = x * x
     return (a * a + b * b - diag_sq) * c * d == -((c * c + d * d - diag_sq) * a * b)
 
 
@@ -217,12 +225,10 @@ def scan_grid(q: QuadSides, steps: int, digits: int = DEFAULT_DIGITS) -> ScanGri
         if lower < lo + step < hi - step < upper:
             break
         places *= 2
-    den = lcm(lo.denominator, step.denominator, *(v.denominator for v in squares))
-    sa, sb, sc, sd = (v.numerator * (den // v.denominator) for v in squares)
-    dx = step.numerator * (den // step.denominator)
+    (sa, sb, sc, sd, x_lo, dx), den = integer_units((*squares, lo, step))
     return ScanGrid(
         den=den,
-        x0=lo.numerator * (den // lo.denominator) + dx,
+        x0=x_lo + dx,
         dx=dx,
         k1=2 * (sa + sb) * den,
         m1=(sa - sb) * den,

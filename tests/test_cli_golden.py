@@ -35,6 +35,15 @@ _REPORTS = [
     ("scan_steps9", ["--steps", "9", "scan", "75", "40", "51", "68"]),
     # the one report that prints a QuadSides
     ("construct_3_4_5_8_15_17", ["construct", "3", "4", "5", "8", "15", "17"]),
+    # rational sides: four denominators, and a surd root-rule area
+    ("area_four_denominators", ["area", "7/2", "15/4", "9/5", "13/6"]),
+    # the 77-split scaled by 1/7: split area 66, perpendiculars 60/7 and 24/7
+    (
+        "area_quad77_sevenths_split",
+        ["area", "75/7", "68/7", "51/7", "40/7", "--diagonal", "11"],
+    ),
+    ("area_triangle_rational", ["area", "13/2", "14/3", "15/4"]),
+    ("rhombus_rational", ["rhombus", "5/2", "7/3"]),
 ]
 
 CASES = (

@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,8 @@ from cyclicquad.exactnum import (
     approx,
     fixed_ratio,
     fixed_ratios,
+    integer_units,
+    ratio,
     render_decimal,
     render_ratio,
     render_ratios,
@@ -460,6 +462,65 @@ class TestComparison:
                 assert (a > b) if gap > 0 else (a < b)
 
 
+class TestIntegerUnits:
+    def test_rationals_become_ints_over_the_lcm(self):
+        scaled, unit = integer_units([Fraction(7, 2), Fraction(15, 4), Fraction(9, 5), 3])
+        assert unit == 20
+        assert scaled == [70, 75, 36, 60]
+        assert all(type(v) is int for v in scaled)
+
+    def test_integers_keep_unit_one(self):
+        scaled, unit = integer_units((Fraction(75), Fraction(68), 51))
+        assert (scaled, unit) == ([75, 68, 51], 1)
+        assert all(type(v) is int for v in scaled)
+
+    def test_surds_get_integer_coefficients(self):
+        # a Surd's coefficient denominators count towards the unit
+        values = (Surd(Fraction(1, 3), 2), Fraction(1, 2), Fraction(1, 4) + Surd(1, 3))
+        scaled, unit = integer_units(values)
+        assert unit == 12
+        assert scaled == [Surd(4, 2), 6, 3 + Surd(12, 3)]
+        assert type(scaled[1]) is int
+        for surd in (scaled[0], scaled[2]):
+            assert type(surd) is Surd and is_normal_form(surd)
+            assert all(c.denominator == 1 for c, _ in surd.terms)
+
+    @given(st.lists(coefficients | st.builds(Surd, coefficients, radicands), min_size=1, max_size=5))
+    def test_scaled_values_are_the_values_times_the_lcm(self, values):
+        scaled, unit = integer_units(values)
+        dens = [
+            c.denominator
+            for v in values
+            for c, _ in (v.terms if isinstance(v, Surd) else [(Fraction(v), 1)])
+        ]
+        assert unit == lcm(*dens)
+        assert scaled == [v * unit for v in values]
+        for v, w in zip(scaled, values):
+            assert type(v) is (Surd if isinstance(w, Surd) else int)
+
+
+class TestRatio:
+    def test_ints_give_one_fraction(self):
+        assert ratio(6, 4) == Fraction(3, 2) and type(ratio(6, 4)) is Fraction
+        assert type(ratio(8, 4)) is Fraction
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (Surd(6, 2), 4),
+            (Surd(3, 2) + 1, 9),
+            (Fraction(3, 7), 5),
+            (5, Fraction(3, 7)),
+            (Surd(6, 2), Surd(3, 2)),
+            (7, Surd(1, 3) + 1),
+        ],
+    )
+    def test_quotient_in_normal_form(self, num, den):
+        got = ratio(num, den)
+        assert got == num / den
+        assert type(got) in (Fraction, Surd) and is_normal_form(got)
+
+
 class TestApprox:
     def test_root_19800(self):
         got = Surd(30, 22).approx(7)
@@ -497,6 +558,10 @@ class TestApprox:
     def test_approx_returns_a_fraction(self, value):
         for digits in (1, 10, 60):
             assert type(approx(value, digits)) is Fraction
+
+    def test_rational_comes_back_as_itself(self):
+        value = Fraction(-7, 3)
+        assert approx(value, 5) is value
 
     def test_surd_never_equals_its_approximation(self):
         root = Surd(1, 2)

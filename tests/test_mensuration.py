@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
 
 from cyclicquad import exactnum
-from cyclicquad.exactnum import IncompatibleRadicands, Surd
+from cyclicquad.exactnum import IncompatibleRadicands, Surd, to_exact
 from cyclicquad.mensuration import (
     DegenerateRhombus,
     DiagQuad,
@@ -37,7 +38,28 @@ from cyclicquad.mensuration import (
 
 from cyclicquad.oracle import embed, shoelace_area
 
-from conftest import random_quad, random_triangle
+from conftest import (
+    checked_lengths,
+    figure_lengths,
+    is_exact,
+    outcome,
+    random_quad,
+    random_triangle,
+    reference_abadha_split,
+    reference_area_by_diagonal,
+    reference_cyclic_diagonal_pair,
+    reference_gross_area,
+    reference_heron_area,
+    reference_ptolemy_check,
+    reference_quad_check,
+    reference_rhombus_check,
+    reference_rhombus_second_diagonal,
+    reference_semiperimeter,
+    reference_sutra_area,
+    reference_trapezium_check,
+    reference_triangle_check,
+    reference_triangle_circumradius,
+)
 
 
 LILAVATI_TRAPEZIUM_SIDES = (14, 12, 9, 13)
@@ -379,3 +401,124 @@ class TestCircumradius:
         r1 = triangle_circumradius(Triangle(75, 68, 77))
         r2 = triangle_circumradius(Triangle(40, 51, 77))
         assert r1 == r2 == Fraction(85, 2)
+
+
+def assert_same_check(check, reference, *lengths):
+    """The figure's check accepts what its reference accepts, and raises the
+    same exception with the same message, naming the lengths as given."""
+    figure, error = outcome(check)
+    _, expected = outcome(lambda: reference(*lengths))
+    assert error == expected
+    if error is None:
+        stored = [v for item in figure for v in (item if isinstance(item, tuple) else (item,))]
+        assert all(map(is_exact, stored))
+
+
+def assert_same_rule(rule, reference, *args):
+    """rule(*args) equals reference(*args), value by value, and each value
+    is a Fraction or a Surd; where the reference raises, the rule raises
+    the same type."""
+    got, error = outcome(lambda: rule(*args))
+    expected, expected_error = outcome(lambda: reference(*args))
+    if expected_error is not None:
+        assert error is not None and error[0] is expected_error[0]
+        return
+    assert error is None
+    values = got if isinstance(got, tuple) else (got,)
+    assert values == (expected if isinstance(expected, tuple) else (expected,))
+    assert all(is_exact(v) for v in values)
+
+
+class TestIntegerForms:
+    """Every rule and check runs on integer numerators over one unit; each
+    equals its reference form (conftest), evaluated on the lengths as
+    given, over integer, rational and single-term surd lengths."""
+
+    @settings(deadline=None)
+    @given(checked_lengths(3))
+    def test_triangle_check(self, sides):
+        exact = tuple(map(to_exact, sides))
+        assert_same_check(lambda: Triangle(*sides), reference_triangle_check, *exact)
+
+    @settings(deadline=None)
+    @given(checked_lengths(4))
+    def test_quad_check(self, sides):
+        exact = tuple(map(to_exact, sides))
+        assert_same_check(lambda: QuadSides(*sides), reference_quad_check, *exact)
+
+    @settings(deadline=None)
+    @given(checked_lengths(2))
+    def test_rhombus_check(self, dims):
+        exact = tuple(map(to_exact, dims))
+        assert_same_check(lambda: Rhombus(*dims), reference_rhombus_check, *exact)
+
+    @settings(deadline=None)
+    @given(checked_lengths(5))
+    def test_trapezium_check(self, lengths):
+        base, face, leg1, leg2, height = map(to_exact, lengths)
+        assert_same_check(
+            lambda: Trapezium(lengths[0], lengths[1], lengths[2:4], lengths[4]),
+            reference_trapezium_check, base, face, (leg1, leg2), height,
+        )
+
+    @settings(deadline=None)
+    @given(figure_lengths(4))
+    @example((14, 12, 9, 13))
+    @example((75, 68, 51, 40))
+    @example(tuple(Fraction(n, 7) for n in (75, 68, 51, 40)))
+    def test_quadrilateral_rules(self, sides):
+        q = quad(*sides)
+        assert_same_rule(semiperimeter, reference_semiperimeter, list(q))
+        assert_same_rule(semiperimeter, reference_semiperimeter, q)
+        assert_same_rule(gross_area, reference_gross_area, q)
+        assert_same_rule(sutra_area, reference_sutra_area, q)
+        assert_same_rule(cyclic_diagonal_pair, reference_cyclic_diagonal_pair, q)
+
+    @settings(deadline=None)
+    @given(figure_lengths(4))
+    def test_ptolemy_check(self, sides):
+        q = quad(*sides)
+        pair, error = outcome(lambda: reference_cyclic_diagonal_pair(q))
+        a, b, c, d = q
+        pairs = [DiagonalPair(a, b), DiagonalPair(c + d, Surd(1, 2) * a)]
+        if error is None:
+            pairs += [pair, DiagonalPair(pair.p, pair.q + a)]
+        for diagonals in pairs:
+            assert ptolemy_check(q, diagonals) is reference_ptolemy_check(q, diagonals)
+
+    @settings(deadline=None)
+    @given(figure_lengths(3))
+    @example((75, 68, 77))
+    @example((Fraction(75, 7), Fraction(68, 7), 11))
+    @example((25, 25, Surd(25, 2)))
+    def test_triangle_rules(self, sides):
+        t = Triangle(*sides)
+        assert_same_rule(semiperimeter, reference_semiperimeter, list(t))
+        assert_same_rule(heron_area, reference_heron_area, t)
+        assert_same_rule(abadha_split, reference_abadha_split, t)
+        assert_same_rule(triangle_circumradius, reference_triangle_circumradius, t)
+
+    @settings(deadline=None)
+    @given(figure_lengths(2))
+    @example((25, 30))
+    @example((Fraction(5, 2), Fraction(7, 3)))
+    def test_rhombus_second_diagonal(self, dims):
+        r = Rhombus(*dims)
+        assert_same_rule(rhombus_second_diagonal, reference_rhombus_second_diagonal, r)
+
+    @settings(deadline=None)
+    @given(figure_lengths(5))
+    @example((75, 68, 51, 40, 77))
+    @example((Fraction(75, 7), Fraction(68, 7), Fraction(51, 7), Fraction(40, 7), 11))
+    def test_area_by_diagonal(self, lengths):
+        dq = DiagQuad(quad(*lengths[:4]), lengths[4])
+
+        def rule(dq):
+            report = area_by_diagonal(dq)
+            return (report.split_area, *report.perpendiculars)
+
+        def reference(dq):
+            split, perpendiculars = reference_area_by_diagonal(dq)
+            return (split, *perpendiculars)
+
+        assert_same_rule(rule, reference, dq)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclicquad import cli, exactnum, oracle
 from cyclicquad.exactnum import (
@@ -35,7 +35,15 @@ from cyclicquad.oracle import (
     shoelace_area,
 )
 
-from conftest import embed_triangle, random_diag_quad, random_quad, sqrt_fraction, time_limit
+from conftest import (
+    embed_triangle,
+    figure_lengths,
+    random_diag_quad,
+    random_quad,
+    reference_concyclic_exact,
+    sqrt_fraction,
+    time_limit,
+)
 
 
 def random_rational_quad(rng: random.Random):
@@ -278,6 +286,18 @@ class TestConcyclic:
         assert concyclic_exact(dq)
         assert concyclic(embed(dq))
         assert not concyclic(embed(DiagQuad(quad(2, 3, 4, 5), Fraction(22, 5))))
+
+    @settings(deadline=None)
+    @given(figure_lengths(5))
+    @example((75, 68, 51, 40, 77))
+    @example(tuple(Fraction(n, 7) for n in (75, 68, 51, 40, 77)))
+    @example((2, 3, 4, 5, Surd.sqrt(Fraction(253, 13))))
+    @example((25, 25, 25, 25, Surd(25, 2)))
+    def test_exact_equals_its_reference(self, lengths):
+        # on the lengths in one unit, the same answer as the law of cosines
+        # on the lengths as given
+        dq = DiagQuad(quad(*lengths[:4]), lengths[4])
+        assert concyclic_exact(dq) is reference_concyclic_exact(dq)
 
     def test_degenerate_collinear(self):
         # a rhombus folded almost flat, its apexes near the axis, is decided
