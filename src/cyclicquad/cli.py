@@ -32,7 +32,11 @@ rational, of its `Surd.approx` otherwise:
   `_json` writes it directly, byte-identical to `json.dumps(indent=2)` with
   a hook that gives that dict, and `_quote` quotes strings as `json.dumps`
   does.  It fills cached `%` templates: one per exact value and indent,
-  and one per block of int or str rows, such as triples.
+  and one per row of a block of int or str rows, such as triples and
+  scan samples; a block of `PythTriple`s fills it with no check of each
+  side, since a `PythTriple` holds only ints.  The hypotenuse pairs are
+  held as their groups: `_pairs` formats each paired triple once and
+  fills one pair template from those strings.
 `scan` prints approximations only: `--steps` builds the scan's
 `ScanGrid`, and the sample count, diagonals and areas are read from it,
 each column in one `render_ratios` pass over integer numerators.  JSON
@@ -48,7 +52,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, combinations
 from types import SimpleNamespace
 
 from .exactnum import (
@@ -73,7 +77,13 @@ from .mensuration import (
     semiperimeter,
     sutra_area,
 )
-from .triples import NotPythagorean, generate_triples, hypotenuse_pairs, validate_triple
+from .triples import (
+    NotPythagorean,
+    PythTriple,
+    generate_triples,
+    hypotenuse_groups,
+    validate_triple,
+)
 
 EXIT_OK = 0
 EXIT_MANIFEST_FAILURE = 1
@@ -167,11 +177,14 @@ def _list_template(shape: tuple[int, ...], pad: str | None, leaf: str) -> str:
 def _block(value, pad: str | None) -> str | None:
     """`value`, a list or tuple, as one filled template when it nests lists
     or tuples to one shape around scalars that are all ints or all strs,
-    such as triple and pair rows and scan samples; else None.  Text, for
+    such as triple rows and scan samples; else None.  Text, for
     `pad` None, prints a str as itself; JSON's template quotes strs that
     hold only ASCII digits, '.' and '-', such as decimals."""
     shape, leaves = [], value
     kinds = set(map(type, leaves))
+    if kinds == {PythTriple}:
+        # a PythTriple's sides are ints: no walk over its leaves
+        shape, leaves, kinds = [3], chain.from_iterable(value), {int}
     while all(issubclass(k, (list, tuple)) for k in kinds):
         lengths = set(map(len, leaves))
         if len(lengths) != 1:
@@ -197,6 +210,30 @@ def _block(value, pad: str | None) -> str | None:
     return _enclose([row] * len(value), pad) % tuple(leaves)
 
 
+class _HypotenusePairs:
+    """The pairs of triples sharing a hypotenuse, held as their
+    `hypotenuse_groups`: a report prints it as the list `hypotenuse_pairs`
+    gives, without building the pair tuples."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: list[list[PythTriple]]):
+        self.groups = groups
+
+
+def _pairs(groups: list[list[PythTriple]], pad: str | None) -> str:
+    """`combinations(group, 2)` of each of `groups`, as `_block` writes that
+    list of pairs: each triple is formatted once, at the pair indent, and
+    one pair template is filled from the combinations of the row strings."""
+    inner = pad and pad + "  "
+    row = _list_template((3,), inner and inner + "  ", "%s")
+    cells: list[str] = []
+    for group in groups:
+        cells += chain.from_iterable(combinations([row % t for t in group], 2))
+    pair = _list_template((2,), inner, "%s")
+    return _enclose([pair] * (len(cells) // 2), pad) % tuple(cells)
+
+
 def _json(value, pad: str, digits: int) -> str:
     """`value` as `json.dumps(value, indent=2, default=hook)` writes it, for
     a hook that gives an exact value as {coefficient: {num, den}, radicand,
@@ -207,6 +244,8 @@ def _json(value, pad: str, digits: int) -> str:
         return _quote(value)
     if cls is int:
         return repr(value)
+    if cls is _HypotenusePairs:
+        return _pairs(value.groups, pad)
     if isinstance(value, (list, tuple)):
         # a list of only ints or only strs, or of rows of them, fills one
         # template, with no Python call per item
@@ -230,8 +269,10 @@ def _text(value, digits: int) -> str:
     # against Fraction goes through the numbers ABCs
     if isinstance(value, (int, str)):
         return str(value)
+    if type(value) is _HypotenusePairs:
+        return _pairs(value.groups, None)
     if isinstance(value, (list, tuple)):
-        # the triples and their pairs fill one template, as in JSON
+        # the triples fill one template, as in JSON
         return _block(value, None) or _enclose([_text(v, digits) for v in value], None)
     if isinstance(value, (Fraction, Surd)):
         num, den, r, decimal = _exact_strs(value, digits)
@@ -407,13 +448,12 @@ def cmd_rhombus(args) -> int:
         r = Rhombus(side=_parse_length(args.dims[0]), d1=_parse_length(args.dims[1]))
     else:
         raise UsageError("rhombus takes SIDE D1 or --triple L M N")
-    square = Rhombus(side=r.side, d1=r.side * Surd(1, 2))
     report = {
         "side": r.side,
         "d1": r.d1,
         "d2": rhombus_second_diagonal(r),
         "area": rhombus_area(r),
-        "square_same_side_area": rhombus_area(square),
+        "square_same_side_area": r.side * r.side,
     }
     return _write_report(args, "rhombus", report)
 
@@ -424,7 +464,7 @@ def cmd_triples(args) -> int:
     found = generate_triples(args.max_hypotenuse)
     report: dict = {"max_hypotenuse": args.max_hypotenuse, "triples": found}
     if args.pairs:
-        report["hypotenuse_pairs"] = hypotenuse_pairs(found)
+        report["hypotenuse_pairs"] = _HypotenusePairs(hypotenuse_groups(found))
     return _write_report(args, "triples", report)
 
 

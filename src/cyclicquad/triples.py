@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, count
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, ne
 
 
 class NotPythagorean(ValueError):
@@ -16,12 +16,16 @@ _Sides = namedtuple("_Sides", "l m n")
 
 
 class PythTriple(_Sides):
-    """A Pythagorean triple in canonical order l <= m < n: a tuple (l, m, n),
-    checked when it is made, so it equals, hashes and sorts as that tuple."""
+    """A Pythagorean triple in canonical order l <= m < n: a tuple (l, m, n)
+    of ints, checked when it is made, so it equals, hashes and sorts as that
+    tuple."""
 
     __slots__ = ()
 
     def __new__(cls, l: int, m: int, n: int) -> "PythTriple":
+        # the writers print a block of triples without looking at its sides
+        if not type(l) is type(m) is type(n) is int:
+            raise TypeError(f"sides must be ints: {(l, m, n)!r}")
         self = tuple.__new__(cls, (l, m, n))
         if min(l, m, n) < 1:
             raise NotPythagorean(f"sides must be positive: {self}")
@@ -76,13 +80,20 @@ def generate_triples(max_hypotenuse: int) -> list[PythTriple]:
     return found
 
 
+def hypotenuse_groups(triples: list[PythTriple]) -> list[list[PythTriple]]:
+    """The runs of two or more triples sharing a hypotenuse in a list sorted
+    by (n, l) as `generate_triples` returns it, in that order."""
+    hyps = list(map(itemgetter(2), triples))
+    # a run ends where the hypotenuse changes, and at the end of the list
+    ends = [*compress(count(1), map(ne, hyps, hyps[1:])), len(triples)]
+    return [triples[start:end] for start, end in zip([0, *ends], ends) if end - start > 1]
+
+
 def hypotenuse_pairs(
     triples: list[PythTriple],
 ) -> list[tuple[PythTriple, PythTriple]]:
     """All unordered pairs of distinct triples sharing a hypotenuse, from a
-    list sorted by (n, l) as `generate_triples` returns it.  The pairs come
-    sorted by (n, first.l); within a pair the smaller-l triple comes first."""
-    by_n: dict[int, list[PythTriple]] = {}
-    for t in triples:
-        by_n.setdefault(t.n, []).append(t)
-    return list(chain.from_iterable(combinations(group, 2) for group in by_n.values()))
+    list sorted by (n, l) as `generate_triples` returns it: `combinations`
+    of each of its `hypotenuse_groups`.  The pairs come sorted by
+    (n, first.l); within a pair the smaller-l triple comes first."""
+    return list(chain.from_iterable(combinations(g, 2) for g in hypotenuse_groups(triples)))

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclicquad.cli as cli
 from cyclicquad import exactnum, manifest, mensuration, triples
@@ -244,6 +247,18 @@ class TestRhombus:
         assert report["d2"]["coefficient"]["num"] == "48"
         assert report["area"]["coefficient"]["num"] == "336"
 
+    @settings(deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6))
+    def test_square_same_side_area_is_the_rule_on_the_square(self, side):
+        # the rhombus rule on the square of the same side, whose diagonal is
+        # side*sqrt(2), is the reference for side*side
+        reports = []
+        with mock.patch.object(cli, "_write_report", lambda _, __, report: reports.append(report)):
+            main(["rhombus", str(side), str(side)])
+        value = reports[0]["square_same_side_area"]
+        square = mensuration.Rhombus(side, side * exactnum.Surd(1, 2))
+        assert type(value) is Fraction and value == mensuration.rhombus_area(square)
+
     def test_degenerate(self, capsys):
         code, _, err = run_cli(capsys, "rhombus", "25", "50")
         assert code == 2 and "error:" in err
@@ -290,23 +305,31 @@ class TestTriples:
         assert code == 2 and out == ""
         assert err == "error: max_hypotenuse must be >= 5\n"
 
-    @pytest.mark.parametrize("n", [5, 24, 25, 100, 1000, 2000])
-    def test_pairs_print_as_the_listified_report(self, capsys, n):
-        # the writers take the PythTriple rows and pair tuples as they come;
-        # the output is that of the report copied into lists of lists
+    # 1105 = 5 * 13 * 17 and 2465 = 5 * 17 * 29 are each the hypotenuse of
+    # 13 triples, so of 78 pairs
+    @pytest.mark.parametrize("n", [5, 24, 25, 100, 1000, 1105, 2000, 2465])
+    def test_pairs_print_as_the_listified_report(self, capsys, tmp_path, n):
+        # the writers take the PythTriple rows as they come and the pairs as
+        # their hypotenuse groups; the output is that of the report with
+        # the triples and the pair tuples copied into lists of lists
         found = triples.generate_triples(n)
         report = {
             "max_hypotenuse": n,
             "triples": [list(t) for t in found],
             "hypotenuse_pairs": [[list(p), list(s)] for p, s in triples.hypotenuse_pairs(found)],
         }
-        code, out, _ = run_cli(capsys, "triples", str(n), "--pairs")
-        assert code == 0
-        assert out == "triples:\n" + "".join(f"  {k}: {v!r}\n" for k, v in report.items())
-        code, out, _ = run_cli(capsys, "--format", "json", "triples", str(n), "--pairs")
+        text = "triples:\n" + "".join(f"  {k}: {v!r}\n" for k, v in report.items())
         config = {"precision_digits": cli.DEFAULT_DIGITS, "scan_steps": 999, "output_format": "json"}
         payload = {"command": "triples", "config": config, "report": report}
-        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+        for argv, expected in [
+            (["triples", str(n), "--pairs"], text),
+            (["--format", "json", "triples", str(n), "--pairs"], json.dumps(payload, indent=2) + "\n"),
+        ]:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out == expected
+            path = tmp_path / "out"
+            code, out, _ = run_cli(capsys, "--out", str(path), *argv)
+            assert (code, out) == (0, "") and path.read_text() == expected
 
 
 class TestExitCodes:

@@ -10,6 +10,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +239,20 @@ class TestTextWriter:
         assert cli._text(rows, 12) == "[[3, 4, 5], [6, 8, 10], [5, 12, 13], [], [True, 0]]"
         pairs = [[[7, 24, 25], [15, 20, 25]], [[1, (2,)], [[]]]]
         assert cli._text(pairs, 12) == "[[[7, 24, 25], [15, 20, 25]], [[1, [2]], [[]]]]"
+
+
+class TestHypotenusePairs:
+    @settings(deadline=None)
+    @given(st.lists(st.lists(pyth_triples, min_size=2, max_size=5), max_size=5), st.integers(0, 3))
+    def test_print_as_the_list_of_pairs(self, groups, depth):
+        # both writers print the groups as the pair tuples of each group,
+        # at any indent
+        value = cli._HypotenusePairs(groups)
+        listed = [pair for group in groups for pair in combinations(group, 2)]
+        for _ in range(depth):
+            value, listed = [value], [listed]
+        assert cli._json(value, "\n", 20) == reference_json(listed, 20)
+        assert cli._text(value, 12) == reference_text(listed, 12)
 
 
 # text's `c (decimal)` or `c*sqrt(r) (decimal)`, c as `num` or `num/den`

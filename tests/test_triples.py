@@ -1,5 +1,7 @@
 import copy
 import pickle
+from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 import pytest
@@ -8,6 +10,7 @@ from cyclicquad.triples import (
     NotPythagorean,
     PythTriple,
     generate_triples,
+    hypotenuse_groups,
     hypotenuse_pairs,
     validate_triple,
 )
@@ -98,6 +101,20 @@ class TestPythTripleContract:
         with pytest.raises(NotPythagorean, match=message):
             PythTriple(*sides)
 
+    @pytest.mark.parametrize(
+        "sides",
+        [(3.0, 4.0, 5.0), (Fraction(3), 4, 5), (3, 4, 5.0), (3, True, 5), (3, 4, "5")],
+    )
+    def test_rejects_sides_that_are_not_ints(self, sides):
+        # equal values of other types are not sides either: the writers
+        # print a triple's sides without looking at them
+        with pytest.raises(TypeError, match=r"sides must be ints: \("):
+            PythTriple(*sides)
+        with pytest.raises(TypeError, match="sides must be ints"):
+            validate_triple(*sides)
+        with pytest.raises(TypeError, match="sides must be ints"):
+            PythTriple(3, 4, 5)._replace(l=sides[0], m=sides[1], n=sides[2])
+
 
 class TestGenerate:
     def test_smallest(self):
@@ -149,3 +166,17 @@ class TestHypotenusePairs:
         assert keys == sorted(keys)
         for p, s in pairs:
             assert p.n == s.n and p != s
+
+    def test_groups_and_pairs_match_brute_force(self):
+        # every bound up to 1200, the empty list for those below 5:
+        # generate_triples(bound) is the prefix of generate_triples(1200)
+        # with n <= bound (TestGenerate)
+        found = generate_triples(1200)
+        brute_pairs = [(a, b) for a, b in combinations(found, 2) if a.n == b.n]
+        hyps = sorted({t.n for t in found})
+        brute_groups = [[t for t in found if t.n == n] for n in hyps]
+        brute_groups = [group for group in brute_groups if len(group) > 1]
+        for bound in range(1201):
+            prefix = [t for t in found if t.n <= bound]
+            assert hypotenuse_groups(prefix) == [g for g in brute_groups if g[0].n <= bound], bound
+            assert hypotenuse_pairs(prefix) == [p for p in brute_pairs if p[0].n <= bound], bound
