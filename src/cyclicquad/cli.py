@@ -19,11 +19,21 @@ command imports the modules only it needs, so a one-shot call loads
 neither argparse nor json, nor the manifest, construction, oracle or SVG
 modules it does not run.
 
+A length on the command line is read once, by `_parse_length`: an ASCII
+`p` or `p/q` becomes `Fraction(int(p), int(q))`, and any other string goes
+to `Fraction(text)`, so both give the same values and the same refusals.
+A one-shot command measures each figure once: the figure's `measured`
+constructor checks it on its lengths in one unit (`integer_units`), and
+the rules' `*_in_units` forms run on those same units.
+
 Commands build their reports from the program's own values, and two
 renderers print every report.  Both read an exact value c*sqrt(r) through
 `_exact_strs` alone, as the strings of c's numerator and denominator, of r
-and of its decimal: `render_decimal` of the value itself when it is
-rational, of its `Surd.approx` otherwise:
+and of its decimal: `render_decimal` of the value when it is rational,
+`render_surd`, its correctly rounded decimal, otherwise.  Both writers, and
+`_exact_strs`, find an exact value by its type, `Fraction` or `Surd`,
+before any other branch, since `isinstance` against Fraction goes through
+the numbers ABCs:
 - text shows an exact value as `c*sqrt(r) (decimal)`, or `c (decimal)` when
   it is rational, always with its coefficient (`1*sqrt(3)`), and a list as
   `[a, b]`;
@@ -59,23 +69,25 @@ from .exactnum import (
     DEFAULT_DIGITS,
     IncompatibleRadicands,
     Surd,
+    integer_units,
     render_decimal,
     render_ratios,
+    render_surd,
 )
 from .mensuration import (
     DiagQuad,
     GeometryError,
+    QuadSides,
     Rhombus,
     Triangle,
-    area_by_diagonal,
-    cyclic_diagonal_pair,
-    gross_area,
-    heron_area,
+    area_by_diagonal_in_units,
+    cyclic_diagonal_pair_in_units,
+    gross_area_in_units,
+    heron_area_in_units,
     quad,
-    rhombus_area,
-    rhombus_second_diagonal,
-    semiperimeter,
-    sutra_area,
+    rhombus_in_units,
+    semiperimeter_in_units,
+    sutra_area_in_units,
 )
 from .triples import (
     NotPythagorean,
@@ -108,15 +120,13 @@ def _exact_strs(value, digits: int) -> tuple[str, str, str, str]:
     """(num, den, radicand, decimal) of an exact value c*sqrt(r): the only
     reading of an exact value that the text and JSON writers print from.  A
     sum of surds has no such form and raises IncompatibleRadicands."""
-    if isinstance(value, Surd):
-        c, r = value.coefficient, value.radicand
-        decimal = render_decimal(value.approx(digits), digits)
-    elif isinstance(value, Fraction):
-        c, r = value, 1
-        decimal = render_decimal(value, digits)
-    else:
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    return str(c.numerator), str(c.denominator), str(r), decimal
+    cls = type(value)
+    if cls is Fraction:
+        return str(value.numerator), str(value.denominator), "1", render_decimal(value, digits)
+    if cls is not Surd:
+        raise TypeError(f"{cls.__name__} is not JSON serializable")
+    c, r = value.coefficient, value.radicand
+    return str(c.numerator), str(c.denominator), str(r), render_surd(value, digits)
 
 
 @cache
@@ -240,6 +250,10 @@ def _json(value, pad: str, digits: int) -> str:
     decimal} from `_exact_strs`.  `pad` is a newline and the indent of the
     line the value starts on: a bare newline at the top level."""
     cls = type(value)
+    if cls is Fraction or cls is Surd:
+        # an exact value fills one template, where walking its dict would
+        # take eight calls
+        return _exact_template(pad) % _exact_strs(value, digits)
     if cls is str:
         return _quote(value)
     if cls is int:
@@ -258,35 +272,42 @@ def _json(value, pad: str, digits: int) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    # an exact value fills one template, where walking its dict would take
-    # eight calls
-    return _exact_template(pad) % _exact_strs(value, digits)
+    raise TypeError(f"{cls.__name__} is not JSON serializable")
 
 
 def _text(value, digits: int) -> str:
     """Text form of one report value."""
-    # int and str first: they are the common scalars, and isinstance
-    # against Fraction goes through the numbers ABCs
+    # exact values first, by type: they are most of a one-shot report, and
+    # isinstance against Fraction goes through the numbers ABCs
+    cls = type(value)
+    if cls is Fraction or cls is Surd:
+        num, den, r, decimal = _exact_strs(value, digits)
+        c = num if den == "1" else f"{num}/{den}"
+        return f"{c} ({decimal})" if r == "1" else f"{c}*sqrt({r}) ({decimal})"
     if isinstance(value, (int, str)):
         return str(value)
-    if type(value) is _HypotenusePairs:
+    if cls is _HypotenusePairs:
         return _pairs(value.groups, None)
     if isinstance(value, (list, tuple)):
         # the triples fill one template, as in JSON
         return _block(value, None) or _enclose([_text(v, digits) for v in value], None)
-    if isinstance(value, (Fraction, Surd)):
-        num, den, r, decimal = _exact_strs(value, digits)
-        c = num if den == "1" else f"{num}/{den}"
-        return f"{c} ({decimal})" if r == "1" else f"{c}*sqrt({r}) ({decimal})"
-    raise TypeError(f"{type(value).__name__} has no text form")
+    raise TypeError(f"{cls.__name__} has no text form")
 
 
 def _parse_length(text: str) -> Fraction:
+    """The positive length `text` names, as `Fraction(text)` reads it.  An
+    ASCII `p` or `p/q` is converted by `int` alone, without the regular
+    expression `Fraction` matches a string with."""
+    num, slash, den = text.partition("/")
     try:
-        value = Fraction(text)
+        if num.isdigit() and text.isascii() and (not slash or den.isdigit()):
+            value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        else:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a number: {text!r}") from exc
-    if value <= 0:
+    # the denominator is positive: the sign is the numerator's
+    if value.numerator <= 0:
         raise UsageError(f"lengths must be positive: {text}")
     return value
 
@@ -351,32 +372,33 @@ def cmd_area(args) -> int:
     if len(sides) == 3:
         if args.diagonal is not None:
             raise UsageError("a diagonal applies only to four-sided input")
+        _, units = Triangle.measured(*sides)
         report = {
             "figure": "triangle",
             "sides": sides,
-            "semiperimeter": semiperimeter(sides),
-            "area": heron_area(Triangle(*sides)),
+            "semiperimeter": semiperimeter_in_units(units),
+            "area": heron_area_in_units(units),
         }
     elif len(sides) == 4:
-        q = quad(*sides)
+        q, units = QuadSides.measured(*sides)
         report = {
             "figure": "quadrilateral",
             "sides": sides,
-            "semiperimeter": semiperimeter(sides),
-            "gross_area": gross_area(q),
-            "sutra_area": sutra_area(q),
+            "semiperimeter": semiperimeter_in_units(units),
+            "gross_area": gross_area_in_units(units),
+            "sutra_area": sutra_area_in_units(units),
         }
         if args.diagonal is not None:
-            from .oracle import concyclic_exact
+            from .oracle import concyclic_exact_in_units
 
-            dq = DiagQuad(q, _parse_length(args.diagonal))
-            split = area_by_diagonal(dq)
-            pair = cyclic_diagonal_pair(q)
+            dq, split_units = DiagQuad.measured(q, _parse_length(args.diagonal))
+            split = area_by_diagonal_in_units(split_units)
+            pair = cyclic_diagonal_pair_in_units(units)
             report["diagonal"] = dq.diagonal
             report["split_area"] = split.split_area
             report["perpendiculars"] = split.perpendiculars
             report["cyclic_diagonals"] = [pair.p, pair.q]
-            report["cyclic"] = concyclic_exact(dq)
+            report["cyclic"] = concyclic_exact_in_units(split_units)
     else:
         raise UsageError("area takes three sides (triangle) or four (quadrilateral)")
     return _write_report(args, "area", report)
@@ -388,14 +410,19 @@ def cmd_construct(args) -> int:
     t1 = validate_triple(args.l1, args.m1, args.n1)
     t2 = validate_triple(args.l2, args.m2, args.n2)
     built = brahmagupta_quad(t1, t2)
+    dq = built.as_diag_quad()
+    # the split's sides are the construction's, rotated: the root rule is
+    # symmetric in them
+    units = integer_units((*dq.sides, dq.diagonal))
+    (*sides, _), unit = units
     report = {
         "source": [[t1.l, t1.m, t1.n], [t2.l, t2.m, t2.n]],
         "sides": list(built.sides),
         "glue_diagonal": built.glue_diagonal,
         "circumdiameter": built.glue_diagonal,
         "cyclic_diagonals": [built.diagonals.p, built.diagonals.q],
-        "area": area_by_diagonal(built.as_diag_quad()).split_area,
-        "sutra_area": sutra_area(built.sides),
+        "area": area_by_diagonal_in_units(units).split_area,
+        "sutra_area": sutra_area_in_units((sides, unit)),
     }
     return _write_report(args, "construct", report)
 
@@ -443,16 +470,18 @@ def cmd_rhombus(args) -> int:
     if args.triple and not args.dims:
         from .construct import rhombus_from_triple
 
-        r = rhombus_from_triple(validate_triple(*args.triple))
+        dims = rhombus_from_triple(validate_triple(*args.triple))
     elif len(args.dims) == 2 and not args.triple:
-        r = Rhombus(side=_parse_length(args.dims[0]), d1=_parse_length(args.dims[1]))
+        dims = map(_parse_length, args.dims)
     else:
         raise UsageError("rhombus takes SIDE D1 or --triple L M N")
+    r, units = Rhombus.measured(*dims)
+    d2, area = rhombus_in_units(units)
     report = {
         "side": r.side,
         "d1": r.d1,
-        "d2": rhombus_second_diagonal(r),
-        "area": rhombus_area(r),
+        "d2": d2,
+        "area": area,
         "square_same_side_area": r.side * r.side,
     }
     return _write_report(args, "rhombus", report)
@@ -614,6 +643,9 @@ def _run(nargs, pattern: str, start: int) -> int | None:
     classes of the strings in `pattern`: 'A' an argument, 'O' an option,
     '-' the '--' that ends options, after which every string is an 'A'.
     Each run takes the dashes that follow it."""
+    if nargs is None and pattern[start : start + 2] in ("A", "AA", "AO"):
+        # one argument that no '--' follows: the common case
+        return 1
     if nargs == _COMMAND:
         # the command word, then every string left
         return len(pattern) - start if pattern[start:].lstrip("-")[:1] == "A" else None
@@ -728,7 +760,7 @@ class Parser:
                 # every later string is an argument
                 kinds.append("-" + "A" * (len(argv) - i - 1))
                 break
-            option = self._classify(arg)
+            option = arg.startswith("-") and self._classify(arg)
             if option:
                 found[i] = option
             kinds.append("O" if option else "A")
@@ -790,7 +822,8 @@ class Parser:
         start = 0
         last = max(found, default=-1)
         while start <= last:
-            following = min(i for i in found if i >= start)
+            # `found` holds the options in the order of argv
+            following = next(i for i in found if i >= start)
             if start != following:
                 end = take_positionals(start)
                 if end > start:

@@ -11,8 +11,9 @@ from .mensuration import (
     DiagonalPair,
     DiagQuad,
     GeometryError,
+    QuadSides,
     Rhombus,
-    cyclic_diagonal_pair,
+    cyclic_diagonal_pair_in_units,
     ptolemy_check,
     quad,
 )
@@ -37,15 +38,19 @@ class CyclicQuadConstruction(
 
     def as_diag_quad(self) -> DiagQuad:
         """The construction as a DiagQuad split along the glue diagonal
-        (side order rotated so the split convention matches)."""
+        (side order rotated so the split convention matches).  Its
+        triangles are the two scaled right triangles on the glue diagonal,
+        so it is built without checking them."""
         a, b, c, d = self.sides
-        return DiagQuad(quad(b, c, d, a), self.glue_diagonal)
+        rotated = tuple.__new__(QuadSides, (b, c, d, a))
+        return tuple.__new__(DiagQuad, (rotated, self.glue_diagonal))
 
 
 def rhombus_from_triple(t: PythTriple) -> Rhombus:
     """Four copies of the right triangle, joined at the right angles: a
-    rhombus with side n and diagonals 2l, 2m (area 2*l*m)."""
-    return Rhombus(side=Fraction(t.n), d1=Fraction(2 * t.l))
+    rhombus with side n and diagonals 2l, 2m (area 2*l*m).  Every triple
+    has 0 < 2l < 2n, so the rhombus is built without its check."""
+    return tuple.__new__(Rhombus, (Fraction(t.n), Fraction(2 * t.l)))
 
 
 def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
@@ -54,9 +59,9 @@ def brahmagupta_quad(t1: PythTriple, t2: PythTriple) -> CyclicQuadConstruction:
     along the common hypotenuse n1*n2.  Canonical cyclic side order is
     (l1*n2, l2*n1, m2*n1, m1*n2); the glue diagonal joins the two vertices
     not shared by adjacent canonical sides."""
-    sides = quad(t1.l * t2.n, t2.l * t1.n, t2.m * t1.n, t1.m * t2.n)
+    sides, units = QuadSides.measured(t1.l * t2.n, t2.l * t1.n, t2.m * t1.n, t1.m * t2.n)
     glue = Fraction(t1.n * t2.n)
-    diagonals = cyclic_diagonal_pair(sides)
+    diagonals = cyclic_diagonal_pair_in_units(units)
     # the formulas' own p*q is ac + bd for any four sides, so p is paired
     # with the glue diagonal, which must be the cyclic q
     if not ptolemy_check(sides, DiagonalPair(diagonals.p, glue)):

@@ -52,9 +52,11 @@ of a sum raise ``IncompatibleRadicands``.
 Exact and approximate values stay apart.  An approximation is a plain
 Fraction (``approx``), and a Surd never equals one because no Surd has a
 rational value.  It becomes a decimal string with ``render_decimal`` only
-where a report prints it.  ``render_ratio`` and ``fixed_ratio`` print an
-integer ratio num/den the same way without building a Fraction, for
-callers that hold a numerator and denominator.  ``render_ratios`` and
+where a report prints it.  A report prints an irrational value with
+``render_surd``, the correctly rounded decimal of the value itself.
+``render_ratio`` and ``fixed_ratio`` print an integer ratio num/den the
+same way without building a Fraction, for callers that hold a numerator
+and denominator.  ``render_ratios`` and
 ``fixed_ratios`` print a column of numerators over one denominator, such as
 a scan's samples, in one pass with the same strings.
 """
@@ -597,7 +599,11 @@ def approx(value: int | Exact, digits: int = DEFAULT_DIGITS) -> Fraction:
     return Fraction(value)
 
 
-def integer_units(values) -> tuple[list, int]:
+# Values measured in one unit, as ``integer_units`` gives them.
+Units = tuple[list, int]
+
+
+def integer_units(values) -> Units:
     """(scaled, unit): the values measured in one unit 1/`unit`, the lcm of
     their denominators and of a Surd's coefficient denominators, so that
     value == scaled / unit for each.  A rational value comes back as an int,
@@ -651,6 +657,23 @@ def render_decimal(value: Fraction, digits: int) -> str:
     value below 1 always shows at least one significant digit.  An int is
     accepted as well."""
     return render_ratio(value.numerator, value.denominator, digits)
+
+
+def render_surd(value: Surd, digits: int) -> str:
+    """``render_decimal`` of the irrational `value` itself, correctly
+    rounded (Ziv, ACM Trans. Math. Softw. 17, 1991): the string that both
+    ends of the estimate's error interval, total -+ bound (``_estimate``),
+    render to, with the places doubled until they agree.  They do at some
+    precision because an irrational value is never at a rounding
+    boundary."""
+    places = digits + GUARD_DIGITS
+    while True:
+        total, bound, den = _estimate(value.terms, places)
+        scale = den * 10**places
+        text = render_ratio(total - bound, scale, digits)
+        if text == render_ratio(total + bound, scale, digits):
+            return text
+        places *= 2
 
 
 def render_ratio(num: int, den: int, digits: int) -> str:

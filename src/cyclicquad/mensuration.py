@@ -18,8 +18,8 @@ Surds.  The integer forms, with S = A + B + C (+ D) the scaled perimeter:
 
 - checks (degree 1): the signs of A, B, ... and the strict inequalities
   between them, such as A < B + C, compared as they are;
-- semiperimeter S/(2u) (degree 1) and gross area (A + C)(B + D)/(4u**2)
-  (degree 2);
+- semiperimeter S/(2u) (degree 1), gross area (A + C)(B + D)/(4u**2)
+  and trapezium area (B + F)H/(2u**2) on base, face and height (degree 2);
 - root rule: sqrt of the product of S - 2A, S - 2B, S - 2C, S - 2D over
   4u**2, or, when S is even, of the halved factors S/2 - A, ... over u**2
   (degree 2);
@@ -27,18 +27,26 @@ Surds.  The integer forms, with S = A + B + C (+ D) the scaled perimeter:
   (degree 2), the four factors F1 ... F4 below;
 - abadha split: segments (C**2 + A**2 - B**2)/(2Cu) and
   (C**2 + B**2 - A**2)/(2Cu), height sqrt(F1 F2 F3 F4)/(2Cu) (degree 1);
-- rhombus: d2 = sqrt((2A - D)(2A + D))/u (degree 1);
+- rhombus: d2 = sqrt((2A - D)(2A + D))/u (degree 1) and, from the same
+  root, the area D sqrt((2A - D)(2A + D))/(2u**2) (degree 2);
 - cyclic diagonals: with P = AC + BD, Q = AD + BC and R = AB + CD,
   p = sqrt(PQR)/(Ru) and q = sqrt(PQR)/(Qu) (degree 1);
 - Ptolemy's check pq == ac + bd on the sides and diagonals in one unit
   (degree 2), and the circumradius ABC/(u sqrt(F1 F2 F3 F4)) (degree 1).
+
+A figure is measured once.  Each figure's ``measured`` constructor gives
+the checked figure with the ``integer_units`` of its lengths, the ones its
+check ran on, and a rule's ``*_in_units`` form runs on those: a caller
+that applies several rules to one figure, as each CLI command does, brings
+its lengths to one unit once.  The rule itself, such as ``sutra_area(q)``,
+measures its figure and calls that form.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactnum import Exact, Surd, integer_units, ratio, to_exact
+from .exactnum import Exact, Surd, Units, integer_units, ratio, to_exact
 
 
 class GeometryError(ValueError):
@@ -74,18 +82,25 @@ class Triangle(namedtuple("Triangle", "a b c")):
     __slots__ = ()
 
     def __new__(cls, a: int | Exact, b: int | Exact, c: int | Exact) -> Triangle:
+        return cls.measured(a, b, c)[0]
+
+    @classmethod
+    def measured(cls, a: int | Exact, b: int | Exact, c: int | Exact) -> tuple[Triangle, Units]:
+        """The checked triangle and its sides in one unit, from the one
+        ``integer_units`` call that its check and its rules share."""
         self = tuple.__new__(cls, (to_exact(a), to_exact(b), to_exact(c)))
+        units = integer_units(self)
         # the checks are looked up on the class at each construction, here
         # and in every figure below, so a wrapper set on the class (a
         # tracer, a test's counter) sees each one
-        self.__post_init__()
-        return self
+        self.__post_init__(units)
+        return self, units
 
     _make = classmethod(_remake)
 
-    def __post_init__(self):
+    def __post_init__(self, units: Units):
         # on the sides in one unit; a message names the sides as given
-        (a, b, c), _ = integer_units(self)
+        (a, b, c), _ = units
         if not (a > 0 and b > 0 and c > 0):
             raise InvalidTriangle(f"sides must be positive: {list(self)}")
         for given, side, others in ((self.a, a, b + c), (self.b, b, c + a), (self.c, c, a + b)):
@@ -102,14 +117,23 @@ class QuadSides(namedtuple("QuadSides", "a b c d")):
     __slots__ = ()
 
     def __new__(cls, a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact) -> QuadSides:
+        return cls.measured(a, b, c, d)[0]
+
+    @classmethod
+    def measured(
+        cls, a: int | Exact, b: int | Exact, c: int | Exact, d: int | Exact
+    ) -> tuple[QuadSides, Units]:
+        """The checked sides and their values in one unit, from the one
+        ``integer_units`` call that the check and the rules share."""
         self = tuple.__new__(cls, (to_exact(a), to_exact(b), to_exact(c), to_exact(d)))
-        self.__post_init__()
-        return self
+        units = integer_units(self)
+        self.__post_init__(units)
+        return self, units
 
     _make = classmethod(_remake)
 
-    def __post_init__(self):
-        sides, _ = integer_units(self)
+    def __post_init__(self, units: Units):
+        sides, _ = units
         a, b, c, d = sides
         if not (a > 0 and b > 0 and c > 0 and d > 0):
             raise InvalidQuad(f"sides must be positive: {tuple(self)}")
@@ -134,24 +158,34 @@ class DiagQuad(namedtuple("DiagQuad", "sides diagonal")):
     __slots__ = ()
 
     def __new__(cls, sides: QuadSides, diagonal: int | Exact) -> DiagQuad:
+        return cls.measured(sides, diagonal)[0]
+
+    @classmethod
+    def measured(cls, sides: QuadSides, diagonal: int | Exact) -> tuple[DiagQuad, Units]:
+        """The checked figure and its sides and diagonal, (a, b, c, d, x),
+        in one unit, from the one ``integer_units`` call that the checks of
+        both triangles and the rules share."""
         if not isinstance(sides, QuadSides):
             raise TypeError(f"sides must be a QuadSides, not {type(sides).__name__}")
         self = tuple.__new__(cls, (sides, to_exact(diagonal)))
-        self.__post_init__()
-        return self
+        units = integer_units((*sides, self.diagonal))
+        self.__post_init__(units)
+        return self, units
 
     _make = classmethod(_remake)
 
-    def __post_init__(self):
-        a, b, c, d = self.sides
-        # Triangle raises InvalidTriangle for a nonpositive diagonal too
-        Triangle(a, b, self.diagonal)
-        Triangle(c, d, self.diagonal)
+    def __post_init__(self, units: Units):
+        (a, b, c, d, x), unit = units
+        first, second = self.triangles
+        # Triangle's check raises InvalidTriangle for a nonpositive
+        # diagonal too
+        first.__post_init__(((a, b, x), unit))
+        second.__post_init__(((c, d, x), unit))
 
     @property
     def triangles(self) -> tuple[Triangle, Triangle]:
-        # both were checked when the DiagQuad was made, so they are built
-        # as tuples without checking them again
+        # both are checked when the DiagQuad is made, so they are built as
+        # tuples without checking them again
         a, b, c, d = self.sides
         new, x = tuple.__new__, self.diagonal
         return new(Triangle, (a, b, x)), new(Triangle, (c, d, x))
@@ -166,15 +200,15 @@ class Trapezium(namedtuple("Trapezium", "base face legs height")):
         self = tuple.__new__(cls, (
             to_exact(base), to_exact(face), tuple(to_exact(v) for v in legs), to_exact(height)
         ))
-        self.__post_init__()
+        self.__post_init__(integer_units((self.base, self.face, *self.legs, self.height)))
         return self
 
     _make = classmethod(_remake)
 
-    def __post_init__(self):
-        values = (self.base, self.face, *self.legs, self.height)
-        scaled, _ = integer_units(values)
+    def __post_init__(self, units: Units):
+        scaled, _ = units
         if not all(v > 0 for v in scaled):
+            values = (self.base, self.face, *self.legs, self.height)
             raise InvalidTrapezium(f"all lengths must be positive: {values}")
         base, face, *legs, height = scaled
         # face == base is the parallelogram limit, still measurable
@@ -190,14 +224,21 @@ class Rhombus(namedtuple("Rhombus", "side d1")):
     __slots__ = ()
 
     def __new__(cls, side: int | Exact, d1: int | Exact) -> Rhombus:
+        return cls.measured(side, d1)[0]
+
+    @classmethod
+    def measured(cls, side: int | Exact, d1: int | Exact) -> tuple[Rhombus, Units]:
+        """The checked rhombus and its side and diagonal in one unit, from
+        the one ``integer_units`` call that the check and the rules share."""
         self = tuple.__new__(cls, (to_exact(side), to_exact(d1)))
-        self.__post_init__()
-        return self
+        units = integer_units(self)
+        self.__post_init__(units)
+        return self, units
 
     _make = classmethod(_remake)
 
-    def __post_init__(self):
-        (side, d1), _ = integer_units(self)
+    def __post_init__(self, units: Units):
+        (side, d1), _ = units
         if not (side > 0 and d1 > 0):
             raise DegenerateRhombus("side and diagonal must be positive")
         if not d1 < 2 * side:
@@ -222,14 +263,22 @@ class DiagonalPair(namedtuple("DiagonalPair", "p q")):
 
 def semiperimeter(sides) -> Exact:
     """Half the perimeter, S/(2u): degree 1."""
-    scaled, unit = integer_units(sides)
+    return semiperimeter_in_units(integer_units(sides))
+
+
+def semiperimeter_in_units(units: Units) -> Exact:
+    scaled, unit = units
     return ratio(sum(scaled), 2 * unit)
 
 
 def gross_area(q: QuadSides) -> Exact:
     """The gross rule: product of the half-sums of opposite sides,
     (A + C)(B + D)/(4u**2), degree 2."""
-    (a, b, c, d), unit = integer_units(q)
+    return gross_area_in_units(integer_units(q))
+
+
+def gross_area_in_units(units: Units) -> Exact:
+    (a, b, c, d), unit = units
     return ratio((a + c) * (b + d), 4 * unit * unit)
 
 
@@ -242,10 +291,26 @@ def sutra_area(q: QuadSides) -> Exact:
     the four factors H - kA, ... over (ku)**2.  The factors go to
     ``Surd.sqrt`` as they are, so each is factored on its own, at the size
     of a side, and never their product."""
-    (a, b, c, d), unit = integer_units(q)
-    (half,), k = integer_units((ratio(a + b + c + d, 2),))
+    return sutra_area_in_units(integer_units(q))
+
+
+def sutra_area_in_units(units: Units) -> Exact:
+    (a, b, c, d), unit = units
+    total = a + b + c + d
+    # S/2 = half/k in lowest terms
+    if type(total) is int:
+        half, k = (total // 2, 1) if total % 2 == 0 else (total, 2)
+    else:
+        # a Surd's: over the lcm of its halved coefficients' denominators
+        (half,), k = integer_units((ratio(total, 2),))
     root = Surd.sqrt(half - k * a, half - k * b, half - k * c, half - k * d)
     return ratio(root, (k * unit) ** 2)
+
+
+def _heron_root(a, b, c) -> Exact:
+    """sqrt(F1 F2 F3 F4) = 4T for the triangle of sides a, b, c, on
+    Heron's four factors."""
+    return Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c)
 
 
 def heron_area(t: Triangle) -> Exact:
@@ -255,24 +320,38 @@ def heron_area(t: Triangle) -> Exact:
     ``Surd.sqrt`` factors each of the four factors on its own, at the size
     of a side, rather than their product; a surd side makes it multiply the
     factors out, which is exact whatever the sides are."""
-    (a, b, c), unit = integer_units(t)
-    return ratio(Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c), 4 * unit * unit)
+    return heron_area_in_units(integer_units(t))
+
+
+def heron_area_in_units(units: Units) -> Exact:
+    (a, b, c), unit = units
+    return ratio(_heron_root(a, b, c), 4 * unit * unit)
 
 
 def trapezium_area(t: Trapezium) -> Exact:
-    """Half the sum of base and face, times the height."""
-    return (t.base + t.face) / 2 * t.height
+    """Half the sum of base and face, times the height: (B + F)H/(2u**2),
+    degree 2."""
+    (base, face, height), unit = integer_units((t.base, t.face, t.height))
+    return ratio((base + face) * height, 2 * unit * unit)
 
 
 def rhombus_second_diagonal(r: Rhombus) -> Exact:
     """d2 = sqrt(4 a**2 - d1**2) = sqrt((2A - D)(2A + D))/u, degree 1."""
-    (side, d1), unit = integer_units(r)
-    return ratio(Surd.sqrt(2 * side - d1, 2 * side + d1), unit)
+    return rhombus_in_units(integer_units(r))[0]
 
 
 def rhombus_area(r: Rhombus) -> Exact:
-    """Half the product of the diagonals."""
-    return r.d1 * rhombus_second_diagonal(r) / 2
+    """Half the product of the diagonals, D sqrt((2A - D)(2A + D))/(2u**2),
+    degree 2."""
+    return rhombus_in_units(integer_units(r))[1]
+
+
+def rhombus_in_units(units: Units) -> tuple[Exact, Exact]:
+    """(second diagonal, area) of a rhombus, from the one root that both
+    take."""
+    (side, d1), unit = units
+    root = Surd.sqrt(2 * side - d1, 2 * side + d1)
+    return ratio(root, unit), ratio(d1 * root, 2 * unit * unit)
 
 
 def abadha_split(t: Triangle) -> tuple[Exact, Exact, Exact]:
@@ -284,22 +363,27 @@ def abadha_split(t: Triangle) -> tuple[Exact, Exact, Exact]:
     (a, b, c), unit = integer_units(t)
     aa, bb, cc = a * a, b * b, c * c
     den = 2 * c * unit
-    height = ratio(Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c), den)
-    return ratio(cc + aa - bb, den), ratio(cc + bb - aa, den), height
+    return ratio(cc + aa - bb, den), ratio(cc + bb - aa, den), ratio(_heron_root(a, b, c), den)
 
 
 def area_by_diagonal(dq: DiagQuad) -> MensurationReport:
     """Split the quadrilateral along its diagonal, apply Heron to both
     triangles and report the summed area plus the perpendiculars from the
-    off-diagonal vertices onto the diagonal, 2*T/x, from the areas and the
-    diagonal in one unit.  When the two triangle areas are incommensurable
-    surds the split area is their two-term sum.
+    off-diagonal vertices onto the diagonal, 2*T/x.  On the sides and the
+    diagonal in one unit, each triangle's root R = 4Tu**2 gives its area
+    R/(4u**2) and its perpendicular R/(2uX).  When the two triangle areas
+    are incommensurable surds the split area is their two-term sum.
     """
-    t1, t2 = map(heron_area, dq.triangles)
-    (h1, h2, x), _ = integer_units((t1, t2, dq.diagonal))
+    return area_by_diagonal_in_units(integer_units((*dq.sides, dq.diagonal)))
+
+
+def area_by_diagonal_in_units(units: Units) -> MensurationReport:
+    (a, b, c, d, x), unit = units
+    first, second = _heron_root(a, b, x), _heron_root(c, d, x)
+    height = 2 * unit * x
     return MensurationReport(
-        split_area=t1 + t2,
-        perpendiculars=(ratio(2 * h1, x), ratio(2 * h2, x)),
+        split_area=ratio(first + second, 4 * unit * unit),
+        perpendiculars=(ratio(first, height), ratio(second, height)),
     )
 
 
@@ -310,7 +394,11 @@ def cyclic_diagonal_pair(q: QuadSides) -> DiagonalPair:
     cyclic configuration.  Degree 1: with P = AC + BD, Q = AD + BC and
     R = AB + CD, p = sqrt(PQR)/(Ru) and q = sqrt(PQR)/(Qu).  One root is
     taken, of the three factors each split once."""
-    (a, b, c, d), unit = integer_units(q)
+    return cyclic_diagonal_pair_in_units(integer_units(q))
+
+
+def cyclic_diagonal_pair_in_units(units: Units) -> DiagonalPair:
+    (a, b, c, d), unit = units
     ab_cd = a * b + c * d
     ad_bc = a * d + b * c
     root = Surd.sqrt(a * c + b * d, ad_bc, ab_cd)
@@ -330,4 +418,4 @@ def triangle_circumradius(t: Triangle) -> Exact:
     entry reads it, to show both diagonal triangles of the 77-split on one
     circle."""
     (a, b, c), unit = integer_units(t)
-    return ratio(a * b * c, unit * Surd.sqrt(a + b + c, b + c - a, a - b + c, a + b - c))
+    return ratio(a * b * c, unit * _heron_root(a, b, c))

@@ -29,6 +29,7 @@ from .exactnum import (
     GUARD_DIGITS,
     Exact,
     IncompatibleRadicands,
+    Units,
     approx,
     integer_units,
 )
@@ -85,7 +86,11 @@ def concyclic_exact(dq: DiagQuad) -> bool:
     (a^2 + b^2 - x^2) * c * d == -(c^2 + d^2 - x^2) * a * b, one exact
     comparison with no square root.  It is homogeneous of degree 4, so it is
     made on the sides and diagonal in one unit."""
-    (a, b, c, d, x), _ = integer_units((*dq.sides, dq.diagonal))
+    return concyclic_exact_in_units(integer_units((*dq.sides, dq.diagonal)))
+
+
+def concyclic_exact_in_units(units: Units) -> bool:
+    (a, b, c, d, x), _ = units
     diag_sq = x * x
     return (a * a + b * b - diag_sq) * c * d == -((c * c + d * d - diag_sq) * a * b)
 

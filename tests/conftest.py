@@ -8,7 +8,8 @@ from math import isqrt
 
 from hypothesis import strategies as st
 
-from cyclicquad.exactnum import DEFAULT_DIGITS, NegativeRadicand, Surd, approx
+from cyclicquad.cli import UsageError
+from cyclicquad.exactnum import DEFAULT_DIGITS, NegativeRadicand, Surd, approx, render_ratio
 from cyclicquad.mensuration import (
     DegenerateRhombus,
     DiagonalPair,
@@ -212,6 +213,14 @@ def reference_rhombus_second_diagonal(r):
     return Surd.sqrt(2 * r.side - r.d1, 2 * r.side + r.d1)
 
 
+def reference_rhombus_area(r):
+    return r.d1 * reference_rhombus_second_diagonal(r) / 2
+
+
+def reference_trapezium_area(t):
+    return (t.base + t.face) / 2 * t.height
+
+
 def reference_abadha_split(t):
     segment_a = (t.c * t.c + t.a * t.a - t.b * t.b) / (2 * t.c)
     height = Surd.sqrt(t.a - segment_a, t.a + segment_a)
@@ -317,3 +326,28 @@ def outcome(call):
 def is_exact(value) -> bool:
     """A Fraction or a Surd: never an int, a float or a bool."""
     return type(value) in (Fraction, Surd)
+
+
+def reference_parse_length(text: str) -> Fraction:
+    """`cli._parse_length` as it read before its integer fast path: every
+    string through `Fraction(text)`."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a number: {text!r}") from exc
+    if value <= 0:
+        raise UsageError(f"lengths must be positive: {text}")
+    return value
+
+
+def reference_surd_decimal(value: Surd, places: int, digits: int) -> str:
+    """`render_decimal` of a single-term `value` at `digits`, from the two
+    ends of a bracket 10**-places wide around it, found by `isqrt` on the
+    term; None when the ends print differently, as they do only when the
+    value lies within 10**-places of a rounding boundary."""
+    (c, r), = value.terms
+    n, m = c.numerator, c.denominator
+    low = abs(n) * isqrt(r * 10 ** (2 * places))
+    ends = (low, low + abs(n)) if n > 0 else (-low - abs(n), -low)
+    texts = {render_ratio(end, m * 10**places, digits) for end in ends}
+    return texts.pop() if len(texts) == 1 else None

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,12 +8,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cyclicquad.cli as cli
 from cyclicquad import exactnum, manifest, mensuration, triples
 from cyclicquad.cli import main
 from cyclicquad.manifest import ManifestEntry
+
+from conftest import reference_parse_length
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -336,10 +339,10 @@ class TestExitCodes:
     def test_a_bug_is_not_a_usage_error(self, capsys, monkeypatch):
         # a plain ValueError from inside the program is a bug: it propagates
         # instead of exiting 2 as if the input were at fault
-        def broken(q):
+        def broken(units):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(cli, "sutra_area", broken)
+        monkeypatch.setattr(cli, "sutra_area_in_units", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["area", "3", "4", "5", "6"])
 
@@ -370,14 +373,116 @@ class TestFactoring:
         assert len(seen) == len(set(seen)) == calls
 
 
+class TestOneShotStructure:
+    """A one-shot command measures each figure once and takes each root
+    once."""
+
+    @staticmethod
+    def count_integer_units(monkeypatch) -> list:
+        # every module that imported integer_units holds its own binding
+        calls = []
+        original = exactnum.integer_units
+
+        def counting(values):
+            calls.append(values)
+            return original(values)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cyclicquad") and getattr(module, "integer_units", None) is original:
+                monkeypatch.setattr(module, "integer_units", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["area", "13", "14", "15"], 1),
+            (["area", "75", "68", "51", "40"], 1),
+            (["area", "7/2", "15/4", "9/5", "13/6"], 1),
+            # the sides; the sides and the diagonal, for both triangles
+            (["area", "75", "68", "51", "40", "--diagonal", "77"], 2),
+            (["area", "75/7", "68/7", "51/7", "40/7", "--diagonal", "11"], 2),
+            # the sides; the sides and both diagonals, for Ptolemy's check;
+            # the sides and the glue diagonal, for the split
+            (["construct", "3", "4", "5", "8", "15", "17"], 3),
+            (["rhombus", "--triple", "20", "21", "29"], 1),
+            (["rhombus", "5/2", "7/3"], 1),
+        ],
+    )
+    def test_each_figure_measured_once(self, capsys, monkeypatch, argv, calls):
+        seen = self.count_integer_units(monkeypatch)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(seen) == calls
+
+    @pytest.mark.parametrize("argv", [["rhombus", "--triple", "20", "21", "29"], ["rhombus", "5", "6"]])
+    def test_rhombus_takes_one_root(self, capsys, monkeypatch, argv):
+        roots = []
+        original = exactnum.Surd.sqrt
+
+        def counting(*factors):
+            roots.append(factors)
+            return original(*factors)
+
+        monkeypatch.setattr(exactnum.Surd, "sqrt", staticmethod(counting))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(roots) == 1
+
+
+# a numerator past the interpreter's limit for int(str), where it has one
+TOO_LONG = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+# pieces of length strings: ASCII digits, Arabic-Indic digits, a superscript
+# two, a fullwidth three, signs, spaces, underscores, '.', exponents, '/'
+LENGTH_ATOMS = [
+    "0", "1", "7", "12", "007", "\u0661\u0662", "\u00b2", "\uff13", "_", "-", "+", " ", "\t",
+    "\n", ".", "e", "E", "/", "x", "\u00a0",
+]
+# an exponent of three or more digits, which `Fraction(text)` would expand
+# into a power of ten as long as its value: 1e121212 has 121,213 digits
+LONG_EXPONENT = re.compile(r"[eE][-+]?\d[\d_]{2,}")
+
+
+class TestParseLength:
+    """`_parse_length` against `Fraction(text)` (conftest), on the
+    interpreter under test."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            value = parse(text)
+        except cli.UsageError as exc:
+            return "error", str(exc)
+        return type(value), value
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.sampled_from(LENGTH_ATOMS), max_size=8)
+        .map("".join)
+        .filter(lambda text: not LONG_EXPONENT.search(text))
+        | st.builds(
+            "{}{}{}{}{}".format,
+            st.sampled_from(["", " ", "\t "]),
+            st.sampled_from(["", "+", "-"]),
+            st.integers(0, 10**40).map(str),
+            st.sampled_from(["", "/", "/0", "/00", "/1", "/3", "/ 3", ".5", "e3", "E-2", "_0"]),
+            st.sampled_from(["", " ", "\n"]),
+        )
+    )
+    @example("7/2")
+    @example(TOO_LONG)
+    @example(TOO_LONG + "/3")
+    @example("3/" + TOO_LONG)
+    def test_matches_fraction(self, text):
+        got = self.outcome(cli._parse_length, text)
+        assert got == self.outcome(reference_parse_length, text)
+
+
 class TestValidation:
     def test_split_validates_each_triangle_once(self, capsys, monkeypatch):
         seen = []
         original = mensuration.Triangle.__post_init__
 
-        def counting(self):
+        def counting(self, units):
             seen.append(self)
-            original(self)
+            original(self, units)
 
         monkeypatch.setattr(mensuration.Triangle, "__post_init__", counting)
         code, _, _ = run_cli(capsys, "area", "75", "68", "51", "40", "--diagonal", "77")

@@ -22,6 +22,13 @@ SIDES_80 = [
     "87939823223186002773145329248828446915704894884080899850836230542941273950599438",
 ]
 
+ROUNDING_SIDES = [
+    "11628556944489/20672990123528",
+    "29717423302567/20672990123528",
+    "32301547068017/20672990123528",
+    "32301547068017/20672990123528",
+]
+
 _REPORTS = [
     ("area_quad77_split", ["area", "75", "68", "51", "40", "--diagonal", "77"]),
     ("area_trapezium", ["area", "14", "12", "9", "13"]),
@@ -44,6 +51,10 @@ _REPORTS = [
     ),
     ("area_triangle_rational", ["area", "13/2", "14/3", "15/4"]),
     ("rhombus_rational", ["rhombus", "5/2", "7/3"]),
+    ("rhombus_triple_20_21_29", ["rhombus", "--triple", "20", "21", "29"]),
+    # the root rule's area is 1.50000000000029...: correctly rounded to one
+    # digit it is 2, where rounding a 10-guard-digit estimate printed 1
+    ("area_rounding_digits1", ["--digits", "1", "area", *ROUNDING_SIDES]),
 ]
 
 CASES = (

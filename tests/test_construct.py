@@ -15,6 +15,7 @@ from cyclicquad.mensuration import (
     DiagonalPair,
     DiagQuad,
     cyclic_diagonal_pair,
+    cyclic_diagonal_pair_in_units,
     heron_area,
     quad,
     rhombus_area,
@@ -77,11 +78,11 @@ class TestBrahmaguptaQuad:
     def test_wrong_diagonal_pair_raises(self, monkeypatch):
         # (2p, q/2) keeps the product p*q, so only a check against the glue
         # diagonal refuses it
-        def wrong_pair(sides):
-            p, q = cyclic_diagonal_pair(sides)
+        def wrong_pair(units):
+            p, q = cyclic_diagonal_pair_in_units(units)
             return DiagonalPair(2 * p, q / 2)
 
-        monkeypatch.setattr(construct, "cyclic_diagonal_pair", wrong_pair)
+        monkeypatch.setattr(construct, "cyclic_diagonal_pair_in_units", wrong_pair)
         with pytest.raises(PtolemyViolation):
             brahmagupta_quad(validate_triple(3, 4, 5), validate_triple(8, 15, 17))
 

@@ -21,11 +21,12 @@ from cyclicquad.exactnum import (
     render_decimal,
     render_ratio,
     render_ratios,
+    render_surd,
     square_free_split,
     to_exact,
 )
 
-from conftest import sqrt_fraction
+from conftest import reference_surd_decimal, sqrt_fraction
 
 
 @pytest.fixture
@@ -697,6 +698,46 @@ def reference_fixed_ratio(num, den, places):
     if places:
         return f"{sign}{text[:-places]}.{text[-places:]}"
     return sign + text
+
+
+@st.composite
+def near_half_way(draw):
+    """(value, digits, rounded): c*sqrt(r) within 10**-e of a half-way
+    point h = k + 1/2, c = (isqrt(h**2 * 10**2e / r) + d)/10**e for d = 0
+    or 1, printed to its integer digits: k + 1 above h, k below."""
+    k = draw(st.integers(1, 10**6))
+    e = draw(st.integers(1, 40))
+    r = draw(st.sampled_from((2, 3, 5, 6, 7, 10)))
+    c = Fraction(isqrt((2 * k + 1) ** 2 * 10 ** (2 * e) // (4 * r)) + draw(st.integers(0, 1)), 10**e)
+    above = c * c * r > Fraction(2 * k + 1, 2) ** 2
+    return Surd(c, r), len(str(k)), str(k + 1 if above else k)
+
+
+class TestCorrectRounding:
+    """`render_surd` prints the value itself rounded, not a rounded
+    estimate of it."""
+
+    def test_root_rule_area_near_one_and_a_half(self):
+        # 1.50000000000029...: an estimate with 10 guard digits is below 1.5
+        value = Surd(Fraction(3410067, 3215042), 2)
+        assert render_decimal(value.approx(1), 1) == "1"
+        assert render_surd(value, 1) == "2"
+
+    @settings(deadline=None)
+    @given(near_half_way())
+    def test_near_a_half_way_point(self, case):
+        value, digits, rounded = case
+        assert render_surd(value, digits) == rounded
+
+    @settings(deadline=None)
+    @given(st.builds(Surd, st.fractions(max_denominator=10**20).filter(bool), st.integers(2, 10**12)),
+           st.integers(1, 60))
+    def test_matches_a_finer_bracket(self, value, digits):
+        if isinstance(value, Fraction):
+            return
+        expected = reference_surd_decimal(value, digits + 120, digits)
+        if expected is not None:
+            assert render_surd(value, digits) == expected
 
 
 @st.composite

@@ -10,8 +10,8 @@ from unittest.mock import patch
 
 import pytest
 
-from cyclicquad.construct import brahmagupta_quad
-from cyclicquad.exactnum import Surd
+from cyclicquad.construct import brahmagupta_quad, rhombus_from_triple
+from cyclicquad.exactnum import Surd, integer_units
 from cyclicquad.manifest import run_manifest
 from cyclicquad.mensuration import (
     DegenerateRhombus,
@@ -164,14 +164,42 @@ def test_post_init_runs_once_per_construction_through_the_class(cls, monkeypatch
     seen = []
     original = cls.__post_init__
 
-    def counting(self):
+    def counting(self, units):
         seen.append(self)
-        original(self)
+        original(self, units)
 
     monkeypatch.setattr(cls, "__post_init__", counting)
     assert cls(*value) == value
     assert value._replace() == value
     assert seen == [value, value]
+
+
+@pytest.mark.parametrize("cls", [Triangle, QuadSides, DiagQuad, Rhombus], ids=lambda c: c.__name__)
+def test_measured_gives_the_figure_and_the_units_of_its_check(cls, monkeypatch):
+    value = FIGURES[cls.__name__]
+    seen = []
+    original = cls.__post_init__
+
+    def recording(self, units):
+        seen.append(units)
+        original(self, units)
+
+    monkeypatch.setattr(cls, "__post_init__", recording)
+    figure, units = cls.measured(*value)
+    assert type(figure) is cls and figure == value
+    lengths = (*value.sides, value.diagonal) if cls is DiagQuad else value
+    assert seen == [units] and units == integer_units(lengths)
+
+
+def test_construction_figures_need_no_check():
+    # a triple's rhombus and a construction's split are valid by
+    # construction, and are built without running their checks
+    with patch.object(Rhombus, "__post_init__") as rhombus, \
+            patch.object(DiagQuad, "__post_init__") as diag_quad:
+        r = rhombus_from_triple(PythTriple(20, 21, 29))
+        dq = FIGURES["CyclicQuadConstruction"].as_diag_quad()
+    assert not rhombus.called and not diag_quad.called
+    assert r == Rhombus(29, 40) and dq == DiagQuad(quad(40, 75, 68, 51), 85)
 
 
 def test_diag_quad_takes_a_quad_sides():
@@ -187,9 +215,9 @@ def test_diag_quad_checks_its_triangles_once(monkeypatch):
     calls = []
     original = Triangle.__post_init__
 
-    def counting(self):
+    def counting(self, units):
         calls.append(tuple(self))
-        original(self)
+        original(self, units)
 
     monkeypatch.setattr(Triangle, "__post_init__", counting)
     dq = DiagQuad(quad(75, 68, 51, 40), 77)

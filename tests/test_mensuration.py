@@ -52,10 +52,12 @@ from conftest import (
     reference_heron_area,
     reference_ptolemy_check,
     reference_quad_check,
+    reference_rhombus_area,
     reference_rhombus_check,
     reference_rhombus_second_diagonal,
     reference_semiperimeter,
     reference_sutra_area,
+    reference_trapezium_area,
     reference_trapezium_check,
     reference_triangle_check,
     reference_triangle_circumradius,
@@ -505,6 +507,26 @@ class TestIntegerForms:
     def test_rhombus_second_diagonal(self, dims):
         r = Rhombus(*dims)
         assert_same_rule(rhombus_second_diagonal, reference_rhombus_second_diagonal, r)
+
+    @settings(deadline=None)
+    @given(figure_lengths(2))
+    @example((25, 30))
+    @example((Fraction(5, 2), Fraction(7, 3)))
+    @example((25, Surd(25, 2)))
+    def test_rhombus_area(self, dims):
+        r = Rhombus(*dims)
+        assert_same_rule(rhombus_area, reference_rhombus_area, r)
+
+    @settings(deadline=None)
+    @given(figure_lengths(5))
+    @example((12, 9, 12, 13, 14))
+    @example((Fraction(12, 7), Fraction(9, 5), 12, 13, Fraction(14, 3)))
+    def test_trapezium_area(self, lengths):
+        # in [m, 2m) and sorted: the height is no longer than a leg and
+        # the face no longer than the base
+        height, face, *legs, base = sorted(map(to_exact, lengths))
+        t = Trapezium(base, face, legs, height)
+        assert_same_rule(trapezium_area, reference_trapezium_area, t)
 
     @settings(deadline=None)
     @given(figure_lengths(5))
