@@ -7,7 +7,8 @@ Exit codes:
 - 2 usage or domain error: a command line the grammar rejects, or
   `UsageError`, `GeometryError`, `NotPythagorean`, `IncompatibleRadicands`;
 - 3 output error: `--out` is empty, or names a file that cannot be opened,
-  written or closed.
+  written or closed; or stdout, where the output and help go without
+  `--out`, is closed or cannot be written or flushed.
 `main()` returns the code and raises no `SystemExit`.  Any other exception
 is a bug and propagates.
 
@@ -108,7 +109,7 @@ class UsageError(ValueError):
 
 
 class OutputError(Exception):
-    """The report cannot be written to the file `--out` names."""
+    """The output cannot be written to the file `--out` names, or to stdout."""
 
 
 def _report_digits(args) -> int:
@@ -314,16 +315,29 @@ def _parse_length(text: str) -> Fraction:
 
 def _write(text: str, out_path: str | None) -> None:
     """Write the command's output to --out, or to stdout without one.  Any
-    failure to open, write or close the file, for an empty path too, raises
-    OutputError."""
-    if out_path is None:
-        sys.stdout.write(text)
+    failure to open, write or close the file, for an empty path too, or to
+    write and flush stdout, a closed one too, raises OutputError."""
+    if out_path is not None:
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out_path}: {exc.strerror}") from exc
         return
+    stdout = sys.stdout
+    if stdout is None or stdout.closed:
+        raise OutputError("cannot write stdout: it is closed")
     try:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        stdout.write(text)
+        stdout.flush()
     except OSError as exc:
-        raise OutputError(f"cannot write {out_path}: {exc.strerror}") from exc
+        # a failed flush keeps the text buffered, and Python flushes stdout
+        # again at exit and then exits 120: closing it drops the text
+        try:
+            stdout.close()
+        except OSError:
+            pass
+        raise OutputError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _write_json(args, command: str, **body) -> None:
@@ -852,11 +866,15 @@ def build_parser() -> Parser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    except ParserExit as stop:
-        (sys.stderr if stop.code else sys.stdout).write(stop.text)
-        return stop.code
-    try:
+        try:
+            args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+        except ParserExit as stop:
+            # help is the call's output; a usage error goes to stderr
+            if stop.code:
+                sys.stderr.write(stop.text)
+            else:
+                _write(stop.text, None)
+            return stop.code
         if args.digits < 1:
             raise UsageError("--digits must be at least 1")
         if args.steps < 3:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from cyclicquad import exactnum, manifest, mensuration, triples
 from cyclicquad.cli import main
 from cyclicquad.manifest import ManifestEntry
 
-from conftest import reference_parse_length
+from conftest import reference_parse_length, time_limit
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -328,7 +329,8 @@ class TestTriples:
             (["triples", str(n), "--pairs"], text),
             (["--format", "json", "triples", str(n), "--pairs"], json.dumps(payload, indent=2) + "\n"),
         ]:
-            code, out, _ = run_cli(capsys, *argv)
+            with time_limit(10):
+                code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and out == expected
             path = tmp_path / "out"
             code, out, _ = run_cli(capsys, "--out", str(path), *argv)
@@ -513,6 +515,18 @@ class TestOutFile:
         assert (code, out) == (cli.EXIT_OUTPUT, "")
         assert err == "error: cannot write : No such file or directory\n"
 
+    @pytest.mark.parametrize("argv", [["area", "3", "4", "5"], ["--help"]], ids=["area", "help"])
+    @pytest.mark.parametrize("closed", ["none", "stream"])
+    def test_closed_stdout_is_an_output_error(self, capsys, monkeypatch, argv, closed):
+        # Python sets sys.stdout to None when the process starts without fd 1,
+        # and a failed write closes it
+        stream = None if closed == "none" else io.StringIO()
+        if stream:
+            stream.close()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(argv) == cli.EXIT_OUTPUT
+        assert capsys.readouterr().err == "error: cannot write stdout: it is closed\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_is_an_output_error(self, capsys):
         # /dev/full opens, then fails when the report is flushed on close
@@ -521,28 +535,8 @@ class TestOutFile:
         assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
-class TestGolden:
-    def test_construct_json_golden(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--format", "json", "construct", "3", "4", "5", "8", "15", "17"
-        )
-        with open(os.path.join(DATA, "cli", "construct_3_4_5_8_15_17.json")) as handle:
-            assert (code, out) == (0, handle.read())
-        # the report is the canonical two-space dump of its own parse
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
-
 class TestProcess:
     """Fresh interpreters, as a one-shot call from the shell runs them."""
-
-    def test_python_m_runs_the_command_line(self):
-        env = {**os.environ, "PYTHONPATH": SRC}
-        done = subprocess.run(
-            [sys.executable, "-m", "cyclicquad", "area", "14", "12", "9", "13"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        with open(os.path.join(DATA, "cli", "area_trapezium.txt")) as handle:
-            assert (done.returncode, done.stdout, done.stderr) == (0, handle.read(), "")
 
     def test_cold_start_skips_dataclasses_inspect_and_typing(self):
         # -I -S: no site, so no .pth file imports typing before the program.
@@ -564,36 +558,26 @@ class TestProcess:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
-        "golden, argv",
-        [
-            ("reproduce.json", ["--format", "json", "reproduce"]),
-            ("area_trapezium.txt", ["area", "14", "12", "9", "13"]),
-            ("area_quad77_split.txt", ["area", "75", "68", "51", "40", "--diagonal", "77"]),
-            ("construct_3_4_5_8_15_17.txt", ["construct", "3", "4", "5", "8", "15", "17"]),
-            ("scan_steps9.txt", ["--steps", "9", "scan", "75", "40", "51", "68"]),
-            ("scan_steps9.json", ["--format", "json", "--steps", "9", "scan", "75", "40", "51", "68"]),
-            ("scan_steps9.svg", ["--format", "svg", "--steps", "9", "scan", "75", "40", "51", "68"]),
-            ("rhombus_1_1.txt", ["rhombus", "1", "1"]),
-            ("triples_325_pairs.txt", ["triples", "325", "--pairs"]),
-        ],
-        ids=lambda value: value if isinstance(value, str) else None,
+        "argv", [["reproduce"], ["area", "3", "4", "5"], ["--help"]], ids=lambda argv: argv[0]
     )
-    def test_each_command_in_a_fresh_process(self, golden, argv):
-        # in this process every module is loaded already; a fresh child
-        # shows that each command imports the modules it runs
+    def test_full_stdout_is_an_output_error(self, argv):
+        # under -I stdout is buffered whatever the environment says, so a
+        # failed flush is retried at exit, where it would exit 120
         code = (
             f"import sys; sys.path.insert(0, {SRC!r})\n"
             "from cyclicquad.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
+            "sys.exit(main())\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", code, *argv],
-            capture_output=True, text=True, timeout=60,
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-I", "-S", "-c", code, *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=10,
+            )
+        assert (done.returncode, done.stderr) == (
+            cli.EXIT_OUTPUT, "error: cannot write stdout: No space left on device\n"
         )
-        expected = (Path(DATA) / "cli" / golden).read_text()
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == expected
 
     def test_package_import_loads_no_module(self):
         # the package re-exports nothing: each name comes from its own module

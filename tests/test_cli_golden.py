@@ -1,14 +1,25 @@
 """Byte-for-byte CLI output for the worked examples, text, JSON and SVG forms.
 
-Each case is (golden file under tests/data/cli/, exit code, argv).  A run
-that exits 0 must print the file on stdout and nothing on stderr; a refusal
-must print the file on stderr and nothing on stdout."""
+`CASES` is the one list of CLI goldens: each case is (golden file under
+tests/data/cli/, exit code, argv), and every file there is named by a case.
+Each case runs twice, in this process under a 5 s limit and in a fresh
+interpreter.  A run that exits 0 must print the file on stdout and nothing
+on stderr; a refusal must print the file on stderr and nothing on stdout.
+A JSON golden is also its own canonical two-space dump.
 
+The fresh interpreter runs `python -I -S` on the package this process
+imported, as `python -m cyclicquad` does, so run from outside the checkout
+against an installed package, this module checks that package."""
+
+import json
+import subprocess
+import sys
 from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
+import cyclicquad
 from cyclicquad.cli import main
 
 from conftest import time_limit
@@ -62,7 +73,24 @@ CASES = (
     + [(f"{name}.json", 0, ["--format", "json", *argv]) for name, argv in _REPORTS]
     + [
         ("reproduce.json", 0, ["--format", "json", "reproduce"]),
+        ("reproduce.txt", 0, ["reproduce"]),
+        # every comparison is exact, so --digits changes no line
+        ("reproduce.txt", 0, ["--digits", "5", "reproduce"]),
+        # Heron's radicand has three prime factors near 2*10**8, which trial
+        # division to the cube root took about 20 s to reach
+        ("area_large_prime_radicand.txt", 0, ["area", "12433071/61", "92602035/488", "185871427/976"]),
+        # Heron's radicand multiplied out is about 10**78, and rho on it took
+        # about 30 s; its four factors are near 10**20 and split in milliseconds
+        (
+            "area_20digit_sides.txt",
+            0,
+            ["area", "64319778597937997879", "55114109362843527589", "16401117268241863454"],
+        ),
         ("scan_steps999.txt", 0, ["scan", "75", "40", "51", "68"]),
+        # a text scan evaluates its ends and a window around the peak, so its
+        # cost does not grow with the grid; the full kernel took about 2 s
+        # and 221 MB on a 2-vCPU x86 VM
+        ("scan_steps999999.txt", 0, ["--steps", "999999", "scan", "75", "40", "51", "68"]),
         ("scan_steps999.json", 0, ["--format", "json", "scan", "75", "40", "51", "68"]),
         ("scan_steps999.svg", 0, ["--format", "svg", "scan", "75", "40", "51", "68"]),
         (
@@ -114,8 +142,39 @@ CASES = (
             2,
             ["--format", "json", "area", "2", "3", "4", "5", "--diagonal", "3"],
         ),
+        ("area_nonpositive_side.err", 2, ["area", "0", "4", "5"]),
+        # an empty path names no file; it is not a missing --out
+        ("out_empty_path.err", 3, ["--out", "", "area", "3", "4", "5"]),
     ]
 )
+
+
+# two cases share reproduce.txt, so an id that a file name alone does not
+# make unique takes the argv as well
+IDS = [
+    name if [c[0] for c in CASES].count(name) == 1 else f"{name}:{' '.join(argv)}"
+    for name, _, argv in CASES
+]
+
+# `python -m cyclicquad` in an interpreter that sees only the package this
+# process imported: -I ignores the environment, the working directory and
+# the user's site-packages, and -S skips the site module
+RUN_MODULE = (
+    f"import runpy, sys; sys.path.insert(0, {str(Path(cyclicquad.__file__).parent.parent)!r})\n"
+    "runpy.run_module('cyclicquad', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def assert_run_matches(name: str, code: int, run: tuple[int, str, str]):
+    """`run`, the (exit code, stdout, stderr) of a case's command line,
+    exits with `code` and prints the golden on the one stream it uses."""
+    assert run[0] == code
+    shown, silent = (run[1], run[2]) if code == 0 else (run[2], run[1])
+    assert_matches_golden(shown, name)
+    assert silent == ""
+    if name.endswith(".json"):
+        # the report is the canonical two-space dump of its own parse
+        assert shown == json.dumps(json.loads(shown), indent=2) + "\n"
 
 
 def assert_matches_golden(shown: str, name: str):
@@ -138,49 +197,24 @@ def _line(text: str | None) -> str:
     return "end of output" if text is None else repr(text)
 
 
-@pytest.mark.parametrize("name, code, argv", CASES, ids=[c[0] for c in CASES])
+def test_each_golden_file_has_a_case():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted({c[0] for c in CASES})
+
+
+@pytest.mark.parametrize("name, code, argv", CASES, ids=IDS)
 def test_output_matches_golden(capsys, name, code, argv):
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    shown, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
-    assert_matches_golden(shown, name)
-    assert silent == ""
-
-
-def assert_area_golden_within(capsys, seconds: int, sides: list[str], name: str):
-    with time_limit(seconds):
-        code = main(["area", *sides])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert_matches_golden(captured.out, name)
-    assert captured.err == ""
-
-
-def test_area_with_large_prime_radicand_finishes(capsys):
-    # Heron's radicand here has three prime factors near 2*10**8, which trial
-    # division to the cube root took about 20 s to reach
-    assert_area_golden_within(
-        capsys, 10, ["12433071/61", "92602035/488", "185871427/976"],
-        "area_large_prime_radicand.txt",
-    )
-
-
-def test_area_with_20_digit_sides_finishes(capsys):
-    # Heron's radicand multiplied out is about 10**78, and rho on it took
-    # about 30 s; its four factors are near 10**20 and split in milliseconds
-    assert_area_golden_within(
-        capsys, 10, ["64319778597937997879", "55114109362843527589", "16401117268241863454"],
-        "area_20digit_sides.txt",
-    )
-
-
-def test_text_scan_at_a_million_steps_finishes(capsys):
-    # a text scan evaluates its ends and a window around the peak, so its
-    # cost does not grow with the grid; the full kernel took about 2 s
-    # and 221 MB on a 2-vCPU x86 VM
     with time_limit(5):
-        code = main(["--steps", "999999", "scan", "75", "40", "51", "68"])
-    assert code == 0
+        got = main(argv)
     captured = capsys.readouterr()
-    assert_matches_golden(captured.out, "scan_steps999999.txt")
-    assert captured.err == ""
+    assert_run_matches(name, code, (got, captured.out, captured.err))
+
+
+@pytest.mark.parametrize("name, code, argv", CASES, ids=IDS)
+def test_output_matches_golden_in_a_fresh_process(name, code, argv):
+    # in this process every module is loaded already; a fresh child shows
+    # that each command imports the modules it runs
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", RUN_MODULE, *argv],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert_run_matches(name, code, (done.returncode, done.stdout, done.stderr))
