@@ -535,8 +535,59 @@ class TestOutFile:
         assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
+class TestGolden:
+    def test_construct_json_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "construct", "3", "4", "5", "8", "15", "17"
+        )
+        with open(os.path.join(DATA, "cli", "construct_3_4_5_8_15_17.json")) as handle:
+            assert (code, out) == (0, handle.read())
+        # the report is the canonical two-space dump of its own parse
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestProcess:
     """Fresh interpreters, as a one-shot call from the shell runs them."""
+
+    def test_python_m_runs_the_command_line(self):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclicquad", "area", "14", "12", "9", "13"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        with open(os.path.join(DATA, "cli", "area_trapezium.txt")) as handle:
+            assert (done.returncode, done.stdout, done.stderr) == (0, handle.read(), "")
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("reproduce.json", ["--format", "json", "reproduce"]),
+            ("area_trapezium.txt", ["area", "14", "12", "9", "13"]),
+            ("area_quad77_split.txt", ["area", "75", "68", "51", "40", "--diagonal", "77"]),
+            ("construct_3_4_5_8_15_17.txt", ["construct", "3", "4", "5", "8", "15", "17"]),
+            ("scan_steps9.txt", ["--steps", "9", "scan", "75", "40", "51", "68"]),
+            ("scan_steps9.json", ["--format", "json", "--steps", "9", "scan", "75", "40", "51", "68"]),
+            ("scan_steps9.svg", ["--format", "svg", "--steps", "9", "scan", "75", "40", "51", "68"]),
+            ("rhombus_1_1.txt", ["rhombus", "1", "1"]),
+            ("triples_325_pairs.txt", ["triples", "325", "--pairs"]),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_each_command_in_a_fresh_process(self, golden, argv):
+        # in this process every module is loaded already; a fresh child
+        # shows that each command imports the modules it runs
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r})\n"
+            "from cyclicquad.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        expected = (Path(DATA) / "cli" / golden).read_text()
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == expected
 
     def test_cold_start_skips_dataclasses_inspect_and_typing(self):
         # -I -S: no site, so no .pth file imports typing before the program.
